@@ -109,14 +109,14 @@ def measure_latency(graph: ModelGraph, bundle: KernelBundle | None,
     batched = batched_random_inputs(graph, n, seed)
     single = [[a[k:k + 1] for a in batched] for k in range(n)]
     for inp in single[:warmup]:
-        run(graph, bundle, inp, op_timing=False)
+        run(graph, bundle, inp)
     totals = []
     gc.disable()
     try:
         for _ in range(reps):
             t0 = time.perf_counter()
             for inp in single:
-                run(graph, bundle, inp, op_timing=False)
+                run(graph, bundle, inp)
             totals.append(time.perf_counter() - t0)
     finally:
         gc.enable()
@@ -137,8 +137,8 @@ def latency_overhead(baseline: ModelGraph, base_bundle: KernelBundle | None,
     batched = batched_random_inputs(baseline, n, seed)
     single = [[a[k:k + 1] for a in batched] for k in range(n)]
     for inp in single[:warmup]:
-        run(baseline, base_bundle, inp, op_timing=False)
-        run(variant, variant_bundle, inp, op_timing=False)
+        run(baseline, base_bundle, inp)
+        run(variant, variant_bundle, inp)
     clock = time.perf_counter
     ratios = []
     gc.disable()
@@ -147,9 +147,9 @@ def latency_overhead(baseline: ModelGraph, base_bundle: KernelBundle | None,
             t_base = t_variant = 0.0
             for inp in single:
                 t0 = clock()
-                run(baseline, base_bundle, inp, op_timing=False)
+                run(baseline, base_bundle, inp)
                 t1 = clock()
-                run(variant, variant_bundle, inp, op_timing=False)
+                run(variant, variant_bundle, inp)
                 t_variant += clock() - t1
                 t_base += t1 - t0
             ratios.append(t_variant / t_base)

@@ -25,7 +25,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bundle import KernelBundle
-from .errors import MissingBundle, ShapeMismatch, UnknownCustomName
+from .errors import (
+    IndexOutOfRange,
+    MissingBundle,
+    ShapeMismatch,
+    UnknownCustomName,
+)
 from .kernels import execute_builtin
 from .model_format import (
     CUSTOM_SENTINEL,
@@ -70,11 +75,12 @@ def _check_inputs(graph: ModelGraph, inputs: list[np.ndarray]) -> None:
 
 def run(graph: ModelGraph, bundle: KernelBundle | None,
         inputs: list[np.ndarray],
-        op_timing: bool = True) -> tuple[list[np.ndarray], ExecutionTrace]:
+        op_timing: bool = False) -> tuple[list[np.ndarray], ExecutionTrace]:
     """Execute the graph; returns graph outputs and an execution trace.
 
-    ``op_timing=False`` skips the per-operator clock reads so benchmark loops
-    measure pure execution; shapes and the memory proxy are always recorded.
+    ``op_timing=True`` also records each operator's wall time in
+    ``trace.op_seconds``, at two clock reads per operator; shapes and the
+    memory proxy are always recorded.
     """
     _check_inputs(graph, inputs)
     values: dict[int, np.ndarray] = {}
@@ -123,7 +129,14 @@ def run(graph: ModelGraph, bundle: KernelBundle | None,
                 outs = (decoy,)
             else:
                 kind = BuiltinOp(code)
-                args = [values[op.inputs[p]] for p in rec.true_input_positions]
+                try:
+                    args = [values[op.inputs[p]]
+                            for p in rec.true_input_positions]
+                except IndexError:
+                    raise IndexOutOfRange(
+                        f"record {opcode.custom_name!r}: true input positions "
+                        f"{rec.true_input_positions} exceed the operator's "
+                        f"{len(op.inputs)} inputs") from None
                 args.extend(rec.weights)
                 outs = execute_builtin(kind, args,
                                        decode_options(kind, rec.real_options))

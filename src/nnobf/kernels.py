@@ -7,6 +7,15 @@ float32 before the add, so results are bit-reproducible and match a naive
 scalar loop that follows the same order.  Bias is added after the taps,
 fused activation last.
 
+Dense has a blocked path that keeps this order.  It takes ``r`` input
+features at a time into an ``(r + 1, batch, out)`` float32 buffer: row 0 is
+the running accumulator, rows 1..r the products, and ``np.add.reduce`` over
+the leading axis sums them strictly in row order, accumulator first.  The
+buffer is capped at 8 KiB, so the path runs only where a block of at least
+two rows fits (small batches).  Larger shapes, and shapes with a single
+output element (where NumPy reduces the lone axis pairwise, not in order),
+keep the per-feature loop.  No kernel calls BLAS: it reorders the sums.
+
 Kernels never consult declared tensor shapes; everything is derived from the
 actual input arrays.  The leading axis is treated as batch throughout.
 """
@@ -29,6 +38,8 @@ from .model_format import (
 F32 = np.float32
 _ZERO = np.float32(0.0)
 _SIX = np.float32(6.0)
+# Cap on the blocked Dense path's temporary, sized to leave peak memory flat.
+_DENSE_BLOCK_BYTES = 8 * 1024
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -128,6 +139,20 @@ def depthwise_conv2d(x: np.ndarray, w: np.ndarray, bias: np.ndarray | None,
     return _apply_activation(acc, opts.activation)
 
 
+def _dense_block_rows(n: int, fout: int) -> int:
+    """Input features per block of the blocked Dense path; 0 keeps the row loop.
+
+    A block of ``r`` rows needs an ``(r + 1, n, fout)`` float32 buffer, which
+    must fit in ``_DENSE_BLOCK_BYTES`` with ``r >= 2``.  ``n * fout == 1`` keeps
+    the row loop: NumPy then reduces the lone remaining axis pairwise.
+    """
+    per_row = n * fout
+    if per_row < 2:
+        return 0
+    rows = _DENSE_BLOCK_BYTES // (4 * per_row) - 1
+    return rows if rows >= 2 else 0
+
+
 def dense(x: np.ndarray, w: np.ndarray, bias: np.ndarray | None,
           opts: DenseOptions) -> np.ndarray:
     _require_f32(x, w)
@@ -137,8 +162,19 @@ def dense(x: np.ndarray, w: np.ndarray, bias: np.ndarray | None,
     win, fout = w.shape
     _require(win == fin, f"Dense features: input {fin} vs weight {win}")
     acc = np.zeros((n, fout), np.float32)
-    for i in range(fin):
-        acc += x[:, i, None] * w[i, :]
+    rows = min(_dense_block_rows(n, fout), fin)
+    if rows:
+        buf = np.empty((rows + 1, n, fout), np.float32)
+        for i0 in range(0, fin, rows):
+            r = min(rows, fin - i0)
+            blk = buf[:r + 1]
+            blk[0] = acc
+            np.multiply(x[:, i0:i0 + r].T[:, :, None], w[i0:i0 + r, None, :],
+                        out=blk[1:])
+            np.add.reduce(blk, axis=0, out=acc)
+    else:
+        for i in range(fin):
+            acc += x[:, i, None] * w[i, :]
     if bias is not None:
         _require_f32(bias)
         _require(bias.shape == (fout,), f"Dense bias shape {bias.shape} != ({fout},)")

@@ -26,6 +26,7 @@ Conventions baked into the format:
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 import struct
@@ -163,8 +164,14 @@ OPTIONS_LENGTH = {
 }
 
 
+@functools.lru_cache(maxsize=1024, typed=True)
 def decode_options(kind: BuiltinOp, raw: bytes):
-    """Inverse of :func:`encode_options`; zero-length kinds return ``None``."""
+    """Inverse of :func:`encode_options`; zero-length kinds return ``None``.
+
+    Memoized on ``(kind, raw)``: results are frozen dataclasses, so callers
+    may share them.  A blob that fails to decode raises on every call, since
+    errors are never cached.
+    """
     if kind in (BuiltinOp.CONV_2D, BuiltinOp.DEPTHWISE_CONV_2D):
         sw, sh, pad, act = struct.unpack("<HHBB", raw)
         return ConvOptions(sw, sh, Padding(pad), Activation(act))
@@ -433,7 +440,9 @@ class _Reader:
     """Cursor over a byte string that raises TruncatedSection on overrun."""
 
     def __init__(self, data: bytes):
-        self.data = data
+        # option blobs sliced from here key decode_options' cache: keep them
+        # hashable even when the caller passes a bytearray
+        self.data = bytes(data)
         self.pos = 0
 
     def take(self, n: int) -> bytes:

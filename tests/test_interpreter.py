@@ -1,7 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from nnobf.errors import MissingBundle, ShapeMismatch, UnknownCustomName
+from nnobf.errors import (
+    IndexOutOfRange,
+    MissingBundle,
+    ShapeMismatch,
+    UnknownCustomName,
+)
 from nnobf.fixtures import FIXTURE_NAMES, build_fixture
 from nnobf.interpreter import peak_tensor_bytes, run
 from nnobf.kernels import execute_builtin
@@ -62,6 +69,20 @@ def test_unknown_custom_name(lenet):
         run(public, other_bundle, [rand_input(lenet)])
 
 
+def test_bad_true_input_position_raises_index_out_of_range(lenet):
+    public, bundle, _ = obfuscate(lenet, ObfuscationConfig(seed=5))
+    name, rec = next((k, r) for k, r in bundle.records.items()
+                     if not r.is_decoy)
+    bundle.records[name] = dataclasses.replace(rec, true_input_positions=(99,))
+    with pytest.raises(IndexOutOfRange):
+        run(public, bundle, [rand_input(lenet)])
+
+
+def test_timing_is_opt_in(lenet):
+    _, trace = run(lenet, None, [rand_input(lenet)])
+    assert trace.op_seconds == []
+
+
 def test_input_arity_and_shape_checks(lenet):
     with pytest.raises(ShapeMismatch):
         run(lenet, None, [])
@@ -115,7 +136,7 @@ def test_batched_run_equals_stacked_single_runs():
 
 
 def test_trace_shapes_and_timing(lenet):
-    _, trace = run(lenet, None, [rand_input(lenet)])
+    _, trace = run(lenet, None, [rand_input(lenet)], op_timing=True)
     assert len(trace.output_shapes) == len(lenet.operators)
     assert len(trace.op_seconds) == len(lenet.operators)
     assert trace.output_shapes[-1] == ((1, 10),)

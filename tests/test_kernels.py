@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 import naive_kernels as ref
+from nnobf import kernels
 from nnobf.errors import ShapeMismatch, UnsupportedDtype
+from nnobf.fixtures import FIXTURE_NAMES, build_fixture
 from nnobf.kernels import (
     add,
     avg_pool2d,
@@ -123,6 +125,95 @@ def test_dense_matches_oracle_exactly():
         b = rand(rng, (fout,)) if rng.integers(2) else None
         opts = DenseOptions(Activation(int(rng.integers(3))))
         assert np.array_equal(dense(x, w, b, opts), ref.dense_ref(x, w, b, opts))
+
+
+# -- blocked Dense path ---------------------------------------------------------
+
+# (batch, fout) pairs whose (r + 1, batch, fout) block buffer fits the cap
+BLOCKED_DENSE = [(1, 2), (1, 10), (1, 32), (1, 256), (7, 1), (7, 5), (7, 97),
+                 (256, 1), (256, 2)]
+
+
+def dense_fins(rows):
+    """One feature, one exact block, a partial last block, several blocks."""
+    return sorted({1, rows, rows + 1, 3 * rows + 2})
+
+
+def dense_inputs(rng, n, fin, fout):
+    x = rand(rng, (n, fin))
+    w = rand(rng, (fin, fout))
+    # a row of -0.0 features and a column of -0.0 weights give all-(-0.0)
+    # products; only an accumulator that starts at +0.0 sums them to +0.0
+    x[0, :] = -0.0
+    w[:, 0] = -0.0
+    return x, w
+
+
+@pytest.mark.parametrize("n,fout", BLOCKED_DENSE)
+def test_dense_blocked_path_matches_oracle_bytes(n, fout):
+    rows = kernels._dense_block_rows(n, fout)
+    assert rows >= 2
+    rng = runi(106)
+    for fin in dense_fins(rows):
+        x, w = dense_inputs(rng, n, fin, fout)
+        for b in (None, rand(rng, (fout,))):
+            for act in Activation:
+                opts = DenseOptions(act)
+                assert (dense(x, w, b, opts).tobytes()
+                        == ref.dense_ref(x, w, b, opts).tobytes()), (n, fin, fout)
+
+
+@pytest.mark.parametrize("n,fin,fout", [(1, 1, 1), (1, 17, 1), (1, 200, 1),
+                                        (7, 9, 100), (256, 5, 3)])
+def test_dense_row_loop_matches_oracle_bytes(n, fin, fout):
+    assert kernels._dense_block_rows(n, fout) == 0
+    rng = runi(107)
+    x, w = dense_inputs(rng, n, fin, fout)
+    for b in (None, rand(rng, (fout,))):
+        for act in Activation:
+            opts = DenseOptions(act)
+            assert (dense(x, w, b, opts).tobytes()
+                    == ref.dense_ref(x, w, b, opts).tobytes())
+
+
+def test_dense_path_choice_by_shape():
+    # every fixture's Dense layer is blocked at batch 1 and row-looped at
+    # batch 256; a single output element always keeps the row loop
+    for name in FIXTURE_NAMES:
+        g = build_fixture(name, 0)
+        for op in g.operators:
+            if g.opcodes[op.opcode_index].builtin_code != BuiltinOp.DENSE:
+                continue
+            fout = g.tensors[op.inputs[1]].shape[1]
+            assert kernels._dense_block_rows(1, fout) >= 2, (name, fout)
+            assert kernels._dense_block_rows(256, fout) == 0, (name, fout)
+    for n, fout in BLOCKED_DENSE:
+        assert kernels._dense_block_rows(n, fout) >= 2
+    assert kernels._dense_block_rows(1, 1) == 0
+    assert kernels._dense_block_rows(7, 98) == 0  # a 2-row block exceeds 8 KiB
+    assert kernels._dense_block_rows(256, 3) == 0
+
+
+@pytest.mark.parametrize("shape", [(1,), (1, 1), (2,), (3,), (17,), (1, 2),
+                                   (7, 1), (256, 2)])
+def test_numpy_outer_axis_reduce_is_sequential(shape):
+    # The blocked Dense path relies on np.add.reduce summing a leading axis
+    # strictly in order.  This stack sums to 0.0 in order (each 1.0 is lost
+    # against 1e8) but not pairwise.  With one output element NumPy reduces
+    # the lone axis pairwise, which is why such shapes keep the row loop.
+    stack = np.array([1e8] + [1.0] * 15 + [-1e8], F)
+    seq = stack[0]
+    for v in stack[1:]:
+        seq = F(seq + v)
+    assert seq == F(0.0) and np.add.reduce(stack) != seq
+    buf = np.empty((stack.size, *shape), F)
+    buf[...] = stack.reshape(-1, *(1,) * len(shape))
+    for got in (np.add.reduce(buf, axis=0),
+                np.add.reduce(buf, axis=0, out=np.empty(shape, F))):
+        if int(np.prod(shape)) >= 2:
+            assert np.all(got == seq)
+        else:
+            assert np.all(got != seq)
 
 
 @pytest.mark.parametrize("kernel,oracle", [(max_pool2d, ref.max_pool2d_ref),

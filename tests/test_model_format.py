@@ -195,6 +195,44 @@ def test_options_round_trip(kind, opts):
     assert decode_options(kind, raw) == opts
 
 
+SAMPLE_OPTIONS = {
+    BuiltinOp.CONV_2D: ConvOptions(2, 1, Padding.SAME, Activation.RELU),
+    BuiltinOp.DEPTHWISE_CONV_2D: ConvOptions(1, 3, Padding.VALID, Activation.RELU6),
+    BuiltinOp.MAX_POOL_2D: PoolOptions(3, 2, 2, 1, Padding.SAME),
+    BuiltinOp.AVG_POOL_2D: PoolOptions(2, 2, 1, 1, Padding.VALID),
+    BuiltinOp.DENSE: DenseOptions(Activation.RELU),
+    BuiltinOp.CONCAT: ConcatOptions(-1),
+}
+
+
+@pytest.mark.parametrize("kind", list(BuiltinOp))
+def test_memoized_decode_matches_fresh_decode(kind):
+    raw = encode_options(kind, SAMPLE_OPTIONS.get(kind))
+    fresh = decode_options.__wrapped__(kind, raw)
+    assert fresh == SAMPLE_OPTIONS.get(kind)
+    assert decode_options(kind, raw) == fresh
+    hits = decode_options.cache_info().hits
+    assert decode_options(kind, raw) == fresh
+    assert decode_options.cache_info().hits == hits + 1
+
+
+def test_parse_from_bytearray_decodes_options():
+    g = build_fixture("lenet", 0)
+    parsed = parse_model(bytearray(serialize_model(g)))
+    assert parsed == g
+    for op in parsed.operators:
+        assert isinstance(op.options, bytes)
+        decode_options(BuiltinOp(parsed.op_kind(op).builtin_code), op.options)
+
+
+def test_malformed_options_raise_on_every_call():
+    for _ in range(3):
+        with pytest.raises(struct.error):
+            decode_options(BuiltinOp.CONV_2D, b"\x01")
+        with pytest.raises(ValueError):
+            decode_options(BuiltinOp.DENSE, b"\x09")
+
+
 # -- fixtures -----------------------------------------------------------------
 
 def test_build_fixture_deterministic():
