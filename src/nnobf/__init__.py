@@ -9,6 +9,8 @@ from .errors import (
     EmptyZoo,
     IndexOutOfRange,
     InvariantViolation,
+    MalformedOptions,
+    MalformedPlan,
     MissingBundle,
     NnobfError,
     PlanMismatch,

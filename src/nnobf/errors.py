@@ -27,6 +27,10 @@ class InvariantViolation(NnobfError):
     """A graph violates a structural invariant; message carries the field path."""
 
 
+class MalformedOptions(NnobfError):
+    """An operator's option bytes are truncated, overlong or hold a bad enum."""
+
+
 class UnknownFixture(NnobfError):
     """Requested fixture name is not one of the built-in model builders."""
 
@@ -53,6 +57,10 @@ class UnknownCustomName(NnobfError):
 
 class PlanMismatch(NnobfError):
     """An obfuscation plan does not cover the graph it was applied to."""
+
+
+class MalformedPlan(NnobfError):
+    """A plan file is not a well-formed version-1 nnobf plan."""
 
 
 # -- analysis -----------------------------------------------------------------

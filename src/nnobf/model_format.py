@@ -38,6 +38,7 @@ from .errors import (
     CycleDetected,
     IndexOutOfRange,
     InvariantViolation,
+    MalformedOptions,
     TruncatedSection,
 )
 
@@ -169,19 +170,27 @@ def decode_options(kind: BuiltinOp, raw: bytes):
     """Inverse of :func:`encode_options`; zero-length kinds return ``None``.
 
     Memoized on ``(kind, raw)``: results are frozen dataclasses, so callers
-    may share them.  A blob that fails to decode raises on every call, since
-    errors are never cached.
+    may share them.  A blob of the wrong length or with an out-of-range enum
+    byte raises :class:`MalformedOptions` on every call, since errors are
+    never cached.
     """
-    if kind in (BuiltinOp.CONV_2D, BuiltinOp.DEPTHWISE_CONV_2D):
-        sw, sh, pad, act = struct.unpack("<HHBB", raw)
-        return ConvOptions(sw, sh, Padding(pad), Activation(act))
-    if kind in (BuiltinOp.MAX_POOL_2D, BuiltinOp.AVG_POOL_2D):
-        fw, fh, sw, sh, pad = struct.unpack("<HHHHB", raw)
-        return PoolOptions(fw, fh, sw, sh, Padding(pad))
-    if kind is BuiltinOp.DENSE:
-        return DenseOptions(Activation(raw[0]))
-    if kind is BuiltinOp.CONCAT:
-        return ConcatOptions(struct.unpack("<i", raw)[0])
+    want = OPTIONS_LENGTH.get(kind, 0)
+    if len(raw) != want:
+        raise MalformedOptions(f"{BUILTIN_NAMES[kind]} options: expected "
+                               f"{want} bytes, got {len(raw)}")
+    try:
+        if kind in (BuiltinOp.CONV_2D, BuiltinOp.DEPTHWISE_CONV_2D):
+            sw, sh, pad, act = struct.unpack("<HHBB", raw)
+            return ConvOptions(sw, sh, Padding(pad), Activation(act))
+        if kind in (BuiltinOp.MAX_POOL_2D, BuiltinOp.AVG_POOL_2D):
+            fw, fh, sw, sh, pad = struct.unpack("<HHHHB", raw)
+            return PoolOptions(fw, fh, sw, sh, Padding(pad))
+        if kind is BuiltinOp.DENSE:
+            return DenseOptions(Activation(raw[0]))
+        if kind is BuiltinOp.CONCAT:
+            return ConcatOptions(struct.unpack("<i", raw)[0])
+    except ValueError as e:  # an enum byte out of range
+        raise MalformedOptions(f"{BUILTIN_NAMES[kind]} options: {e}") from e
     return None
 
 

@@ -34,7 +34,7 @@ from .bundle import (
     encode_decoy_shape,
     serialize_bundle,
 )
-from .errors import InvariantViolation, PlanMismatch
+from .errors import InvariantViolation, MalformedPlan, PlanMismatch
 from .model_format import (
     CUSTOM_SENTINEL,
     DECOY_SENTINEL,
@@ -254,21 +254,35 @@ def obfuscate_shapes(graph: ModelGraph, strategy: ShapeStrategy,
 
 def inject_shortcuts(graph: ModelGraph, n1: int, rng: random.Random,
                      plan: ObfuscationPlan) -> ModelGraph:
-    """Append n1 decoy data-flow edges between topologically ordered pairs."""
+    """Append n1 decoy data-flow edges between topologically ordered pairs.
+
+    Each shortcut gets up to 100 draws of a pair ``a < b`` where ``b`` does
+    not yet read ``a``'s first output.  Free pairs are counted once up front
+    and each injection uses up one.  Once none is left, the remaining
+    shortcuts are skipped without drawing: the same edges are injected as
+    with 100 draws each, but ``rng`` is left fewer draws along.  Every
+    shortcut not injected warns once, with a message starting "no free
+    shortcut pair".
+    """
     n_ops = len(graph.operators)
     if n_ops < 2:
         if n1 > 0:
             warnings.warn("graph has fewer than 2 operators; no shortcuts injected")
         return graph
     inputs = [list(op.inputs) for op in graph.operators]
+    outs = [op.outputs[0] for op in graph.operators]
+    free = sum(outs[a] not in inputs[b] for b in range(n_ops) for a in range(b))
     for _ in range(n1):
+        if not free:
+            warnings.warn("no free shortcut pair left; skipped")
+            continue
         for _attempt in range(100):
             a, b = sorted(rng.sample(range(n_ops), 2))
-            out = graph.operators[a].outputs[0]
-            if out in inputs[b]:
+            if outs[a] in inputs[b]:
                 continue
-            inputs[b].append(out)
+            inputs[b].append(outs[a])
             plan.injected_shortcuts.append((a, b))
+            free -= 1
             break
         else:
             warnings.warn("no free shortcut pair found after 100 draws; skipped")
@@ -515,13 +529,21 @@ def plan_to_json(plan: ObfuscationPlan) -> str:
         "injected_shortcuts": [list(p) for p in plan.injected_shortcuts],
         "injected_layers": [[i, list(s)] for i, s in plan.injected_layers],
     }
-    return json.dumps(doc, indent=2)
+    return json.dumps(doc)
 
 
 def plan_from_json(text: str) -> ObfuscationPlan:
-    doc = json.loads(text)
-    if doc.get("format") != "nnobf-plan" or doc.get("version") != 1:
-        raise InvariantViolation("not a version-1 nnobf plan file")
+    """Inverse of :func:`plan_to_json`; malformed input raises MalformedPlan."""
+    try:
+        return _plan_from_doc(json.loads(text))
+    except (KeyError, TypeError, ValueError, RecursionError) as e:
+        raise MalformedPlan(f"malformed plan file: {e!r}") from e
+
+
+def _plan_from_doc(doc) -> ObfuscationPlan:
+    if not isinstance(doc, dict) or doc.get("format") != "nnobf-plan" \
+            or doc.get("version") != 1:
+        raise MalformedPlan("not a version-1 nnobf plan file")
     cfg = doc["config"]
     config = ObfuscationConfig(
         seed=cfg["seed"],
@@ -531,16 +553,21 @@ def plan_from_json(text: str) -> ObfuscationPlan:
         strategies=frozenset(Strategy(s) for s in cfg["strategies"]))
     records: dict[str, BundleRecord] = {}
     for entry in doc["records"]:
-        weights = tuple(
-            np.frombuffer(base64.b64decode(w["data"]),
-                          dtype=_NP_DTYPE[_NAME_DTYPE[w["dtype"]]])
-            .reshape(w["shape"])
-            for w in entry["weights"])
+        weights = []
+        for w in entry["weights"]:
+            # validate=True: the default silently drops non-alphabet bytes
+            data = base64.b64decode(w["data"], validate=True)
+            arr = np.frombuffer(data, dtype=_NP_DTYPE[_NAME_DTYPE[w["dtype"]]]) \
+                .reshape(w["shape"])
+            if list(arr.shape) != w["shape"]:
+                raise MalformedPlan(f"weight shape {w['shape']} does not "
+                                    f"match its data")
+            weights.append(arr)
         records[entry["custom_name"]] = BundleRecord(
             entry["real_builtin_code"],
             bytes.fromhex(entry["real_options"]),
             tuple(entry["true_input_positions"]),
-            weights)
+            tuple(weights))
     return ObfuscationPlan(
         seed=doc["seed"], config=config, records=records,
         injected_shortcuts=[tuple(p) for p in doc["injected_shortcuts"]],

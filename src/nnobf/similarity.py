@@ -11,14 +11,27 @@ distributions on a randomly offset grid of width ``bin_width``.  Nodes of the
 two graphs that land in the same bucket contribute count products; the summed
 contributions are normalized to [0, 1] by the two self-kernels.
 
-All arithmetic is in float64 with a fixed (ascending-index) accumulation
-order so results are exactly reproducible and an independent brute-force
-implementation can match them bit for bit.
+All arithmetic is in float64 with a fixed accumulation order, so results
+are exactly reproducible and an independent brute-force implementation can
+match them bit for bit.  A graph's ``(n, L)`` distribution matrix propagates
+in one step: with each node's closed neighbourhood in ascending index order,
+padded at the end with a row that stays zero, step ``j`` adds
+``w * d[j-th neighbour]`` to every node's accumulator, starting from 0.0.
+Each node therefore sums its neighbours in ascending order, and a padded
+slot adds an exact 0.0.
+
+Every label column propagates and bins on its own, using only its label's
+offset, so a graph is propagated and binned once per label set.  A column
+whose label neither graph carries stays zero in every row and lands every
+node in the same bucket coordinate, so it changes no count product: the
+self-kernels and every pair of a :func:`similarity_matrix` share one binning
+over the union of all labels.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,73 +117,72 @@ def _neighborhoods(g: LabeledGraph) -> list[list[int]]:
     return [sorted(adj[v] | {v}) for v in range(g.n)]
 
 
-def _propagate(dists: list[np.ndarray], neigh: list[list[int]]) -> list[np.ndarray]:
-    out = []
-    for v in range(len(dists)):
-        ns = neigh[v]
-        w = 1.0 / len(ns)
-        acc = np.zeros(dists[v].shape[0])
-        for u in ns:
-            acc += w * dists[u]
-        out.append(acc)
-    return out
+def _bucket_counts(g: LabeledGraph, labels: list[int],
+                   cfg: PKConfig) -> Counter[bytes]:
+    """Bucket occupancy of every iteration t = 0..t_max, over ``labels``.
 
-
-def _bin_counts(dists: list[np.ndarray], offsets: np.ndarray,
-                width: float) -> dict[tuple[int, ...], int]:
-    counts: dict[tuple[int, ...], int] = {}
-    for d in dists:
-        key = tuple(int(b) for b in np.floor((d + offsets) / width))
-        counts[key] = counts.get(key, 0) + 1
-    return counts
-
-
-def _raw_kernel(g1: LabeledGraph, g2: LabeledGraph, cfg: PKConfig) -> int:
-    labels_union = sorted(set(g1.labels) | set(g2.labels))
-    col = {lab: j for j, lab in enumerate(labels_union)}
-    width = cfg.bin_width
-
-    def one_hot(g: LabeledGraph) -> list[np.ndarray]:
-        dists = []
-        for lab in g.labels:
-            d = np.zeros(len(labels_union))
-            d[col[lab]] = 1.0
-            dists.append(d)
-        return dists
-
-    d1, d2 = one_hot(g1), one_hot(g2)
-    n1, n2 = _neighborhoods(g1), _neighborhoods(g2)
-    total = 0
+    Keys are the bytes of a float64 row ``(t, floor((d + offset) / width)
+    per label column)``; floored values are integral and non-negative, so
+    equal bytes mean equal buckets without any integer cast that could
+    overflow.
+    """
+    if g.n == 0:
+        raise EmptyGraph("propagation kernel needs non-empty graphs")
+    n, width = g.n, cfg.bin_width
+    col = {lab: j for j, lab in enumerate(labels)}
+    neigh = _neighborhoods(g)
+    # ascending neighbours padded with index n, a row that stays zero
+    idx = np.full((n, max(map(len, neigh))), n)
+    for v, ns in enumerate(neigh):
+        idx[v, :len(ns)] = ns
+    w = np.array([1.0 / len(ns) for ns in neigh])[:, None]
+    d = np.zeros((n + 1, len(labels)))
+    d[np.arange(n), [col[lab] for lab in g.labels]] = 1.0
+    keys = np.empty((cfg.t_max + 1, n, 1 + len(labels)))
     for t in range(cfg.t_max + 1):
         offsets = np.array([quantization_offset(cfg.seed, t, lab) * width
-                            for lab in labels_union])
-        c1 = _bin_counts(d1, offsets, width)
-        c2 = _bin_counts(d2, offsets, width)
-        for key, cnt in c1.items():
-            total += cnt * c2.get(key, 0)
+                            for lab in labels])
+        keys[t, :, 0] = t
+        keys[t, :, 1:] = np.floor((d[:n] + offsets) / width)
         if t < cfg.t_max:
-            d1 = _propagate(d1, n1)
-            d2 = _propagate(d2, n2)
-    return total
+            acc = np.zeros((n, len(labels)))
+            for j in range(idx.shape[1]):
+                acc += w * d[idx[:, j]]
+            d[:n] = acc
+    rows = keys.reshape(-1, keys.shape[2])
+    return Counter(rows.view(np.dtype((np.void, rows.shape[1] * 8)))
+                   .ravel().tolist())
+
+
+def _dot(c1: Counter[bytes], c2: Counter[bytes]) -> int:
+    return sum(cnt * c2[key] for key, cnt in c1.items())
+
+
+def _normalized(c1: Counter[bytes], c2: Counter[bytes]) -> float:
+    return _dot(c1, c2) / math.sqrt(_dot(c1, c1) * _dot(c2, c2))
 
 
 def propagation_kernel(g1: LabeledGraph, g2: LabeledGraph,
                        cfg: PKConfig = PKConfig()) -> float:
     """Normalized similarity in [0, 1]; symmetric and deterministic in seed."""
-    if g1.n == 0 or g2.n == 0:
-        raise EmptyGraph("propagation kernel needs non-empty graphs")
-    k12 = _raw_kernel(g1, g2, cfg)
-    k11 = _raw_kernel(g1, g1, cfg)
-    k22 = _raw_kernel(g2, g2, cfg)
-    return k12 / math.sqrt(k11 * k22)
+    labels = sorted(set(g1.labels) | set(g2.labels))
+    return _normalized(_bucket_counts(g1, labels, cfg),
+                       _bucket_counts(g2, labels, cfg))
 
 
 def similarity_matrix(graphs: list[LabeledGraph],
                       cfg: PKConfig = PKConfig()) -> list[list[float]]:
+    """Pairwise :func:`propagation_kernel` values; 1.0 on the diagonal.
+
+    Each graph is propagated and binned once, over the labels of all graphs.
+    """
     n = len(graphs)
     m = [[1.0] * n for _ in range(n)]
+    if n < 2:
+        return m
+    labels = sorted(set().union(*(g.labels for g in graphs)))
+    counts = [_bucket_counts(g, labels, cfg) for g in graphs]
     for i in range(n):
         for j in range(i + 1, n):
-            s = propagation_kernel(graphs[i], graphs[j], cfg)
-            m[i][j] = m[j][i] = s
+            m[i][j] = m[j][i] = _normalized(counts[i], counts[j])
     return m

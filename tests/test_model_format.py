@@ -7,6 +7,7 @@ import pytest
 from nnobf.errors import (
     BadMagic,
     IndexOutOfRange,
+    MalformedOptions,
     TruncatedSection,
     UnknownFixture,
 )
@@ -227,10 +228,37 @@ def test_parse_from_bytearray_decodes_options():
 
 def test_malformed_options_raise_on_every_call():
     for _ in range(3):
-        with pytest.raises(struct.error):
+        with pytest.raises(MalformedOptions):
             decode_options(BuiltinOp.CONV_2D, b"\x01")
-        with pytest.raises(ValueError):
+        with pytest.raises(MalformedOptions):
             decode_options(BuiltinOp.DENSE, b"\x09")
+        with pytest.raises(MalformedOptions):
+            decode_options(BuiltinOp.DENSE, b"")
+
+
+@pytest.mark.parametrize("kind", list(BuiltinOp))
+def test_options_of_wrong_length_raise(kind):
+    good = encode_options(kind, SAMPLE_OPTIONS.get(kind))
+    overlong = [good + b"\x00", good + bytes(8)]
+    truncated = [good[:-1], b""] if good else []
+    for raw in overlong + truncated:
+        for _ in range(2):
+            with pytest.raises(MalformedOptions):
+                decode_options(kind, raw)
+
+
+@pytest.mark.parametrize("kind,raw", [
+    (BuiltinOp.CONV_2D, struct.pack("<HHBB", 1, 1, 2, 0)),            # padding
+    (BuiltinOp.CONV_2D, struct.pack("<HHBB", 1, 1, 0, 3)),            # activation
+    (BuiltinOp.DEPTHWISE_CONV_2D, struct.pack("<HHBB", 1, 1, 0, 255)),
+    (BuiltinOp.MAX_POOL_2D, struct.pack("<HHHHB", 2, 2, 2, 2, 2)),
+    (BuiltinOp.AVG_POOL_2D, struct.pack("<HHHHB", 2, 2, 2, 2, 9)),
+    (BuiltinOp.DENSE, b"\x03"),
+])
+def test_options_with_bad_enum_raise(kind, raw):
+    for _ in range(2):
+        with pytest.raises(MalformedOptions):
+            decode_options(kind, raw)
 
 
 # -- fixtures -----------------------------------------------------------------

@@ -1,11 +1,15 @@
+import base64
 import json
+import random
 import re
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from nnobf.bundle import load_bundle, serialize_bundle
-from nnobf.errors import InvariantViolation, PlanMismatch
+from nnobf.errors import InvariantViolation, MalformedPlan, PlanMismatch
 from nnobf.fixtures import FIXTURE_NAMES, FIXTURE_STATS, build_fixture
 from nnobf.interpreter import run
 from nnobf.model_format import (
@@ -273,6 +277,57 @@ def test_shortcut_saturation_warns():
         inject_shortcuts(g, 3, random.Random(1), fresh_plan())
 
 
+def hundred_draw_inject_shortcuts(graph, n1, rng, plan):
+    """The shortcut pass before its saturation stop: every shortcut draws up
+    to 100 pairs, even when no free pair is left."""
+    n_ops = len(graph.operators)
+    if n_ops < 2:
+        if n1 > 0:
+            warnings.warn("graph has fewer than 2 operators; no shortcuts injected")
+        return graph
+    inputs = [list(op.inputs) for op in graph.operators]
+    for _ in range(n1):
+        for _attempt in range(100):
+            a, b = sorted(rng.sample(range(n_ops), 2))
+            out = graph.operators[a].outputs[0]
+            if out in inputs[b]:
+                continue
+            inputs[b].append(out)
+            plan.injected_shortcuts.append((a, b))
+            break
+        else:
+            warnings.warn("no free shortcut pair found after 100 draws; skipped")
+    operators = tuple(replace(op, inputs=tuple(ins))
+                      for op, ins in zip(graph.operators, inputs))
+    return replace(graph, operators=operators)
+
+
+def _shortcut_pass(fn, graph, n1, seed):
+    plan = fresh_plan()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = fn(graph, n1, random.Random(seed), plan)
+    warned = sum(str(w.message).startswith("no free shortcut pair")
+                 for w in caught)
+    return out, plan.injected_shortcuts, warned
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_shortcuts_match_hundred_draw_loop(name):
+    # the graph as obfuscate() hands it to the shortcut pass
+    pre = frozenset({Strategy.RENAME, Strategy.ENCAPSULATE, Strategy.SHAPE})
+    graph, _, _ = obfuscate(build_fixture(name, 0),
+                            ObfuscationConfig(seed=1, strategies=pre))
+    saturated = False
+    for n1 in (0, 3, 30, 100):
+        for seed in range(3):
+            got = _shortcut_pass(inject_shortcuts, graph, n1, seed)
+            want = _shortcut_pass(hundred_draw_inject_shortcuts, graph, n1, seed)
+            assert got == want
+            saturated |= got[2] > 0
+    assert saturated
+
+
 # -- extra layer injection --------------------------------------------------------------
 
 def test_extra_layers_shape_and_wiring(lenet):
@@ -414,6 +469,74 @@ def test_plan_json_carries_warning_banner(lenet):
     _, _, plan = obfuscate(lenet, ObfuscationConfig(seed=5))
     doc = json.loads(plan_to_json(plan))
     assert "never distribute" in doc["warning"].lower()
+
+
+def test_plan_json_is_compact(lenet):
+    _, _, plan = obfuscate(lenet, ObfuscationConfig(seed=5))
+    assert "\n" not in plan_to_json(plan)
+
+
+def _first_weight(doc):
+    return next(w for r in doc["records"] for w in r["weights"])
+
+
+def _drop_config_seed(doc):
+    del doc["config"]["seed"]
+
+
+def _bad_base64(doc):
+    _first_weight(doc)["data"] = "@@" + _first_weight(doc)["data"]
+
+
+def _unknown_dtype(doc):
+    _first_weight(doc)["dtype"] = "F64"
+
+
+def _shape_too_big(doc):
+    _first_weight(doc)["shape"][0] += 1
+
+
+def _shape_inferred(doc):
+    _first_weight(doc)["shape"] = [-1]
+
+
+def _data_not_whole_elements(doc):
+    w = _first_weight(doc)
+    w["data"] = base64.b64encode(base64.b64decode(w["data"])[:-1]).decode()
+
+
+def _bad_strategy(doc):
+    doc["config"]["strategies"].append("teleport")
+
+
+def _bad_hex_options(doc):
+    doc["records"][0]["real_options"] = "zz"
+
+
+def _record_not_object(doc):
+    doc["records"][0] = 7
+
+
+@pytest.mark.parametrize("corrupt", [
+    _drop_config_seed, _bad_base64, _unknown_dtype, _shape_too_big,
+    _shape_inferred, _data_not_whole_elements, _bad_strategy,
+    _bad_hex_options, _record_not_object,
+])
+def test_malformed_plan_doc_raises(lenet, corrupt):
+    _, _, plan = obfuscate(lenet, ObfuscationConfig(seed=5, n_shortcuts=2))
+    doc = json.loads(plan_to_json(plan))
+    corrupt(doc)
+    with pytest.raises(MalformedPlan):
+        plan_from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("text", [
+    "", "{", "not json", "[]", "null", '{"format": "nnobf-plan"}',
+    '{"format": "nnobf-plan", "version": 2}', "[" * 100_000,
+])
+def test_malformed_plan_text_raises(text):
+    with pytest.raises(MalformedPlan):
+        plan_from_json(text)
 
 
 # -- reconstruction ----------------------------------------------------------------------------

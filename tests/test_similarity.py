@@ -141,3 +141,64 @@ def test_similarity_drops_below_one_under_obfuscation(lenet):
         lenet, ObfuscationConfig(seed=2, n_shortcuts=10, n_extra_layers=10))
     sim = propagation_kernel(base, to_labeled_graph(public))
     assert 0.0 <= sim < 1.0
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_fixture_against_its_obfuscation_matches_brute_force_exactly(name):
+    g = build_fixture(name, 0)
+    base = to_labeled_graph(g)
+    # the 1e-16 grid is finer than float64 spacing near 1, so neighbour sums
+    # taken in another order than the reference's land in other buckets
+    configs = (PKConfig(seed=4), PKConfig(seed=4, t_max=4, bin_width=1e-16))
+    for n in (0, 10, 30):
+        public, _, _ = obfuscate(
+            g, ObfuscationConfig(seed=n + 1, n_shortcuts=n, n_extra_layers=n))
+        obf = to_labeled_graph(public)
+        for cfg in configs:
+            for a, b in ((base, obf), (obf, obf)):
+                assert propagation_kernel(a, b, cfg) == \
+                    reference_propagation_kernel(a, b, cfg)
+
+
+def test_single_iteration_matches_brute_force_exactly():
+    cfg = PKConfig(seed=9, t_max=1)
+    graphs = [chain(1), chain(5),
+              to_labeled_graph(build_fixture("branchy", 0))]
+    for g1, g2 in itertools.combinations(graphs, 2):
+        assert propagation_kernel(g1, g2, cfg) == \
+            reference_propagation_kernel(g1, g2, cfg)
+
+
+def disjoint_label_pair():
+    edges = ((0, 1), (1, 2), (0, 2))
+    return (LabeledGraph(3, edges, (0, 1, 2)),
+            LabeledGraph(4, edges + ((2, 3),), (5, 6, 7, 7)))
+
+
+def test_graphs_sharing_no_label_score_zero():
+    g1, g2 = disjoint_label_pair()
+    for cfg in (PKConfig(), PKConfig(seed=2, t_max=1)):
+        assert propagation_kernel(g1, g2, cfg) == \
+            reference_propagation_kernel(g1, g2, cfg) == 0.0
+
+
+def test_similarity_matrix_equals_pairwise_kernel_exactly():
+    # label sets differ across graphs, so the matrix bins over columns that
+    # some pairs do not share
+    graphs = [chain(1), chain(2), *disjoint_label_pair()]
+    for name in FIXTURE_NAMES:
+        g = build_fixture(name, 0)
+        public, _, _ = obfuscate(
+            g, ObfuscationConfig(seed=5, n_shortcuts=10, n_extra_layers=10))
+        graphs += [to_labeled_graph(g), to_labeled_graph(public)]
+    cfg = PKConfig(seed=6)
+    m = similarity_matrix(graphs, cfg)
+    for i, j in itertools.product(range(len(graphs)), repeat=2):
+        want = 1.0 if i == j else propagation_kernel(graphs[i], graphs[j], cfg)
+        assert m[i][j] == want
+
+
+def test_similarity_matrix_rejects_empty_graph():
+    assert similarity_matrix([LabeledGraph(0, (), ())]) == [[1.0]]
+    with pytest.raises(EmptyGraph):
+        similarity_matrix([chain(2), LabeledGraph(0, (), ())])
