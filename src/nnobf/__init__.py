@@ -22,7 +22,7 @@ from .errors import (
     UnsupportedDtype,
 )
 from .fixtures import FIXTURE_NAMES, FIXTURE_STATS, build_fixture
-from .interpreter import ExecutionTrace, peak_tensor_bytes, run
+from .interpreter import ExecutionTrace, run
 from .kernels import execute_builtin
 from .model_format import (
     Activation,

@@ -102,25 +102,43 @@ def compare_outputs(original_path: str | Path, obfuscated_path: str | Path,
     return compare_graphs(original, None, obfuscated, bundle, n=n, seed=seed)
 
 
-def measure_latency(graph: ModelGraph, bundle: KernelBundle | None,
-                    n: int = 1000, seed: int = 0, reps: int = 3,
-                    warmup: int = 10) -> float:
-    """Median wall-clock seconds per 1000 single-input inferences."""
-    batched = batched_random_inputs(graph, n, seed)
+def _interleaved_seconds(models: list[tuple[ModelGraph, KernelBundle | None]],
+                         n: int, seed: int, reps: int,
+                         warmup: int) -> list[list[float]]:
+    """Per repetition, each model's total seconds over n batch-1 inferences.
+
+    The models run alternately on every input, so load bursts and clock drift
+    land on all of them symmetrically; block A-then-B timing shows
+    multi-percent bias on shared machines.
+    """
+    batched = batched_random_inputs(models[0][0], n, seed)
     single = [[a[k:k + 1] for a in batched] for k in range(n)]
     for inp in single[:warmup]:
-        run(graph, bundle, inp)
+        for graph, bundle in models:
+            run(graph, bundle, inp)
+    clock = time.perf_counter
     totals = []
     gc.disable()
     try:
         for _ in range(reps):
-            t0 = time.perf_counter()
+            rep = [0.0] * len(models)
             for inp in single:
-                run(graph, bundle, inp)
-            totals.append(time.perf_counter() - t0)
+                for m, (graph, bundle) in enumerate(models):
+                    t0 = clock()
+                    run(graph, bundle, inp)
+                    rep[m] += clock() - t0
+            totals.append(rep)
     finally:
         gc.enable()
-    return statistics.median(totals) / n * 1000.0
+    return totals
+
+
+def measure_latency(graph: ModelGraph, bundle: KernelBundle | None,
+                    n: int = 1000, seed: int = 0, reps: int = 3,
+                    warmup: int = 10) -> float:
+    """Median wall-clock seconds per 1000 single-input inferences."""
+    totals = _interleaved_seconds([(graph, bundle)], n, seed, reps, warmup)
+    return statistics.median(rep[0] for rep in totals) / n * 1000.0
 
 
 def latency_overhead(baseline: ModelGraph, base_bundle: KernelBundle | None,
@@ -129,33 +147,13 @@ def latency_overhead(baseline: ModelGraph, base_bundle: KernelBundle | None,
                      warmup: int = 10) -> float:
     """Relative latency of variant over baseline, noise-cancelled.
 
-    The two models are timed alternately on every single inference, so load
-    bursts and clock drift land on both sides symmetrically; block A-then-B
-    timing shows multi-percent bias on shared machines.  Returns the median
-    over repetitions of (variant total / baseline total) minus one.
+    Both models are timed alternately on every single inference.  Returns
+    the median over repetitions of (variant total / baseline total) minus one.
     """
-    batched = batched_random_inputs(baseline, n, seed)
-    single = [[a[k:k + 1] for a in batched] for k in range(n)]
-    for inp in single[:warmup]:
-        run(baseline, base_bundle, inp)
-        run(variant, variant_bundle, inp)
-    clock = time.perf_counter
-    ratios = []
-    gc.disable()
-    try:
-        for _ in range(reps):
-            t_base = t_variant = 0.0
-            for inp in single:
-                t0 = clock()
-                run(baseline, base_bundle, inp)
-                t1 = clock()
-                run(variant, variant_bundle, inp)
-                t_variant += clock() - t1
-                t_base += t1 - t0
-            ratios.append(t_variant / t_base)
-    finally:
-        gc.enable()
-    return statistics.median(ratios) - 1.0
+    totals = _interleaved_seconds([(baseline, base_bundle),
+                                   (variant, variant_bundle)],
+                                  n, seed, reps, warmup)
+    return statistics.median(v / b for b, v in totals) - 1.0
 
 
 def peak_bytes_single(graph: ModelGraph, bundle: KernelBundle | None,

@@ -11,27 +11,44 @@ Wire format "OBFB", little-endian:
     per record: custom_name u32 len + UTF-8
                 real_builtin_code u16
                 options u32 len + bytes
-                n_true_inputs u32 + u32 positions
-                n_weights u32, per weight: dtype u8, rank u32,
-                                           dims rank*u32, data u64 len + bytes
+                true input positions: index list
+                n_weights u32, per weight: dtype u8, dims: index list,
+                                           data u64 len + bytes
+
+An index list is ``n u32`` followed by ``n`` u32 values, the same layout the
+model file uses for operator inputs and tensor shapes, so one packer and one
+reader serve both formats.
+
+:func:`load_bundle` rejects, with :class:`~nnobf.errors.InvariantViolation`,
+any record the runtime could not execute: a name that is not UTF-8, a code
+that is neither a ``BuiltinOp`` nor ``DECOY_SENTINEL``, decoy options whose
+length disagrees with their rank byte, an unknown dtype byte, and weight data
+that is not exactly ``itemsize * prod(dims)`` bytes.  Short input raises
+:class:`~nnobf.errors.TruncatedSection`, a bad header
+:class:`~nnobf.errors.BadMagic`.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadMagic, TruncatedSection
-from .model_format import DECOY_SENTINEL, DType, _Reader
+from .errors import BadMagic, InvariantViolation, TruncatedSection
+from .model_format import (
+    DECOY_SENTINEL,
+    DTYPE_OF,
+    NP_DTYPE,
+    BuiltinOp,
+    _pack_indices,
+    _pack_str,
+    _Reader,
+)
 
 BUNDLE_MAGIC = b"OBFB"
 BUNDLE_VERSION = 1
-
-_NP_DTYPE = {DType.F32: np.float32, DType.I32: np.int32, DType.U8: np.uint8}
-_DTYPE_OF = {np.dtype(np.float32): DType.F32, np.dtype(np.int32): DType.I32,
-             np.dtype(np.uint8): DType.U8}
 
 
 @dataclass
@@ -86,20 +103,16 @@ def serialize_bundle(bundle: KernelBundle) -> bytes:
     out = [BUNDLE_MAGIC, struct.pack("<I", bundle.version),
            struct.pack("<I", len(bundle.records))]
     for name, rec in bundle.records.items():
-        raw = name.encode("utf-8")
-        out.append(struct.pack("<I", len(raw)))
-        out.append(raw)
-        out.append(struct.pack("<H", rec.real_builtin_code))
-        out.append(struct.pack("<I", len(rec.real_options)))
+        out.append(_pack_str(name))
+        out.append(struct.pack("<HI", rec.real_builtin_code,
+                               len(rec.real_options)))
         out.append(rec.real_options)
-        out.append(struct.pack("<I", len(rec.true_input_positions)))
-        out.append(struct.pack(f"<{len(rec.true_input_positions)}I",
-                               *rec.true_input_positions))
+        out.append(_pack_indices(rec.true_input_positions))
         out.append(struct.pack("<I", len(rec.weights)))
         for w in rec.weights:
             data = np.ascontiguousarray(w).tobytes()
-            out.append(struct.pack("<BI", int(_DTYPE_OF[w.dtype]), w.ndim))
-            out.append(struct.pack(f"<{w.ndim}I", *w.shape))
+            out.append(struct.pack("<B", int(DTYPE_OF[w.dtype])))
+            out.append(_pack_indices(w.shape))
             out.append(struct.pack("<Q", len(data)))
             out.append(data)
     return b"".join(out)
@@ -117,15 +130,29 @@ def load_bundle(data: bytes) -> KernelBundle:
         name = r.string()
         code = r.u16()
         options = r.take(r.u32())
+        if code == DECOY_SENTINEL:
+            if not options or len(options) != 1 + 4 * options[0]:
+                raise InvariantViolation(
+                    f"decoy record {name!r}: {len(options)} option bytes do "
+                    f"not encode a shape")
+        elif code not in BuiltinOp._value2member_map_:
+            raise InvariantViolation(f"record {name!r}: unknown builtin {code}")
         positions = r.indices()
         weights = []
         for _ in range(r.u32()):
-            dtype = DType(r.u8())
-            rank = r.u32()
-            shape = struct.unpack(f"<{rank}I", r.take(4 * rank))
+            dtype_raw = r.u8()
+            if dtype_raw not in NP_DTYPE:
+                raise InvariantViolation(
+                    f"record {name!r}: unknown dtype {dtype_raw}")
+            np_dtype = NP_DTYPE[dtype_raw]
+            shape = r.indices()
             raw = r.take(r.u64())
-            arr = np.frombuffer(raw, dtype=_NP_DTYPE[dtype]).reshape(shape)
-            weights.append(arr)
+            want = math.prod(shape) * np_dtype.itemsize
+            if len(raw) != want:
+                raise InvariantViolation(
+                    f"record {name!r}: weight of shape {shape} holds "
+                    f"{len(raw)} bytes, not {want}")
+            weights.append(np.frombuffer(raw, dtype=np_dtype).reshape(shape))
         records[name] = BundleRecord(code, options, positions, tuple(weights))
     if r.pos != len(data):
         raise TruncatedSection(f"{len(data) - r.pos} trailing bytes in bundle")

@@ -23,11 +23,11 @@ import numpy as np
 
 from .errors import NnobfError, BadMagic, EmptyZoo, UnknownOperator
 from .fixtures import FIXTURE_NAMES, build_fixture
-from .interpreter import materialize_constants
 from .model_format import (
     BUILTIN_NAMES,
     BuiltinOp,
     ModelGraph,
+    materialize_constants,
     options_to_dict,
     parse_model,
     serialize_model,

@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import UnknownFixture
 from .model_format import (
+    DTYPE_OF,
     Activation,
     BuiltinOp,
     ConcatOptions,
@@ -43,8 +44,6 @@ FIXTURE_STATS = {
     "depthwise_net": {"operators": 6, "tensors": 13, "constants": 6, "opcodes": 6},
     "pool_net": {"operators": 8, "tensors": 13, "constants": 4, "opcodes": 7},
 }
-
-_NP_DTYPE = {DType.F32: np.float32, DType.I32: np.int32, DType.U8: np.uint8}
 
 
 class GraphBuilder:
@@ -78,9 +77,8 @@ class GraphBuilder:
 
     def constant(self, name: str, values: np.ndarray) -> int:
         """Returns a negative handle resolved to a real index at finish()."""
-        dtype = {np.float32: DType.F32, np.int32: DType.I32,
-                 np.uint8: DType.U8}[values.dtype.type]
-        tensor = Tensor(name, dtype, tuple(values.shape), buffer_index=0)
+        tensor = Tensor(name, DTYPE_OF[values.dtype], tuple(values.shape),
+                        buffer_index=0)
         self._constants.append((tensor, np.ascontiguousarray(values).tobytes()))
         return -len(self._constants)
 

@@ -14,7 +14,9 @@ declared size.
 
 Memory accounting is deliberately naive: every graph input, every constant
 (model- or bundle-resident), and every operator output is assumed live for
-the whole run.
+the whole run.  That all-live proxy is ``trace.peak_live_bytes``, the one
+peak figure the package reports (``bench.peak_bytes_single`` reads it from a
+batch-1 run).
 """
 
 from __future__ import annotations
@@ -36,12 +38,10 @@ from .model_format import (
     CUSTOM_SENTINEL,
     DECOY_SENTINEL,
     BuiltinOp,
-    DType,
     ModelGraph,
     decode_options,
+    materialize_constants,
 )
-
-_NP_DTYPE = {DType.F32: np.float32, DType.I32: np.int32, DType.U8: np.uint8}
 
 
 @dataclass
@@ -49,16 +49,6 @@ class ExecutionTrace:
     output_shapes: list[tuple[tuple[int, ...], ...]] = field(default_factory=list)
     op_seconds: list[float] = field(default_factory=list)
     peak_live_bytes: int = 0
-
-
-def materialize_constants(graph: ModelGraph) -> dict[int, np.ndarray]:
-    """Decode every constant tensor's buffer into an array."""
-    consts: dict[int, np.ndarray] = {}
-    for i, t in enumerate(graph.tensors):
-        if t.buffer_index != 0:
-            raw = graph.buffers[t.buffer_index]
-            consts[i] = np.frombuffer(raw, dtype=_NP_DTYPE[t.dtype]).reshape(t.shape)
-    return consts
 
 
 def _check_inputs(graph: ModelGraph, inputs: list[np.ndarray]) -> None:
@@ -155,10 +145,3 @@ def run(graph: ModelGraph, bundle: KernelBundle | None,
 
     trace.peak_live_bytes = peak
     return [values[t] for t in graph.graph_outputs], trace
-
-
-def peak_tensor_bytes(graph: ModelGraph, bundle: KernelBundle | None,
-                      inputs: list[np.ndarray]) -> int:
-    """Byte total when inputs, constants, and all operator outputs coexist."""
-    _, trace = run(graph, bundle, inputs)
-    return trace.peak_live_bytes

@@ -28,10 +28,13 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import re
 import struct
 from dataclasses import dataclass, field
 from enum import IntEnum
+
+import numpy as np
 
 from .errors import (
     BadMagic,
@@ -58,7 +61,10 @@ class DType(IntEnum):
     U8 = 2
 
 
-DTYPE_SIZE = {DType.F32: 4, DType.I32: 4, DType.U8: 1}
+# The one DType <-> NumPy table; every codec in the package reads it.
+NP_DTYPE = {DType.F32: np.dtype(np.float32), DType.I32: np.dtype(np.int32),
+            DType.U8: np.dtype(np.uint8)}
+DTYPE_OF = {v: k for k, v in NP_DTYPE.items()}
 
 
 class BuiltinOp(IntEnum):
@@ -249,10 +255,17 @@ def empty_graph() -> ModelGraph:
 
 
 def tensor_byte_size(t: Tensor) -> int:
-    n = 1
-    for d in t.shape:
-        n *= d
-    return n * DTYPE_SIZE[t.dtype]
+    return math.prod(t.shape) * NP_DTYPE[t.dtype].itemsize
+
+
+def materialize_constants(graph: ModelGraph) -> dict[int, np.ndarray]:
+    """Decode every constant tensor's buffer into a read-only array view."""
+    consts: dict[int, np.ndarray] = {}
+    for i, t in enumerate(graph.tensors):
+        if t.buffer_index != 0:
+            raw = graph.buffers[t.buffer_index]
+            consts[i] = np.frombuffer(raw, dtype=NP_DTYPE[t.dtype]).reshape(t.shape)
+    return consts
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +419,7 @@ def _pack_str(s: str) -> bytes:
 
 
 def _pack_indices(idx: tuple[int, ...]) -> bytes:
-    return struct.pack("<I", len(idx)) + struct.pack(f"<{len(idx)}I", *idx)
+    return struct.pack(f"<I{len(idx)}I", len(idx), *idx)
 
 
 def serialize_model(graph: ModelGraph) -> bytes:
@@ -427,8 +440,8 @@ def serialize_model(graph: ModelGraph) -> bytes:
     out.append(struct.pack("<I", len(graph.tensors)))
     for t in graph.tensors:
         out.append(_pack_str(t.name))
-        out.append(struct.pack("<BI", int(t.dtype), len(t.shape)))
-        out.append(struct.pack(f"<{len(t.shape)}I", *t.shape))
+        out.append(struct.pack("<B", int(t.dtype)))
+        out.append(_pack_indices(t.shape))
         out.append(struct.pack("<I", t.buffer_index))
 
     out.append(struct.pack("<I", len(graph.operators)))
@@ -445,6 +458,9 @@ def serialize_model(graph: ModelGraph) -> bytes:
     return b"".join(out)
 
 
+_U16, _U32, _U64 = struct.Struct("<H"), struct.Struct("<I"), struct.Struct("<Q")
+
+
 class _Reader:
     """Cursor over a byte string that raises TruncatedSection on overrun."""
 
@@ -454,32 +470,42 @@ class _Reader:
         self.data = bytes(data)
         self.pos = 0
 
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
+    def _claim(self, n: int) -> int:
+        """Advance past the next n bytes and return their offset."""
+        pos = self.pos
+        if pos + n > len(self.data):
             raise TruncatedSection(
-                f"need {n} bytes at offset {self.pos}, have {len(self.data) - self.pos}")
-        chunk = self.data[self.pos:self.pos + n]
-        self.pos += n
-        return chunk
+                f"need {n} bytes at offset {pos}, have {len(self.data) - pos}")
+        self.pos = pos + n
+        return pos
+
+    def take(self, n: int) -> bytes:
+        pos = self._claim(n)
+        return self.data[pos:pos + n]
 
     def u8(self) -> int:
-        return self.take(1)[0]
+        return self.data[self._claim(1)]
 
     def u16(self) -> int:
-        return struct.unpack("<H", self.take(2))[0]
+        return _U16.unpack_from(self.data, self._claim(2))[0]
 
     def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
+        return _U32.unpack_from(self.data, self._claim(4))[0]
 
     def u64(self) -> int:
-        return struct.unpack("<Q", self.take(8))[0]
+        return _U64.unpack_from(self.data, self._claim(8))[0]
 
     def string(self) -> str:
-        return self.take(self.u32()).decode("utf-8")
+        raw = self.take(self.u32())
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise InvariantViolation(f"name ending at offset {self.pos} is not "
+                                     f"UTF-8: {e.reason}") from None
 
     def indices(self) -> tuple[int, ...]:
         n = self.u32()
-        return struct.unpack(f"<{n}I", self.take(4 * n))
+        return struct.unpack_from(f"<{n}I", self.data, self._claim(4 * n))
 
 
 def parse_model(data: bytes) -> ModelGraph:
@@ -508,8 +534,7 @@ def parse_model(data: bytes) -> ModelGraph:
             dtype = DType(dtype_raw)
         except ValueError:
             raise InvariantViolation(f"tensor {name!r}: unknown dtype {dtype_raw}")
-        rank = r.u32()
-        shape = struct.unpack(f"<{rank}I", r.take(4 * rank))
+        shape = r.indices()
         tensors.append(Tensor(name, dtype, shape, r.u32()))
 
     operators = []

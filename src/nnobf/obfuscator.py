@@ -32,22 +32,24 @@ from .bundle import (
     BundleRecord,
     KernelBundle,
     encode_decoy_shape,
+    load_bundle,
     serialize_bundle,
 )
-from .errors import InvariantViolation, MalformedPlan, PlanMismatch
+from .errors import InvariantViolation, MalformedPlan, NnobfError, PlanMismatch
 from .model_format import (
     CUSTOM_SENTINEL,
     DECOY_SENTINEL,
+    DTYPE_OF,
+    NP_DTYPE,
     DType,
     ModelGraph,
     OperatorCode,
     OperatorEntry,
     OptionsKind,
     Tensor,
+    materialize_constants,
     validate,
 )
-
-_NP_DTYPE = {DType.F32: np.float32, DType.I32: np.int32, DType.U8: np.uint8}
 
 
 class SharedConstantWarning(UserWarning):
@@ -116,7 +118,6 @@ class NameGenerator:
 @dataclass
 class ObfuscationPlan:
     """Private inverse mapping ("cache file"); never ship with the model."""
-    seed: int
     config: ObfuscationConfig
     records: dict[str, BundleRecord] = field(default_factory=dict)
     injected_shortcuts: list[tuple[int, int]] = field(default_factory=list)
@@ -183,12 +184,7 @@ def encapsulate_parameters(graph: ModelGraph, plan: ObfuscationPlan,
                 f"operators; weights duplicated into each record",
                 SharedConstantWarning)
 
-    const_arrays: dict[int, np.ndarray] = {}
-    for i, t in enumerate(graph.tensors):
-        if t.buffer_index != 0:
-            raw = graph.buffers[t.buffer_index]
-            const_arrays[i] = np.frombuffer(raw, dtype=_NP_DTYPE[t.dtype]) \
-                .reshape(t.shape)
+    const_arrays = materialize_constants(graph)
 
     remap: dict[int, int] = {}
     tensors: list[Tensor] = []
@@ -358,7 +354,7 @@ def obfuscate(graph: ModelGraph, config: ObfuscationConfig) \
     master = random.Random(config.seed)
     stage_seed = {s: master.getrandbits(64) for s in STRATEGY_ORDER}
     names = NameGenerator(master.getrandbits(64))
-    plan = ObfuscationPlan(config.seed, config)
+    plan = ObfuscationPlan(config)
 
     g = graph
     if Strategy.RENAME in config.strategies:
@@ -440,12 +436,9 @@ def reconstruct(graph: ModelGraph, plan: ObfuscationPlan) -> ModelGraph:
             opcode_index[code] = len(opcodes)
             opcodes.append(OperatorCode(code))
         inputs = [remap[op.inputs[p]] for p in rec.true_input_positions]
-        for k, w in enumerate(rec.weights):
-            dtype = {np.dtype(np.float32): DType.F32,
-                     np.dtype(np.int32): DType.I32,
-                     np.dtype(np.uint8): DType.U8}[w.dtype]
+        for w in rec.weights:
             buffers.append(np.ascontiguousarray(w).tobytes())
-            tensors.append(Tensor(f"const{len(buffers) - 1}", dtype,
+            tensors.append(Tensor(f"const{len(buffers) - 1}", DTYPE_OF[w.dtype],
                                   tuple(w.shape), len(buffers) - 1))
             inputs.append(len(tensors) - 1)
         operators.append(OperatorEntry(opcode_index[code], tuple(inputs),
@@ -468,7 +461,7 @@ def reconstruct(graph: ModelGraph, plan: ObfuscationPlan) -> ModelGraph:
 def _restore_shapes(graph: ModelGraph) -> ModelGraph:
     from .interpreter import run  # local import to avoid a cycle
 
-    zeros = [np.zeros(graph.tensors[t].shape, _NP_DTYPE[graph.tensors[t].dtype])
+    zeros = [np.zeros(graph.tensors[t].shape, NP_DTYPE[graph.tensors[t].dtype])
              for t in graph.graph_inputs]
     _, trace = run(graph, None, zeros)
     shapes: dict[int, tuple[int, ...]] = {}
@@ -487,36 +480,17 @@ def _restore_shapes(graph: ModelGraph) -> ModelGraph:
 PLAN_WARNING = ("PRIVATE ARTIFACT: this plan inverts the obfuscation. "
                 "Never distribute it alongside the model or bundle.")
 
-_DTYPE_NAME = {DType.F32: "F32", DType.I32: "I32", DType.U8: "U8"}
-_NAME_DTYPE = {v: k for k, v in _DTYPE_NAME.items()}
-
 
 def plan_to_json(plan: ObfuscationPlan) -> str:
-    records = []
-    for name, rec in plan.records.items():
-        weights = []
-        for w in rec.weights:
-            dtype = {np.dtype(np.float32): DType.F32,
-                     np.dtype(np.int32): DType.I32,
-                     np.dtype(np.uint8): DType.U8}[w.dtype]
-            weights.append({
-                "dtype": _DTYPE_NAME[dtype],
-                "shape": list(w.shape),
-                "data": base64.b64encode(
-                    np.ascontiguousarray(w).tobytes()).decode("ascii"),
-            })
-        records.append({
-            "custom_name": name,
-            "real_builtin_code": rec.real_builtin_code,
-            "real_options": rec.real_options.hex(),
-            "true_input_positions": list(rec.true_input_positions),
-            "weights": weights,
-        })
+    """Version-2 plan: config, the serialized bundle, and the injection log.
+
+    The records travel as ``base64(serialize_bundle(...))``, so the plan
+    shares the bundle's one record codec and its load-time checks.
+    """
     doc = {
         "warning": PLAN_WARNING,
         "format": "nnobf-plan",
-        "version": 1,
-        "seed": plan.seed,
+        "version": 2,
         "config": {
             "seed": plan.config.seed,
             "n_shortcuts": plan.config.n_shortcuts,
@@ -525,7 +499,7 @@ def plan_to_json(plan: ObfuscationPlan) -> str:
             "strategies": [s.value for s in STRATEGY_ORDER
                            if s in plan.config.strategies],
         },
-        "records": records,
+        "bundle": base64.b64encode(emit_bundle(plan)).decode("ascii"),
         "injected_shortcuts": [list(p) for p in plan.injected_shortcuts],
         "injected_layers": [[i, list(s)] for i, s in plan.injected_layers],
     }
@@ -536,14 +510,16 @@ def plan_from_json(text: str) -> ObfuscationPlan:
     """Inverse of :func:`plan_to_json`; malformed input raises MalformedPlan."""
     try:
         return _plan_from_doc(json.loads(text))
-    except (KeyError, TypeError, ValueError, RecursionError) as e:
+    except MalformedPlan:
+        raise
+    except (KeyError, TypeError, ValueError, RecursionError, NnobfError) as e:
         raise MalformedPlan(f"malformed plan file: {e!r}") from e
 
 
 def _plan_from_doc(doc) -> ObfuscationPlan:
     if not isinstance(doc, dict) or doc.get("format") != "nnobf-plan" \
-            or doc.get("version") != 1:
-        raise MalformedPlan("not a version-1 nnobf plan file")
+            or doc.get("version") != 2:
+        raise MalformedPlan("not a version-2 nnobf plan file")
     cfg = doc["config"]
     config = ObfuscationConfig(
         seed=cfg["seed"],
@@ -551,24 +527,10 @@ def _plan_from_doc(doc) -> ObfuscationPlan:
         n_extra_layers=cfg["n_extra_layers"],
         shape_strategy=ShapeStrategy(cfg["shape_strategy"]),
         strategies=frozenset(Strategy(s) for s in cfg["strategies"]))
-    records: dict[str, BundleRecord] = {}
-    for entry in doc["records"]:
-        weights = []
-        for w in entry["weights"]:
-            # validate=True: the default silently drops non-alphabet bytes
-            data = base64.b64decode(w["data"], validate=True)
-            arr = np.frombuffer(data, dtype=_NP_DTYPE[_NAME_DTYPE[w["dtype"]]]) \
-                .reshape(w["shape"])
-            if list(arr.shape) != w["shape"]:
-                raise MalformedPlan(f"weight shape {w['shape']} does not "
-                                    f"match its data")
-            weights.append(arr)
-        records[entry["custom_name"]] = BundleRecord(
-            entry["real_builtin_code"],
-            bytes.fromhex(entry["real_options"]),
-            tuple(entry["true_input_positions"]),
-            tuple(weights))
+    # pop, so the base64 text is freed before load_bundle copies the weights;
+    # validate=True: the default silently drops non-alphabet bytes
+    blob = base64.b64decode(doc.pop("bundle"), validate=True)
     return ObfuscationPlan(
-        seed=doc["seed"], config=config, records=records,
+        config=config, records=load_bundle(blob).records,
         injected_shortcuts=[tuple(p) for p in doc["injected_shortcuts"]],
         injected_layers=[(i, tuple(s)) for i, s in doc["injected_layers"]])

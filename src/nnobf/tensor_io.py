@@ -6,28 +6,25 @@ dims 4 x u32 (unused dims zero) | raw data.  Rank is limited to 4.
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
 import numpy as np
 
 from .errors import BadMagic, InvariantViolation, TruncatedSection
-from .model_format import DType
+from .model_format import DTYPE_OF, NP_DTYPE
 
 TENSOR_MAGIC = b"NNT1"
 
-_NP_DTYPE = {DType.F32: np.float32, DType.I32: np.int32, DType.U8: np.uint8}
-_DTYPE_OF = {np.dtype(np.float32): DType.F32, np.dtype(np.int32): DType.I32,
-             np.dtype(np.uint8): DType.U8}
-
 
 def write_tensor(path: str | Path, array: np.ndarray) -> None:
-    if array.dtype not in _DTYPE_OF:
+    if array.dtype not in DTYPE_OF:
         raise InvariantViolation(f"unsupported tensor dtype {array.dtype}")
     if array.ndim > 4:
         raise InvariantViolation(f"tensor rank {array.ndim} exceeds 4")
     dims = list(array.shape) + [0] * (4 - array.ndim)
-    header = TENSOR_MAGIC + struct.pack("<BBH", int(_DTYPE_OF[array.dtype]),
+    header = TENSOR_MAGIC + struct.pack("<BBH", int(DTYPE_OF[array.dtype]),
                                         array.ndim, 0)
     header += struct.pack("<4I", *dims)
     Path(path).write_bytes(header + np.ascontiguousarray(array).tobytes())
@@ -43,13 +40,12 @@ def read_tensor(path: str | Path) -> np.ndarray:
     dims = struct.unpack("<4I", data[8:24])
     if rank > 4:
         raise InvariantViolation(f"tensor rank {rank} exceeds 4")
+    if dtype_raw not in NP_DTYPE:
+        raise InvariantViolation(f"unknown tensor dtype {dtype_raw}")
     shape = dims[:rank]
-    np_dtype = _NP_DTYPE[DType(dtype_raw)]
-    n = 1
-    for d in shape:
-        n *= d
+    np_dtype = NP_DTYPE[dtype_raw]
     payload = data[24:]
-    want = n * np.dtype(np_dtype).itemsize
+    want = math.prod(shape) * np_dtype.itemsize
     if len(payload) != want:
         raise TruncatedSection(f"tensor payload is {len(payload)} bytes, "
                                f"header implies {want}")

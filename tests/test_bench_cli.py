@@ -12,7 +12,7 @@ from nnobf.bench import (
     records_to_csv,
 )
 from nnobf.cli import cli_dispatch
-from nnobf.errors import BadMagic
+from nnobf.errors import BadMagic, InvariantViolation
 from nnobf.fixtures import build_fixture
 from nnobf.interpreter import run
 from nnobf.model_format import parse_model, serialize_model
@@ -119,6 +119,16 @@ def test_tensor_file_bad_magic(tmp_path):
     p = tmp_path / "bad.nnt1"
     p.write_bytes(b"JUNKJUNKJUNKJUNKJUNKJUNK")
     with pytest.raises(BadMagic):
+        read_tensor(p)
+
+
+def test_tensor_file_unknown_dtype(tmp_path):
+    p = tmp_path / "t.nnt1"
+    write_tensor(p, np.arange(4, dtype=np.uint8))
+    data = bytearray(p.read_bytes())
+    data[4] = 9  # the dtype byte
+    p.write_bytes(bytes(data))
+    with pytest.raises(InvariantViolation):
         read_tensor(p)
 
 

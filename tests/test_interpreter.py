@@ -10,7 +10,7 @@ from nnobf.errors import (
     UnknownCustomName,
 )
 from nnobf.fixtures import FIXTURE_NAMES, build_fixture
-from nnobf.interpreter import peak_tensor_bytes, run
+from nnobf.interpreter import run
 from nnobf.kernels import execute_builtin
 from nnobf.model_format import (
     BuiltinOp,
@@ -24,6 +24,10 @@ from nnobf.model_format import (
 from nnobf.obfuscator import ObfuscationConfig, obfuscate
 
 F = np.float32
+
+
+def peak_live_bytes(graph, bundle, inputs):
+    return run(graph, bundle, inputs)[1].peak_live_bytes
 
 
 def relu_graph():
@@ -94,14 +98,14 @@ def test_input_arity_and_shape_checks(lenet):
 
 def test_peak_bytes_single_relu():
     g = relu_graph()
-    assert peak_tensor_bytes(g, None, [np.ones(4, F)]) == 16 + 16 == 32
+    assert peak_live_bytes(g, None, [np.ones(4, F)]) == 16 + 16 == 32
 
 
 def test_peak_bytes_matches_declared_tensor_sizes(lenet):
     # every lenet tensor is a graph input, a constant, or an operator output,
     # and declared shapes are truthful, so the proxy equals the plain sum
     want = sum(tensor_byte_size(t) for t in lenet.tensors)
-    assert peak_tensor_bytes(lenet, None, [rand_input(lenet)]) == want
+    assert peak_live_bytes(lenet, None, [rand_input(lenet)]) == want
 
 
 def test_peak_bytes_grow_by_decoy_output_sizes(lenet):
@@ -112,8 +116,8 @@ def test_peak_bytes_grow_by_decoy_output_sizes(lenet):
     g1, b1, plan = obfuscate(lenet, deco_cfg)
     extra = sum(4 * int(np.prod(shape)) for _, shape in plan.injected_layers)
     assert len(plan.injected_layers) == 10 and extra > 0
-    assert (peak_tensor_bytes(g1, b1, x)
-            == peak_tensor_bytes(g0, b0, x) + extra)
+    assert (peak_live_bytes(g1, b1, x)
+            == peak_live_bytes(g0, b0, x) + extra)
 
 
 def test_bundle_weights_count_toward_peak(lenet):
@@ -121,8 +125,8 @@ def test_bundle_weights_count_toward_peak(lenet):
     x = [rand_input(lenet)]
     public, bundle, _ = obfuscate(
         lenet, ObfuscationConfig(seed=2, n_shortcuts=0, n_extra_layers=0))
-    assert peak_tensor_bytes(public, bundle, x) == \
-        peak_tensor_bytes(lenet, None, x)
+    assert peak_live_bytes(public, bundle, x) == \
+        peak_live_bytes(lenet, None, x)
 
 
 def test_batched_run_equals_stacked_single_runs():

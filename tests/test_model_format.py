@@ -7,6 +7,7 @@ import pytest
 from nnobf.errors import (
     BadMagic,
     IndexOutOfRange,
+    InvariantViolation,
     MalformedOptions,
     TruncatedSection,
     UnknownFixture,
@@ -67,6 +68,14 @@ def test_truncated_section():
     data = serialize_model(build_fixture("mlp", 0))
     with pytest.raises(TruncatedSection):
         parse_model(data[:len(data) // 2])
+
+
+def test_name_that_is_not_utf8_raises(lenet):
+    data = serialize_model(lenet)
+    name = lenet.tensors[0].name.encode()
+    at = data.index(struct.pack("<I", len(name)) + name) + 4
+    with pytest.raises(InvariantViolation):
+        parse_model(data[:at] + b"\xff" + data[at + 1:])
 
 
 def test_serialize_minimal_graph_round_trips():

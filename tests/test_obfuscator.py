@@ -43,6 +43,7 @@ from nnobf.obfuscator import (
     reconstruct,
     rename,
 )
+from test_bundle import CORRUPTIONS as BUNDLE_CORRUPTIONS
 
 F = np.float32
 NAME_RE = re.compile(r"^[A-Z][a-z]{5}$")
@@ -62,7 +63,7 @@ def relu_chain(n_ops, width=4):
 
 
 def fresh_plan(seed=0, **kw):
-    return ObfuscationPlan(seed, ObfuscationConfig(seed=seed, **kw))
+    return ObfuscationPlan(ObfuscationConfig(seed=seed, **kw))
 
 
 # -- config invariants ------------------------------------------------------------
@@ -458,7 +459,6 @@ def test_plan_json_round_trip(lenet):
     _, _, plan = obfuscate(
         lenet, ObfuscationConfig(seed=5, n_shortcuts=2, n_extra_layers=2))
     loaded = plan_from_json(plan_to_json(plan))
-    assert loaded.seed == plan.seed
     assert loaded.config == plan.config
     assert loaded.records == plan.records
     assert loaded.injected_shortcuts == plan.injected_shortcuts
@@ -476,54 +476,39 @@ def test_plan_json_is_compact(lenet):
     assert "\n" not in plan_to_json(plan)
 
 
-def _first_weight(doc):
-    return next(w for r in doc["records"] for w in r["weights"])
-
-
 def _drop_config_seed(doc):
     del doc["config"]["seed"]
-
-
-def _bad_base64(doc):
-    _first_weight(doc)["data"] = "@@" + _first_weight(doc)["data"]
-
-
-def _unknown_dtype(doc):
-    _first_weight(doc)["dtype"] = "F64"
-
-
-def _shape_too_big(doc):
-    _first_weight(doc)["shape"][0] += 1
-
-
-def _shape_inferred(doc):
-    _first_weight(doc)["shape"] = [-1]
-
-
-def _data_not_whole_elements(doc):
-    w = _first_weight(doc)
-    w["data"] = base64.b64encode(base64.b64decode(w["data"])[:-1]).decode()
 
 
 def _bad_strategy(doc):
     doc["config"]["strategies"].append("teleport")
 
 
-def _bad_hex_options(doc):
-    doc["records"][0]["real_options"] = "zz"
+def _bad_base64(doc):
+    doc["bundle"] = "@@" + doc["bundle"]
 
 
-def _record_not_object(doc):
-    doc["records"][0] = 7
+def _bundle_not_string(doc):
+    doc["bundle"] = 7
 
 
-@pytest.mark.parametrize("corrupt", [
-    _drop_config_seed, _bad_base64, _unknown_dtype, _shape_too_big,
-    _shape_inferred, _data_not_whole_elements, _bad_strategy,
-    _bad_hex_options, _record_not_object,
-])
+def _on_bundle(corrupt):
+    """Apply a byte-level bundle corruption to the plan's embedded blob."""
+    def apply(doc):
+        blob = corrupt(base64.b64decode(doc["bundle"]))
+        doc["bundle"] = base64.b64encode(blob).decode()
+    apply.__name__ = "_" + corrupt.__name__
+    return apply
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [_drop_config_seed, _bad_strategy, _bad_base64, _bundle_not_string]
+    + [_on_bundle(c) for c in BUNDLE_CORRUPTIONS],
+    ids=lambda f: f.__name__)
 def test_malformed_plan_doc_raises(lenet, corrupt):
-    _, _, plan = obfuscate(lenet, ObfuscationConfig(seed=5, n_shortcuts=2))
+    _, _, plan = obfuscate(
+        lenet, ObfuscationConfig(seed=5, n_shortcuts=2, n_extra_layers=2))
     doc = json.loads(plan_to_json(plan))
     corrupt(doc)
     with pytest.raises(MalformedPlan):
