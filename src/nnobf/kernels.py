@@ -16,11 +16,29 @@ two rows fits (small batches).  Larger shapes, and shapes with a single
 output element (where NumPy reduces the lone axis pairwise, not in order),
 keep the per-feature loop.  No kernel calls BLAS: it reorders the sums.
 
+Conv2D and DepthwiseConv2D have a channel-major path for large stride-1
+outputs.  It copies ``nb`` images at a time into a zeroed
+``(cin, nb, hp, wp)`` staging buffer (the SAME border stays zero), flattens
+each channel's positions, and for each tap in (ky, kx, cin) order multiplies
+a weight column by the channel's positions shifted by ``ky * wp + kx`` into
+a scratch buffer, then adds that into a ``(cout, positions)`` accumulator
+that starts at zero.  Output ``(b, i, j)`` sits at
+``b * hp * wp + i * wp + j``; positions past the output's right edge or
+between images are computed and dropped, and no kept position reads across
+an image.  Each kept element therefore receives the same float32 products,
+added one at a time in the same order, as in the tap loop; only elementwise
+``multiply`` and ``add`` run, with long contiguous inner loops.  The path is
+chosen by output size: it runs when the output is at least one chunk
+(512 KiB, also the accumulator size per chunk).  Smaller outputs (batch 1)
+and strided convolutions keep the tap loop.
+
 Kernels never consult declared tensor shapes; everything is derived from the
 actual input arrays.  The leading axis is treated as batch throughout.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -40,6 +58,9 @@ _ZERO = np.float32(0.0)
 _SIX = np.float32(6.0)
 # Cap on the blocked Dense path's temporary, sized to leave peak memory flat.
 _DENSE_BLOCK_BYTES = 8 * 1024
+# Accumulator bytes per chunk of the channel-major convolution path, and the
+# output size in bytes at which that path takes over from the tap loop.
+_CONV_CHUNK_BYTES = 512 * 1024
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -54,10 +75,12 @@ def _require_f32(*arrays: np.ndarray) -> None:
 
 
 def _apply_activation(acc: np.ndarray, act: Activation) -> np.ndarray:
+    """Fused activation, written into ``acc``, which the kernel owns."""
     if act is Activation.RELU:
-        return np.maximum(acc, _ZERO)
-    if act is Activation.RELU6:
-        return np.minimum(np.maximum(acc, _ZERO), _SIX)
+        np.maximum(acc, _ZERO, out=acc)
+    elif act is Activation.RELU6:
+        np.maximum(acc, _ZERO, out=acc)
+        np.minimum(acc, _SIX, out=acc)
     return acc
 
 
@@ -85,6 +108,55 @@ def _tap(xp: np.ndarray, ky: int, kx: int, oh: int, ow: int,
     return xp[:, ky:ky + (oh - 1) * sh + 1:sh, kx:kx + (ow - 1) * sw + 1:sw]
 
 
+def _takes_chunks(opts: ConvOptions, out_shape: tuple[int, ...]) -> bool:
+    """True when the channel-major chunked path computes this convolution."""
+    return (opts.stride_h == opts.stride_w == 1
+            and 4 * math.prod(out_shape) >= _CONV_CHUNK_BYTES)
+
+
+def _chunked_taps(x: np.ndarray, w: np.ndarray, oh: int, ow: int) -> np.ndarray:
+    """Tap sums of a stride-1 Conv2D (``w`` of rank 4) or DepthwiseConv2D
+    (rank 3), as an ``(n, oh, ow, cout)`` array, ``nb`` images per chunk.
+
+    The padding follows from the output extents: SAME pads ``k - 1`` rows
+    and columns, VALID none.  ``xf[c, p]`` is channel ``c`` at flat staged
+    position ``p``; tap ``(ky, kx)`` of output position ``p`` reads
+    ``xf[c, p + ky * wp + kx]``.  A Conv2D tap adds one ``(cout, size)``
+    product per input channel; a depthwise tap adds one product of all
+    channels at once.  A chunk's ``size`` ends at its last kept position,
+    so the shifted reads stay inside the staging buffer.
+    """
+    n, h, wd, ci = x.shape
+    kh, kw = w.shape[:2]
+    co = w.shape[-1]
+    chans = (slice(None),) if w.ndim == 3 else range(ci)
+    hp, wp = oh + kh - 1, ow + kw - 1
+    pt, pl = (hp - h) // 2, (wp - wd) // 2  # SAME: floor((k - 1) / 2); VALID: 0
+    span = hp * wp
+    nb = min(n, max(1, _CONV_CHUNK_BYTES // (4 * co * span)))
+    stage = np.zeros((ci, nb, hp, wp), np.float32)
+    xf = stage.reshape(ci, nb * span)
+    acc = np.empty((co, nb * span), np.float32)
+    tmp = np.empty_like(acc)
+    out = np.empty((n, oh, ow, co), np.float32)
+    for b0 in range(0, n, nb):
+        b = min(nb, n - b0)
+        stage[:, :b, pt:pt + h, pl:pl + wd] = x[b0:b0 + b].transpose(3, 0, 1, 2)
+        size = (b - 1) * span + (oh - 1) * wp + ow
+        a, t = acc[:, :size], tmp[:, :size]
+        a.fill(0.0)
+        for ky in range(kh):
+            for kx in range(kw):
+                off = ky * wp + kx
+                for c in chans:
+                    np.multiply(w[ky, kx, c, ..., None], xf[c, off:off + size],
+                                out=t)
+                    np.add(a, t, out=a)
+        out[b0:b0 + b] = (acc.reshape(co, nb, hp, wp)[:, :b, :oh, :ow]
+                          .transpose(1, 2, 3, 0))
+    return out
+
+
 def conv2d(x: np.ndarray, w: np.ndarray, bias: np.ndarray | None,
            opts: ConvOptions) -> np.ndarray:
     _require_f32(x, w)
@@ -96,16 +168,19 @@ def conv2d(x: np.ndarray, w: np.ndarray, bias: np.ndarray | None,
     sh, sw = opts.stride_h, opts.stride_w
     oh = _out_extent(h, kh, sh, opts.padding)
     ow = _out_extent(wd, kw, sw, opts.padding)
-    if opts.padding is Padding.SAME:
-        xp, _, _ = _pad_spatial(x, kh, kw, sh, sw, oh, ow, 0.0)
+    if _takes_chunks(opts, (n, oh, ow, co)):
+        acc = _chunked_taps(x, w, oh, ow)
     else:
-        xp = x
-    acc = np.zeros((n, oh, ow, co), np.float32)
-    for ky in range(kh):
-        for kx in range(kw):
-            patch = _tap(xp, ky, kx, oh, ow, sh, sw)
-            for c in range(ci):
-                acc += patch[:, :, :, c, None] * w[ky, kx, c, :]
+        if opts.padding is Padding.SAME:
+            xp, _, _ = _pad_spatial(x, kh, kw, sh, sw, oh, ow, 0.0)
+        else:
+            xp = x
+        acc = np.zeros((n, oh, ow, co), np.float32)
+        for ky in range(kh):
+            for kx in range(kw):
+                patch = _tap(xp, ky, kx, oh, ow, sh, sw)
+                for c in range(ci):
+                    acc += patch[:, :, :, c, None] * w[ky, kx, c, :]
     if bias is not None:
         _require_f32(bias)
         _require(bias.shape == (co,), f"Conv2D bias shape {bias.shape} != ({co},)")
@@ -124,14 +199,17 @@ def depthwise_conv2d(x: np.ndarray, w: np.ndarray, bias: np.ndarray | None,
     sh, sw = opts.stride_h, opts.stride_w
     oh = _out_extent(h, kh, sh, opts.padding)
     ow = _out_extent(wd, kw, sw, opts.padding)
-    if opts.padding is Padding.SAME:
-        xp, _, _ = _pad_spatial(x, kh, kw, sh, sw, oh, ow, 0.0)
+    if _takes_chunks(opts, (n, oh, ow, c)):
+        acc = _chunked_taps(x, w, oh, ow)
     else:
-        xp = x
-    acc = np.zeros((n, oh, ow, c), np.float32)
-    for ky in range(kh):
-        for kx in range(kw):
-            acc += _tap(xp, ky, kx, oh, ow, sh, sw) * w[ky, kx, :]
+        if opts.padding is Padding.SAME:
+            xp, _, _ = _pad_spatial(x, kh, kw, sh, sw, oh, ow, 0.0)
+        else:
+            xp = x
+        acc = np.zeros((n, oh, ow, c), np.float32)
+        for ky in range(kh):
+            for kx in range(kw):
+                acc += _tap(xp, ky, kx, oh, ow, sh, sw) * w[ky, kx, :]
     if bias is not None:
         _require_f32(bias)
         _require(bias.shape == (c,), f"DepthwiseConv2D bias shape {bias.shape} != ({c},)")

@@ -130,13 +130,19 @@ def test_bundle_weights_count_toward_peak(lenet):
 
 
 def test_batched_run_equals_stacked_single_runs():
+    # batches 3 and 37 run the convolutions' tap loop, batch 256 their
+    # chunked path, whose flat layout must not bleed between images
+    config = ObfuscationConfig(seed=6, n_shortcuts=20, n_extra_layers=20)
     for name in FIXTURE_NAMES:
         g = build_fixture(name, 4)
-        xb = rand_input(g, seed=8, batch=3)
-        batched, _ = run(g, None, [xb])
-        for k in range(3):
-            single, _ = run(g, None, [xb[k:k + 1]])
-            assert np.array_equal(batched[0][k:k + 1], single[0])
+        xb = rand_input(g, seed=8, batch=256)
+        for model, bundle in ((g, None), obfuscate(g, config)[:2]):
+            single = [run(model, bundle, [xb[k:k + 1]])[0][0].tobytes()
+                      for k in range(256)]
+            for n in (3, 37, 256):
+                batched, _ = run(model, bundle, [xb[:n]])
+                for k in range(n):
+                    assert batched[0][k:k + 1].tobytes() == single[k], (name, n, k)
 
 
 def test_trace_shapes_and_timing(lenet):

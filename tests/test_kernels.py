@@ -28,6 +28,8 @@ from nnobf.model_format import (
     DenseOptions,
     Padding,
     PoolOptions,
+    decode_options,
+    materialize_constants,
 )
 
 F = np.float32
@@ -214,6 +216,107 @@ def test_numpy_outer_axis_reduce_is_sequential(shape):
             assert np.all(got == seq)
         else:
             assert np.all(got != seq)
+
+
+# -- channel-major chunked convolution path ------------------------------------
+
+def chunked_conv_case(rng, depthwise, n, k, pad):
+    """Inputs with 5 x 6 output positions.  An image stages at most 9 x 10
+    positions (k = 5), so a two-image chunk is no larger than a 7-image
+    output and the chunked path runs."""
+    h, w = (5, 6) if pad is Padding.SAME else (k + 4, k + 5)
+    ci, co = 3, 3
+    x = rand(rng, (n, h, w, ci))
+    wt = rand(rng, (k, k, ci) if depthwise else (k, k, ci, co))
+    # image 0 is all -0.0 and channel 0's weights are positive, so its
+    # channel 0 sums only -0.0 products away from a SAME border: +0.0 from
+    # a +0.0 start, -0.0 if the sum started at the first product; the last
+    # channel's weights are -0.0
+    x[0] = -0.0
+    wt[..., 0] = np.abs(wt[..., 0])
+    wt[..., -1] = -0.0
+    return x, wt
+
+
+def two_image_chunk_bytes(x, wt, pad):
+    kh, kw = wt.shape[:2]
+    _, h, w, _ = x.shape
+    hp, wp = (h + kh - 1, w + kw - 1) if pad is Padding.SAME else (h, w)
+    return 2 * 4 * wt.shape[-1] * hp * wp
+
+
+@pytest.mark.parametrize("pad", [Padding.VALID, Padding.SAME], ids=["valid", "same"])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("n", [1, 7])
+@pytest.mark.parametrize("depthwise", [False, True], ids=["conv2d", "depthwise"])
+def test_chunked_conv_matches_oracle_bytes(depthwise, n, k, pad, monkeypatch):
+    # batch 7 runs chunks of 2 images: three full ones and a partial last
+    # one; batch 1 runs with a one-float chunk, which still holds one image
+    kernel, oracle = ((depthwise_conv2d, ref.depthwise_conv2d_ref) if depthwise
+                      else (conv2d, ref.conv2d_ref))
+    rng = runi(108)
+    x, wt = chunked_conv_case(rng, depthwise, n, k, pad)
+    monkeypatch.setattr(kernels, "_CONV_CHUNK_BYTES",
+                        two_image_chunk_bytes(x, wt, pad) if n > 1 else 4)
+    for b in (None, rand(rng, wt.shape[-1:])):
+        for act in Activation:
+            opts = ConvOptions(1, 1, pad, act)
+            got = kernel(x, wt, b, opts)
+            assert kernels._takes_chunks(opts, got.shape)
+            assert got.tobytes() == oracle(x, wt, b, opts).tobytes(), (b is None, act)
+
+
+def fixture_convs():
+    """(fixture, batch-1 input shape, weight, options) of every fixture's
+    Conv2D and DepthwiseConv2D."""
+    for name in FIXTURE_NAMES:
+        g = build_fixture(name, 0)
+        consts = materialize_constants(g)
+        for op in g.operators:
+            kind = g.opcodes[op.opcode_index].builtin_code
+            if kind in (BuiltinOp.CONV_2D, BuiltinOp.DEPTHWISE_CONV_2D):
+                yield (name, g.tensors[op.inputs[0]].shape, consts[op.inputs[1]],
+                       decode_options(BuiltinOp(kind), op.options))
+
+
+FIXTURE_CONVS = list(fixture_convs())
+
+
+def test_chunked_conv_matches_tap_loop_at_batch_256(monkeypatch):
+    rng = runi(109)
+    calls = []
+    chunked = kernels._chunked_taps
+    monkeypatch.setattr(kernels, "_chunked_taps",
+                        lambda *a: calls.append(1) or chunked(*a))
+    kinds = set()
+    for name, shape, wt, opts in FIXTURE_CONVS:
+        kernel = depthwise_conv2d if wt.ndim == 3 else conv2d
+        kinds.add(kernel)
+        x = rand(rng, (256, *shape[1:]))
+        x[0] = -0.0
+        b = rand(rng, wt.shape[-1:])
+        got = kernel(x, wt, b, opts)
+        with monkeypatch.context() as m:
+            m.setattr(kernels, "_CONV_CHUNK_BYTES", 1 << 62)  # the tap loop
+            want = kernel(x, wt, b, opts)
+        assert got.tobytes() == want.tobytes(), (name, shape)
+    assert kinds == {conv2d, depthwise_conv2d}
+    assert len(calls) == len(FIXTURE_CONVS)
+
+
+def test_conv_path_choice_by_shape():
+    # every fixture convolution takes the tap loop at batch 1 and the
+    # chunked path at batch 256; a strided convolution always takes the loop
+    assert {name for name, *_ in FIXTURE_CONVS} == {"lenet", "branchy",
+                                                    "depthwise_net"}
+    for name, shape, wt, opts in FIXTURE_CONVS:
+        x = np.zeros(shape, F)
+        out = (depthwise_conv2d if wt.ndim == 3 else conv2d)(x, wt, None, opts)
+        assert not kernels._takes_chunks(opts, out.shape), name
+        assert kernels._takes_chunks(opts, (256, *out.shape[1:])), name
+        for sh, sw in ((2, 2), (1, 2), (2, 1)):
+            strided = ConvOptions(sh, sw, opts.padding, opts.activation)
+            assert not kernels._takes_chunks(strided, (256, *out.shape[1:]))
 
 
 @pytest.mark.parametrize("kernel,oracle", [(max_pool2d, ref.max_pool2d_ref),
