@@ -22,8 +22,10 @@ reader serve both formats.
 :func:`load_bundle` rejects, with :class:`~nnobf.errors.InvariantViolation`,
 any record the runtime could not execute: a name that is not UTF-8, a code
 that is neither a ``BuiltinOp`` nor ``DECOY_SENTINEL``, decoy options whose
-length disagrees with their rank byte, an unknown dtype byte, and weight data
-that is not exactly ``itemsize * prod(dims)`` bytes.  Short input raises
+length disagrees with their rank byte, a decoy shape of more than 65,536
+elements (the runtime allocates its zeros), an unknown dtype byte, and weight
+data that is not exactly ``itemsize * prod(dims)`` bytes.  Records hold wire
+data only; the runtime keeps no state in them.  Short input raises
 :class:`~nnobf.errors.TruncatedSection`, a bad header
 :class:`~nnobf.errors.BadMagic`.
 """
@@ -32,7 +34,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,6 +51,10 @@ from .model_format import (
 
 BUNDLE_MAGIC = b"OBFB"
 BUNDLE_VERSION = 1
+# Largest decoy output, in elements, that load_bundle accepts.  The runtime
+# allocates every decoy's zeros, so an unchecked shape is a memory bomb; the
+# obfuscator draws at most 8 x 8.
+_MAX_DECOY_ELEMENTS = 65_536
 
 
 @dataclass
@@ -57,21 +63,13 @@ class BundleRecord:
     real_options: bytes
     true_input_positions: tuple[int, ...]
     weights: tuple[np.ndarray, ...]
-    # runtime cache for decoy zero outputs; not part of the wire format
-    _decoy_output: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     @property
     def is_decoy(self) -> bool:
         return self.real_builtin_code == DECOY_SENTINEL
 
     def decoy_shape(self) -> tuple[int, ...]:
-        rank = self.real_options[0]
-        return struct.unpack(f"<{rank}I", self.real_options[1:1 + 4 * rank])
-
-    def decoy_output(self) -> np.ndarray:
-        if self._decoy_output is None:
-            self._decoy_output = np.zeros(self.decoy_shape(), np.float32)
-        return self._decoy_output
+        return decode_decoy_shape(self.real_options)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BundleRecord):
@@ -86,6 +84,11 @@ class BundleRecord:
 
 def encode_decoy_shape(shape: tuple[int, ...]) -> bytes:
     return struct.pack("<B", len(shape)) + struct.pack(f"<{len(shape)}I", *shape)
+
+
+def decode_decoy_shape(raw: bytes) -> tuple[int, ...]:
+    rank = raw[0]
+    return struct.unpack(f"<{rank}I", raw[1:1 + 4 * rank])
 
 
 @dataclass
@@ -135,6 +138,11 @@ def load_bundle(data: bytes) -> KernelBundle:
                 raise InvariantViolation(
                     f"decoy record {name!r}: {len(options)} option bytes do "
                     f"not encode a shape")
+            shape = decode_decoy_shape(options)
+            if math.prod(shape) > _MAX_DECOY_ELEMENTS:
+                raise InvariantViolation(
+                    f"decoy record {name!r}: shape {shape} exceeds "
+                    f"{_MAX_DECOY_ELEMENTS} elements")
         elif code not in BuiltinOp._value2member_map_:
             raise InvariantViolation(f"record {name!r}: unknown builtin {code}")
         positions = r.indices()

@@ -3,9 +3,11 @@
 Runs plain models through builtin dispatch and obfuscated models through the
 kernel bundle: a custom operator's record selects the true activation inputs
 from the declared input list, appends encapsulated weights, and executes the
-real kernel with the real options.  Decoy inputs and decoy layers never feed
-the true computation, so obfuscated outputs are bit-identical to the
-original's.
+real kernel with the real options.  Every operator has exactly one output.
+Decoy inputs and decoy layers never feed the true computation, so obfuscated
+outputs are bit-identical to the original's.  A decoy layer's output is
+read-only zeros of its recorded shape, from a bounded memo keyed by the
+record's option bytes.
 
 Declared tensor shapes are never consulted during execution (they may be
 decoys); runtime shapes come from the actual arrays.  The leading axis of
@@ -21,12 +23,13 @@ batch-1 run).
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bundle import KernelBundle
+from .bundle import KernelBundle, decode_decoy_shape
 from .errors import (
     IndexOutOfRange,
     MissingBundle,
@@ -44,9 +47,20 @@ from .model_format import (
 )
 
 
+@functools.lru_cache(maxsize=64)
+def _decoy_zeros(raw: bytes) -> np.ndarray:
+    """Read-only float32 zeros of the shape a decoy record's options encode.
+
+    Bounded in count by the cache and in size by load_bundle's decoy cap.
+    """
+    zeros = np.zeros(decode_decoy_shape(raw), np.float32)
+    zeros.flags.writeable = False
+    return zeros
+
+
 @dataclass
 class ExecutionTrace:
-    output_shapes: list[tuple[tuple[int, ...], ...]] = field(default_factory=list)
+    output_shapes: list[tuple[tuple[int, ...]]] = field(default_factory=list)
     op_seconds: list[float] = field(default_factory=list)
     peak_live_bytes: int = 0
 
@@ -99,9 +113,8 @@ def run(graph: ModelGraph, bundle: KernelBundle | None,
         opcode = opcodes[op.opcode_index]
         t0 = clock() if clock else 0.0
         if opcode.builtin_code != CUSTOM_SENTINEL:
-            kind = BuiltinOp(opcode.builtin_code)
+            code, raw = opcode.builtin_code, op.options
             args = [values[t] for t in op.inputs]
-            outs = execute_builtin(kind, args, decode_options(kind, op.options))
         else:
             if records is None:
                 raise MissingBundle(
@@ -111,14 +124,8 @@ def run(graph: ModelGraph, bundle: KernelBundle | None,
             if rec is None:
                 raise UnknownCustomName(
                     f"bundle has no record for {opcode.custom_name!r}")
-            code = rec.real_builtin_code
-            if code == DECOY_SENTINEL:
-                decoy = rec._decoy_output
-                if decoy is None:
-                    decoy = rec.decoy_output()
-                outs = (decoy,)
-            else:
-                kind = BuiltinOp(code)
+            code, raw = rec.real_builtin_code, rec.real_options
+            if code != DECOY_SENTINEL:
                 try:
                     args = [values[op.inputs[p]]
                             for p in rec.true_input_positions]
@@ -128,20 +135,16 @@ def run(graph: ModelGraph, bundle: KernelBundle | None,
                         f"{rec.true_input_positions} exceed the operator's "
                         f"{len(op.inputs)} inputs") from None
                 args.extend(rec.weights)
-                outs = execute_builtin(kind, args,
-                                       decode_options(kind, rec.real_options))
+        if code == DECOY_SENTINEL:  # reads nothing, never reaches a kernel
+            out = _decoy_zeros(raw)
+        else:
+            kind = BuiltinOp(code)
+            out = execute_builtin(kind, args, decode_options(kind, raw))[0]
         if clock:
             seconds.append(clock() - t0)
-        out0 = outs[0]
-        if len(outs) == 1:
-            shapes.append((out0.shape,))
-            values[op.outputs[0]] = out0
-            peak += out0.nbytes
-        else:
-            shapes.append(tuple(o.shape for o in outs))
-            for t_idx, out in zip(op.outputs, outs):
-                values[t_idx] = out
-                peak += out.nbytes
+        shapes.append((out.shape,))
+        values[op.outputs[0]] = out
+        peak += out.nbytes
 
     trace.peak_live_bytes = peak
     return [values[t] for t in graph.graph_outputs], trace

@@ -91,16 +91,19 @@ def _out_extent(size: int, k: int, stride: int, padding: Padding) -> int:
     return (size - 1) // stride + 1
 
 
-def _pad_spatial(x: np.ndarray, kh: int, kw: int, sh: int, sw: int,
-                 oh: int, ow: int, fill: float) -> tuple[np.ndarray, int, int]:
-    """Zero-offset SAME padding: top/left pads are floor((k-1)/2)."""
-    _, h, w, _ = x.shape
+def _pad_spatial(x: np.ndarray, padding: Padding, kh: int, kw: int, sh: int,
+                 sw: int, oh: int, ow: int, fill: float) -> np.ndarray:
+    """``x`` itself for VALID; for SAME, ``x`` bordered with ``fill``,
+    zero-offset: top/left pads are floor((k-1)/2)."""
+    if padding is Padding.VALID:
+        return x
+    n, h, w, c = x.shape
     pt, pl = (kh - 1) // 2, (kw - 1) // 2
     pb = max(0, (oh - 1) * sh + kh - pt - h)
     pr = max(0, (ow - 1) * sw + kw - pl - w)
-    xp = np.pad(x, ((0, 0), (pt, pb), (pl, pr), (0, 0)),
-                constant_values=fill)
-    return xp.astype(np.float32, copy=False), pt, pl
+    xp = np.full((n, pt + h + pb, pl + w + pr, c), fill, np.float32)
+    xp[:, pt:pt + h, pl:pl + w] = x
+    return xp
 
 
 def _tap(xp: np.ndarray, ky: int, kx: int, oh: int, ow: int,
@@ -171,10 +174,7 @@ def conv2d(x: np.ndarray, w: np.ndarray, bias: np.ndarray | None,
     if _takes_chunks(opts, (n, oh, ow, co)):
         acc = _chunked_taps(x, w, oh, ow)
     else:
-        if opts.padding is Padding.SAME:
-            xp, _, _ = _pad_spatial(x, kh, kw, sh, sw, oh, ow, 0.0)
-        else:
-            xp = x
+        xp = _pad_spatial(x, opts.padding, kh, kw, sh, sw, oh, ow, 0.0)
         acc = np.zeros((n, oh, ow, co), np.float32)
         for ky in range(kh):
             for kx in range(kw):
@@ -202,10 +202,7 @@ def depthwise_conv2d(x: np.ndarray, w: np.ndarray, bias: np.ndarray | None,
     if _takes_chunks(opts, (n, oh, ow, c)):
         acc = _chunked_taps(x, w, oh, ow)
     else:
-        if opts.padding is Padding.SAME:
-            xp, _, _ = _pad_spatial(x, kh, kw, sh, sw, oh, ow, 0.0)
-        else:
-            xp = x
+        xp = _pad_spatial(x, opts.padding, kh, kw, sh, sw, oh, ow, 0.0)
         acc = np.zeros((n, oh, ow, c), np.float32)
         for ky in range(kh):
             for kx in range(kw):
@@ -267,10 +264,7 @@ def max_pool2d(x: np.ndarray, opts: PoolOptions) -> np.ndarray:
     fh, fw, sh, sw = opts.filter_h, opts.filter_w, opts.stride_h, opts.stride_w
     oh = _out_extent(h, fh, sh, opts.padding)
     ow = _out_extent(w, fw, sw, opts.padding)
-    if opts.padding is Padding.SAME:
-        xp, _, _ = _pad_spatial(x, fh, fw, sh, sw, oh, ow, -np.inf)
-    else:
-        xp = x
+    xp = _pad_spatial(x, opts.padding, fh, fw, sh, sw, oh, ow, -np.inf)
     out = _tap(xp, 0, 0, oh, ow, sh, sw).copy()
     for wy in range(fh):
         for wx in range(fw):
@@ -287,13 +281,9 @@ def avg_pool2d(x: np.ndarray, opts: PoolOptions) -> np.ndarray:
     fh, fw, sh, sw = opts.filter_h, opts.filter_w, opts.stride_h, opts.stride_w
     oh = _out_extent(h, fh, sh, opts.padding)
     ow = _out_extent(w, fw, sw, opts.padding)
-    if opts.padding is Padding.SAME:
-        xp, _, _ = _pad_spatial(x, fh, fw, sh, sw, oh, ow, 0.0)
-        ones = np.ones((1, h, w, 1), np.float32)
-        onesp, _, _ = _pad_spatial(ones, fh, fw, sh, sw, oh, ow, 0.0)
-    else:
-        xp = x
-        onesp = np.ones((1, h, w, 1), np.float32)
+    xp = _pad_spatial(x, opts.padding, fh, fw, sh, sw, oh, ow, 0.0)
+    onesp = _pad_spatial(np.ones((1, h, w, 1), np.float32), opts.padding,
+                         fh, fw, sh, sw, oh, ow, 0.0)
     acc = np.zeros((n, oh, ow, c), np.float32)
     cnt = np.zeros((1, oh, ow, 1), np.float32)
     for wy in range(fh):
@@ -375,50 +365,36 @@ def flatten(x: np.ndarray) -> np.ndarray:
     return x.reshape(x.shape[0], -1)
 
 
+def _weighted(kernel):
+    """Adapt an ``(x, w, bias | None, opts)`` kernel to ``(inputs, opts)``."""
+    return lambda a, o: kernel(a[0], a[1], a[2] if len(a) == 3 else None, o)
+
+
+# kind -> (min inputs, max inputs, call(inputs, options) -> output array)
+_KERNELS = {
+    BuiltinOp.CONV_2D: (2, 3, _weighted(conv2d)),
+    BuiltinOp.DEPTHWISE_CONV_2D: (2, 3, _weighted(depthwise_conv2d)),
+    BuiltinOp.DENSE: (2, 3, _weighted(dense)),
+    BuiltinOp.RELU: (1, 1, lambda a, o: relu(a[0])),
+    BuiltinOp.RELU6: (1, 1, lambda a, o: relu6(a[0])),
+    BuiltinOp.MAX_POOL_2D: (1, 1, lambda a, o: max_pool2d(a[0], o)),
+    BuiltinOp.AVG_POOL_2D: (1, 1, lambda a, o: avg_pool2d(a[0], o)),
+    BuiltinOp.ADD: (2, 2, lambda a, o: add(a[0], a[1])),
+    BuiltinOp.CONCAT: (1, math.inf, lambda a, o: concat(list(a), o)),
+    BuiltinOp.SOFTMAX: (1, 1, lambda a, o: softmax(a[0])),
+    BuiltinOp.RESHAPE: (2, 2, lambda a, o: reshape(a[0], a[1])),
+    BuiltinOp.FLATTEN: (1, 1, lambda a, o: flatten(a[0])),
+}
+
+
 def execute_builtin(kind: BuiltinOp, inputs: list[np.ndarray],
                     options) -> list[np.ndarray]:
     """Dispatch one builtin kernel; returns its output list."""
-    def arity(lo: int, hi: int) -> None:
-        if not lo <= len(inputs) <= hi:
-            raise ShapeMismatch(
-                f"{kind.name} expects {lo}..{hi} inputs, got {len(inputs)}")
-
-    if kind is BuiltinOp.CONV_2D:
-        arity(2, 3)
-        return [conv2d(inputs[0], inputs[1],
-                       inputs[2] if len(inputs) == 3 else None, options)]
-    if kind is BuiltinOp.DEPTHWISE_CONV_2D:
-        arity(2, 3)
-        return [depthwise_conv2d(inputs[0], inputs[1],
-                                 inputs[2] if len(inputs) == 3 else None, options)]
-    if kind is BuiltinOp.DENSE:
-        arity(2, 3)
-        return [dense(inputs[0], inputs[1],
-                      inputs[2] if len(inputs) == 3 else None, options)]
-    if kind is BuiltinOp.RELU:
-        arity(1, 1)
-        return [relu(inputs[0])]
-    if kind is BuiltinOp.RELU6:
-        arity(1, 1)
-        return [relu6(inputs[0])]
-    if kind is BuiltinOp.MAX_POOL_2D:
-        arity(1, 1)
-        return [max_pool2d(inputs[0], options)]
-    if kind is BuiltinOp.AVG_POOL_2D:
-        arity(1, 1)
-        return [avg_pool2d(inputs[0], options)]
-    if kind is BuiltinOp.ADD:
-        arity(2, 2)
-        return [add(inputs[0], inputs[1])]
-    if kind is BuiltinOp.CONCAT:
-        return [concat(list(inputs), options)]
-    if kind is BuiltinOp.SOFTMAX:
-        arity(1, 1)
-        return [softmax(inputs[0])]
-    if kind is BuiltinOp.RESHAPE:
-        arity(2, 2)
-        return [reshape(inputs[0], inputs[1])]
-    if kind is BuiltinOp.FLATTEN:
-        arity(1, 1)
-        return [flatten(inputs[0])]
-    raise ShapeMismatch(f"unknown builtin kernel {kind!r}")
+    entry = _KERNELS.get(kind)
+    if entry is None:
+        raise ShapeMismatch(f"unknown builtin kernel {kind!r}")
+    lo, hi, call = entry
+    if not lo <= len(inputs) <= hi:
+        raise ShapeMismatch(
+            f"{kind.name} expects {lo}..{hi} inputs, got {len(inputs)}")
+    return [call(inputs, options)]

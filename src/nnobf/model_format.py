@@ -22,6 +22,7 @@ Conventions baked into the format:
 * buffer 0 is reserved empty; ``buffer_index == 0`` marks an activation tensor.
 * operators are stored in a valid topological order.
 * within one operator's input list, constant tensors follow activation tensors.
+* every operator declares exactly one output tensor.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import json
 import math
 import re
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, dataclass
 from enum import IntEnum
 
 import numpy as np
@@ -82,23 +83,6 @@ class BuiltinOp(IntEnum):
     FLATTEN = 12
 
 
-# Display names used by dump_json and the extraction report.
-BUILTIN_NAMES = {
-    BuiltinOp.CONV_2D: "Conv2D",
-    BuiltinOp.DEPTHWISE_CONV_2D: "DepthwiseConv2D",
-    BuiltinOp.DENSE: "Dense",
-    BuiltinOp.RELU: "ReLU",
-    BuiltinOp.RELU6: "ReLU6",
-    BuiltinOp.MAX_POOL_2D: "MaxPool2D",
-    BuiltinOp.AVG_POOL_2D: "AvgPool2D",
-    BuiltinOp.ADD: "Add",
-    BuiltinOp.CONCAT: "Concat",
-    BuiltinOp.SOFTMAX: "Softmax",
-    BuiltinOp.RESHAPE: "Reshape",
-    BuiltinOp.FLATTEN: "Flatten",
-}
-
-
 class Padding(IntEnum):
     VALID = 0
     SAME = 1
@@ -146,29 +130,37 @@ class ConcatOptions:
     axis: int = -1
 
 
+# One row per builtin kind: its display name (dump_json, the extraction
+# report), the little-endian struct layout of its options, the options class
+# (None for kinds without options) and the type each unpacked field is coerced
+# to, in field order.
+_CONV = ("<HHBB", ConvOptions, (int, int, Padding, Activation))
+_POOL = ("<HHHHB", PoolOptions, (int, int, int, int, Padding))
+_NO_OPTIONS = ("<", None, ())
+_KINDS = {
+    BuiltinOp.CONV_2D: ("Conv2D", *_CONV),
+    BuiltinOp.DEPTHWISE_CONV_2D: ("DepthwiseConv2D", *_CONV),
+    BuiltinOp.DENSE: ("Dense", "<B", DenseOptions, (Activation,)),
+    BuiltinOp.RELU: ("ReLU", *_NO_OPTIONS),
+    BuiltinOp.RELU6: ("ReLU6", *_NO_OPTIONS),
+    BuiltinOp.MAX_POOL_2D: ("MaxPool2D", *_POOL),
+    BuiltinOp.AVG_POOL_2D: ("AvgPool2D", *_POOL),
+    BuiltinOp.ADD: ("Add", *_NO_OPTIONS),
+    BuiltinOp.CONCAT: ("Concat", "<i", ConcatOptions, (int,)),
+    BuiltinOp.SOFTMAX: ("Softmax", *_NO_OPTIONS),
+    BuiltinOp.RESHAPE: ("Reshape", *_NO_OPTIONS),
+    BuiltinOp.FLATTEN: ("Flatten", *_NO_OPTIONS),
+}
+BUILTIN_NAMES = {kind: row[0] for kind, row in _KINDS.items()}
+OPTIONS_LENGTH = {kind: struct.calcsize(row[1]) for kind, row in _KINDS.items()}
+
+
 def encode_options(kind: BuiltinOp, opts) -> bytes:
     """Pack an options struct into its little-endian byte layout."""
-    if kind in (BuiltinOp.CONV_2D, BuiltinOp.DEPTHWISE_CONV_2D):
-        return struct.pack("<HHBB", opts.stride_w, opts.stride_h,
-                           int(opts.padding), int(opts.activation))
-    if kind in (BuiltinOp.MAX_POOL_2D, BuiltinOp.AVG_POOL_2D):
-        return struct.pack("<HHHHB", opts.filter_w, opts.filter_h,
-                           opts.stride_w, opts.stride_h, int(opts.padding))
-    if kind is BuiltinOp.DENSE:
-        return struct.pack("<B", int(opts.activation))
-    if kind is BuiltinOp.CONCAT:
-        return struct.pack("<i", opts.axis)
-    return b""
-
-
-OPTIONS_LENGTH = {
-    BuiltinOp.CONV_2D: 6,
-    BuiltinOp.DEPTHWISE_CONV_2D: 6,
-    BuiltinOp.MAX_POOL_2D: 9,
-    BuiltinOp.AVG_POOL_2D: 9,
-    BuiltinOp.DENSE: 1,
-    BuiltinOp.CONCAT: 4,
-}
+    _, fmt, cls, _ = _KINDS[kind]
+    if cls is None:
+        return b""
+    return struct.pack(fmt, *astuple(opts))
 
 
 @functools.lru_cache(maxsize=1024, typed=True)
@@ -180,24 +172,17 @@ def decode_options(kind: BuiltinOp, raw: bytes):
     byte raises :class:`MalformedOptions` on every call, since errors are
     never cached.
     """
-    want = OPTIONS_LENGTH.get(kind, 0)
+    name, fmt, cls, types = _KINDS[kind]
+    want = OPTIONS_LENGTH[kind]
     if len(raw) != want:
-        raise MalformedOptions(f"{BUILTIN_NAMES[kind]} options: expected "
-                               f"{want} bytes, got {len(raw)}")
+        raise MalformedOptions(f"{name} options: expected {want} bytes, "
+                               f"got {len(raw)}")
+    if cls is None:
+        return None
     try:
-        if kind in (BuiltinOp.CONV_2D, BuiltinOp.DEPTHWISE_CONV_2D):
-            sw, sh, pad, act = struct.unpack("<HHBB", raw)
-            return ConvOptions(sw, sh, Padding(pad), Activation(act))
-        if kind in (BuiltinOp.MAX_POOL_2D, BuiltinOp.AVG_POOL_2D):
-            fw, fh, sw, sh, pad = struct.unpack("<HHHHB", raw)
-            return PoolOptions(fw, fh, sw, sh, Padding(pad))
-        if kind is BuiltinOp.DENSE:
-            return DenseOptions(Activation(raw[0]))
-        if kind is BuiltinOp.CONCAT:
-            return ConcatOptions(struct.unpack("<i", raw)[0])
+        return cls(*(t(v) for t, v in zip(types, struct.unpack(fmt, raw))))
     except ValueError as e:  # an enum byte out of range
-        raise MalformedOptions(f"{BUILTIN_NAMES[kind]} options: {e}") from e
-    return None
+        raise MalformedOptions(f"{name} options: {e}") from e
 
 
 # ---------------------------------------------------------------------------
@@ -318,15 +303,16 @@ def validate(graph: ModelGraph) -> list[str]:
                     v.append(f"operators[{i}]: builtin opcode requires BUILTIN options")
                 elif oc.builtin_code in BuiltinOp._value2member_map_:
                     kind = BuiltinOp(oc.builtin_code)
-                    want = OPTIONS_LENGTH.get(kind, 0)
+                    want = OPTIONS_LENGTH[kind]
                     if len(op.options) != want:
                         v.append(f"operators[{i}].options: expected {want} bytes "
                                  f"for {BUILTIN_NAMES[kind]}, got {len(op.options)}")
         for j, tin in enumerate(op.inputs):
             if not 0 <= tin < n_t:
                 v.append(f"operators[{i}].inputs[{j}]: tensor index {tin} out of range")
-        if not op.outputs:
-            v.append(f"operators[{i}].outputs: must be non-empty")
+        if len(op.outputs) != 1:
+            v.append(f"operators[{i}].outputs: must declare exactly one "
+                     f"output, got {len(op.outputs)}")
         for j, tout in enumerate(op.outputs):
             if not 0 <= tout < n_t:
                 v.append(f"operators[{i}].outputs[{j}]: tensor index {tout} out of range")
@@ -572,20 +558,13 @@ def op_type_name(graph: ModelGraph, op: OperatorEntry) -> str:
     return BUILTIN_NAMES[BuiltinOp(oc.builtin_code)] + "Options"
 
 
-def options_to_dict(kind: BuiltinOp, raw: bytes):
+def options_to_dict(kind: BuiltinOp, raw: bytes) -> dict:
+    """Decoded options as a plain dict in field order; enums by name."""
     opts = decode_options(kind, raw)
     if opts is None:
         return {}
-    if isinstance(opts, ConvOptions):
-        return {"stride_w": opts.stride_w, "stride_h": opts.stride_h,
-                "padding": opts.padding.name, "activation": opts.activation.name}
-    if isinstance(opts, PoolOptions):
-        return {"filter_w": opts.filter_w, "filter_h": opts.filter_h,
-                "stride_w": opts.stride_w, "stride_h": opts.stride_h,
-                "padding": opts.padding.name}
-    if isinstance(opts, DenseOptions):
-        return {"activation": opts.activation.name}
-    return {"axis": opts.axis}
+    return {k: v.name if isinstance(v, IntEnum) else v
+            for k, v in asdict(opts).items()}
 
 
 def dump_json(graph: ModelGraph) -> str:

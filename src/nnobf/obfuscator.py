@@ -464,10 +464,8 @@ def _restore_shapes(graph: ModelGraph) -> ModelGraph:
     zeros = [np.zeros(graph.tensors[t].shape, NP_DTYPE[graph.tensors[t].dtype])
              for t in graph.graph_inputs]
     _, trace = run(graph, None, zeros)
-    shapes: dict[int, tuple[int, ...]] = {}
-    for op, out_shapes in zip(graph.operators, trace.output_shapes):
-        for t, s in zip(op.outputs, out_shapes):
-            shapes[t] = s
+    shapes = {op.outputs[0]: s
+              for op, (s,) in zip(graph.operators, trace.output_shapes)}
     tensors = tuple(replace(t, shape=shapes[i]) if i in shapes else t
                     for i, t in enumerate(graph.tensors))
     return replace(graph, tensors=tensors)

@@ -10,7 +10,7 @@ from nnobf.bundle import (
     load_bundle,
     serialize_bundle,
 )
-from nnobf.errors import InvariantViolation, TruncatedSection
+from nnobf.errors import InvariantViolation, MalformedPlan, TruncatedSection
 from nnobf.model_format import DECOY_SENTINEL, BuiltinOp, DType, NP_DTYPE
 from nnobf.obfuscator import (
     ObfuscationConfig,
@@ -144,9 +144,21 @@ def test_unknown_record_code_is_rejected(code):
         load_bundle(_one_record_bundle(code, b""))
 
 
+@pytest.mark.parametrize("shape", [(257, 256), (65_537,), (1 << 16, 1 << 16),
+                                   (2**32 - 1,) * 4])
+def test_oversized_decoy_is_rejected(shape):
+    record = BundleRecord(DECOY_SENTINEL, encode_decoy_shape(shape), (), ())
+    with pytest.raises(InvariantViolation, match="exceeds 65536 elements"):
+        load_bundle(serialize_bundle(KernelBundle({"Abcdef": record})))
+    plan = ObfuscationPlan(ObfuscationConfig(seed=3), records={"Abcdef": record})
+    with pytest.raises(MalformedPlan, match="exceeds 65536 elements"):
+        plan_from_json(plan_to_json(plan))
+
+
 def test_decoy_and_builtin_records_load():
     for code, options in ((DECOY_SENTINEL, encode_decoy_shape((2, 3))),
                           (DECOY_SENTINEL, encode_decoy_shape(())),
+                          (DECOY_SENTINEL, encode_decoy_shape((256, 256))),
                           (int(BuiltinOp.RELU), b"")):
         rec = load_bundle(_one_record_bundle(code, options)).records["Abcdef"]
         assert (rec.real_builtin_code, rec.real_options) == (code, options)

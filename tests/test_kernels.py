@@ -386,6 +386,27 @@ def test_flatten():
         flatten(np.ones(3, F))
 
 
+# every builtin's input-count bounds; CONCAT takes any number from one up
+ARITY = {
+    BuiltinOp.CONV_2D: (2, 3), BuiltinOp.DEPTHWISE_CONV_2D: (2, 3),
+    BuiltinOp.DENSE: (2, 3), BuiltinOp.RELU: (1, 1), BuiltinOp.RELU6: (1, 1),
+    BuiltinOp.MAX_POOL_2D: (1, 1), BuiltinOp.AVG_POOL_2D: (1, 1),
+    BuiltinOp.ADD: (2, 2), BuiltinOp.CONCAT: (1, None),
+    BuiltinOp.SOFTMAX: (1, 1), BuiltinOp.RESHAPE: (2, 2),
+    BuiltinOp.FLATTEN: (1, 1),
+}
+
+
+@pytest.mark.parametrize("kind", list(BuiltinOp), ids=lambda k: k.name)
+def test_execute_builtin_rejects_input_counts_outside_arity(kind):
+    lo, hi = ARITY[kind]
+    counts = [lo - 1] + ([hi + 1] if hi is not None else [])
+    for n in counts:
+        message = rf"^{kind.name} expects {lo}\.\.\S+ inputs, got {n}$"
+        with pytest.raises(ShapeMismatch, match=message):
+            execute_builtin(kind, [np.ones((1, 2, 2, 1), F)] * n, None)
+
+
 def test_add_shape_mismatch():
     with pytest.raises(ShapeMismatch):
         add(np.ones((2, 3), F), np.ones((3, 2), F))

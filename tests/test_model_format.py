@@ -12,6 +12,7 @@ from nnobf.errors import (
     TruncatedSection,
     UnknownFixture,
 )
+from nnobf import model_format
 from nnobf.fixtures import FIXTURE_NAMES, FIXTURE_STATS, build_fixture
 from nnobf.model_format import (
     Activation,
@@ -30,6 +31,7 @@ from nnobf.model_format import (
     dump_json,
     empty_graph,
     encode_options,
+    options_to_dict,
     parse_model,
     serialize_model,
     validate,
@@ -179,6 +181,25 @@ def test_validate_names_both_ops_sharing_an_output():
     assert "operators[1]" in shared[0] and "operators[0]" in shared[0]
 
 
+def test_operator_with_two_outputs_is_rejected(monkeypatch):
+    # RELU declaring outputs (1, 2), and a consumer of tensor 2
+    g = ModelGraph(
+        opcodes=(OperatorCode(int(BuiltinOp.RELU)),), buffers=(b"",),
+        tensors=tuple(Tensor(n, DType.F32, (4,)) for n in "xyzw"),
+        operators=(OperatorEntry(0, (0,), (1, 2)), OperatorEntry(0, (2,), (3,))),
+        graph_inputs=(0,), graph_outputs=(3,))
+    assert validate(g) == ["operators[0].outputs: must declare exactly one "
+                           "output, got 2"]
+    with pytest.raises(InvariantViolation, match="exactly one output"):
+        serialize_model(g)
+    # the same graph's bytes, written past the check, fail to parse
+    monkeypatch.setattr(model_format, "validate", lambda graph: [])
+    blob = serialize_model(g)
+    monkeypatch.undo()
+    with pytest.raises(InvariantViolation, match="exactly one output"):
+        parse_model(blob)
+
+
 def test_validate_detects_cycle():
     g = ModelGraph(
         opcodes=(OperatorCode(int(BuiltinOp.ADD)),), buffers=(b"",),
@@ -224,6 +245,30 @@ def test_memoized_decode_matches_fresh_decode(kind):
     hits = decode_options.cache_info().hits
     assert decode_options(kind, raw) == fresh
     assert decode_options.cache_info().hits == hits + 1
+
+
+# options_to_dict of each SAMPLE_OPTIONS entry: field order, enums by name
+SAMPLE_OPTIONS_DICTS = {
+    BuiltinOp.CONV_2D: {"stride_w": 2, "stride_h": 1, "padding": "SAME",
+                        "activation": "RELU"},
+    BuiltinOp.DEPTHWISE_CONV_2D: {"stride_w": 1, "stride_h": 3,
+                                  "padding": "VALID", "activation": "RELU6"},
+    BuiltinOp.MAX_POOL_2D: {"filter_w": 3, "filter_h": 2, "stride_w": 2,
+                            "stride_h": 1, "padding": "SAME"},
+    BuiltinOp.AVG_POOL_2D: {"filter_w": 2, "filter_h": 2, "stride_w": 1,
+                            "stride_h": 1, "padding": "VALID"},
+    BuiltinOp.DENSE: {"activation": "RELU"},
+    BuiltinOp.CONCAT: {"axis": -1},
+}
+
+
+@pytest.mark.parametrize("kind", list(BuiltinOp), ids=lambda k: k.name)
+def test_options_to_dict_pins_keys_values_and_order(kind):
+    got = options_to_dict(kind, encode_options(kind, SAMPLE_OPTIONS.get(kind)))
+    want = SAMPLE_OPTIONS_DICTS.get(kind, {})
+    assert got == want
+    assert list(got) == list(want)
+    assert all(type(v) in (int, str) for v in got.values())
 
 
 def test_parse_from_bytearray_decodes_options():
