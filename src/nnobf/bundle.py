@@ -86,9 +86,18 @@ def encode_decoy_shape(shape: tuple[int, ...]) -> bytes:
     return struct.pack("<B", len(shape)) + struct.pack(f"<{len(shape)}I", *shape)
 
 
-def decode_decoy_shape(raw: bytes) -> tuple[int, ...]:
-    rank = raw[0]
-    return struct.unpack(f"<{rank}I", raw[1:1 + 4 * rank])
+def decode_decoy_shape(raw: bytes, what: str = "decoy") -> tuple[int, ...]:
+    """The shape decoy options encode; :class:`InvariantViolation` if they do
+    not encode one or it has more than 65,536 elements.  ``run`` decodes
+    through here too, so bundles built in process meet the same rules."""
+    if not raw or len(raw) != 1 + 4 * raw[0]:
+        raise InvariantViolation(
+            f"{what}: {len(raw)} option bytes do not encode a shape")
+    shape = struct.unpack(f"<{raw[0]}I", raw[1:])
+    if math.prod(shape) > _MAX_DECOY_ELEMENTS:
+        raise InvariantViolation(
+            f"{what}: shape {shape} exceeds {_MAX_DECOY_ELEMENTS} elements")
+    return shape
 
 
 @dataclass
@@ -134,15 +143,7 @@ def load_bundle(data: bytes) -> KernelBundle:
         code = r.u16()
         options = r.take(r.u32())
         if code == DECOY_SENTINEL:
-            if not options or len(options) != 1 + 4 * options[0]:
-                raise InvariantViolation(
-                    f"decoy record {name!r}: {len(options)} option bytes do "
-                    f"not encode a shape")
-            shape = decode_decoy_shape(options)
-            if math.prod(shape) > _MAX_DECOY_ELEMENTS:
-                raise InvariantViolation(
-                    f"decoy record {name!r}: shape {shape} exceeds "
-                    f"{_MAX_DECOY_ELEMENTS} elements")
+            decode_decoy_shape(options, f"decoy record {name!r}")
         elif code not in BuiltinOp._value2member_map_:
             raise InvariantViolation(f"record {name!r}: unknown builtin {code}")
         positions = r.indices()

@@ -51,7 +51,7 @@ from .model_format import (
 def _decoy_zeros(raw: bytes) -> np.ndarray:
     """Read-only float32 zeros of the shape a decoy record's options encode.
 
-    Bounded in count by the cache and in size by load_bundle's decoy cap.
+    Bounded in count by the cache and in size by ``decode_decoy_shape``.
     """
     zeros = np.zeros(decode_decoy_shape(raw), np.float32)
     zeros.flags.writeable = False

@@ -16,21 +16,23 @@ two rows fits (small batches).  Larger shapes, and shapes with a single
 output element (where NumPy reduces the lone axis pairwise, not in order),
 keep the per-feature loop.  No kernel calls BLAS: it reorders the sums.
 
-Conv2D and DepthwiseConv2D have a channel-major path for large stride-1
-outputs.  It copies ``nb`` images at a time into a zeroed
-``(cin, nb, hp, wp)`` staging buffer (the SAME border stays zero), flattens
-each channel's positions, and for each tap in (ky, kx, cin) order multiplies
-a weight column by the channel's positions shifted by ``ky * wp + kx`` into
-a scratch buffer, then adds that into a ``(cout, positions)`` accumulator
-that starts at zero.  Output ``(b, i, j)`` sits at
-``b * hp * wp + i * wp + j``; positions past the output's right edge or
-between images are computed and dropped, and no kept position reads across
-an image.  Each kept element therefore receives the same float32 products,
-added one at a time in the same order, as in the tap loop; only elementwise
-``multiply`` and ``add`` run, with long contiguous inner loops.  The path is
-chosen by output size: it runs when the output is at least one chunk
-(512 KiB, also the accumulator size per chunk).  Smaller outputs (batch 1)
-and strided convolutions keep the tap loop.
+Every stride-1 Conv2D, and a stride-1 DepthwiseConv2D with an output of at
+least one chunk (512 KiB), takes one channel-major path; the rest keep the
+tap loop.  It stages ``b`` images image-minor in a zeroed ``(cin, hp, wp,
+b)`` buffer: output ``(i, y, x)`` sits at ``(y * wp + x) * b + i`` and tap
+``(ky, kx)`` reads the same image ``(ky * wp + kx) * b`` further on.  Per tap
+in (ky, kx, cin) order, weight column times shifted channel goes into a
+zeroed, contiguous ``(cout, positions)`` accumulator, on short rows ``rc``
+channels at a time summed as in Dense: the tap loop's products and order.
+
+NumPy 2.4 runs a broadcast product through iterator buffers when its rows
+are under a third of the ufunc buffer (8,192 elements by default): 1-3 ns
+and 8 bytes per element, against 0.2-0.4 ns unbuffered.  So the path runs
+with a 16-element buffer (``np.setbufsize``, restored on exit).  On rows
+under 2,048 floats, stage, accumulator and product rows may take 35 KiB per
+image: the widest block that fits wins, output channels go in groups only
+when none does, and every fixture's batch-1 run stays under 57 KiB (lenet's
+second Conv2D takes 35 KiB on top of 20 KiB live).
 
 Kernels never consult declared tensor shapes; everything is derived from the
 actual input arrays.  The leading axis is treated as batch throughout.
@@ -53,14 +55,18 @@ from .model_format import (
     PoolOptions,
 )
 
-F32 = np.float32
 _ZERO = np.float32(0.0)
 _SIX = np.float32(6.0)
 # Cap on the blocked Dense path's temporary, sized to leave peak memory flat.
 _DENSE_BLOCK_BYTES = 8 * 1024
 # Accumulator bytes per chunk of the channel-major convolution path, and the
-# output size in bytes at which that path takes over from the tap loop.
+# output size in bytes at which a DepthwiseConv2D takes it.
 _CONV_CHUNK_BYTES = 512 * 1024
+# That path's work budget per staged image on rows shorter than _LONG_ROW
+# floats, and its ufunc buffer in elements (see the module docstring).
+_CONV_WORK_BYTES = 35 * 1024
+_LONG_ROW = 2048
+_TAP_BUFSIZE = 16
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -111,53 +117,131 @@ def _tap(xp: np.ndarray, ky: int, kx: int, oh: int, ow: int,
     return xp[:, ky:ky + (oh - 1) * sh + 1:sh, kx:kx + (ow - 1) * sw + 1:sw]
 
 
-def _takes_chunks(opts: ConvOptions, out_shape: tuple[int, ...]) -> bool:
-    """True when the channel-major chunked path computes this convolution."""
+def _takes_chunks(opts: ConvOptions, out_shape: tuple[int, ...],
+                  depthwise: bool = True) -> bool:
+    """True when the channel-major path computes this convolution."""
     return (opts.stride_h == opts.stride_w == 1
-            and 4 * math.prod(out_shape) >= _CONV_CHUNK_BYTES)
+            and (not depthwise or 4 * math.prod(out_shape) >= _CONV_CHUNK_BYTES))
+
+
+def _tap_blocks(ci: int, co: int, size: int, fixed: int, images: int) -> tuple[int, int]:
+    """``(rc, cg)``, channels per block (plus the accumulator's copy if > 1)
+    and outputs per group, for ``size``-position rows, ``images`` images and
+    ``fixed`` stage and accumulator bytes; all outputs if no group fits."""
+    if size >= _LONG_ROW:
+        return 1, co
+
+    def fits(rc: int, cg: int) -> bool:
+        return fixed + 4 * (rc + (rc > 1)) * cg * size <= _CONV_WORK_BYTES * images
+
+    rc = max((r for r in range(1, ci + 1) if fits(r, co)), default=0)
+    return (rc, co) if rc else (1, max((g for g in range(1, co) if fits(1, g)), default=co))
+
+
+def _add_taps(acc: np.ndarray, xf: np.ndarray, w: np.ndarray, dy: int, dx: int,
+              prod: np.ndarray, rc: int, cg: int) -> None:
+    """Add tap ``(ky, kx)``'s products, of ``xf`` shifted ``ky * dy + kx * dx``
+    on, into ``acc`` in (ky, kx, cin) order, with ``prod`` as scratch."""
+    co, size = acc.shape
+    kh, kw = w.shape[:2]
+    ci = 1 if w.ndim == 3 else w.shape[2]
+    for g0 in range(0, co, cg):
+        a = acc[g0:g0 + cg]
+        t = prod[:a.size].reshape(a.shape)
+        wg = w[..., g0:g0 + cg, None]
+        for ky in range(kh):
+            for kx in range(kw):
+                off = ky * dy + kx * dx
+                wk, xs = wg[ky, kx], xf[:, off:off + size]
+                if w.ndim == 3:
+                    wk, xs = wk[None], xs[None, g0:g0 + cg]
+                for c0 in range(0, ci, rc):
+                    r = min(rc, ci - c0)
+                    if r == 1:
+                        np.multiply(wk[c0], xs[c0], out=t)
+                        np.add(a, t, out=a)
+                        continue
+                    blk = prod[:(r + 1) * a.size].reshape(r + 1, *a.shape)
+                    blk[0] = a
+                    np.multiply(wk[c0:c0 + r], xs[c0:c0 + r, None], out=blk[1:])
+                    np.add.reduce(blk, axis=0, out=a)
 
 
 def _chunked_taps(x: np.ndarray, w: np.ndarray, oh: int, ow: int) -> np.ndarray:
-    """Tap sums of a stride-1 Conv2D (``w`` of rank 4) or DepthwiseConv2D
-    (rank 3), as an ``(n, oh, ow, cout)`` array, ``nb`` images per chunk.
-
-    The padding follows from the output extents: SAME pads ``k - 1`` rows
-    and columns, VALID none.  ``xf[c, p]`` is channel ``c`` at flat staged
-    position ``p``; tap ``(ky, kx)`` of output position ``p`` reads
-    ``xf[c, p + ky * wp + kx]``.  A Conv2D tap adds one ``(cout, size)``
-    product per input channel; a depthwise tap adds one product of all
-    channels at once.  A chunk's ``size`` ends at its last kept position,
-    so the shifted reads stay inside the staging buffer.
-    """
+    """Stride-1 tap sums, ``(n, oh, ow, cout)``, ``nb`` images per chunk; the
+    output is allocated once the last chunk's scratch is released."""
     n, h, wd, ci = x.shape
     kh, kw = w.shape[:2]
     co = w.shape[-1]
-    chans = (slice(None),) if w.ndim == 3 else range(ci)
     hp, wp = oh + kh - 1, ow + kw - 1
     pt, pl = (hp - h) // 2, (wp - wd) // 2  # SAME: floor((k - 1) / 2); VALID: 0
-    span = hp * wp
+    span, sites = hp * wp, (oh - 1) * wp + ow  # a chunk's rows end at its last output
     nb = min(n, max(1, _CONV_CHUNK_BYTES // (4 * co * span)))
-    stage = np.zeros((ci, nb, hp, wp), np.float32)
-    xf = stage.reshape(ci, nb * span)
-    acc = np.empty((co, nb * span), np.float32)
-    tmp = np.empty_like(acc)
-    out = np.empty((n, oh, ow, co), np.float32)
-    for b0 in range(0, n, nb):
-        b = min(nb, n - b0)
-        stage[:, :b, pt:pt + h, pl:pl + wd] = x[b0:b0 + b].transpose(3, 0, 1, 2)
-        size = (b - 1) * span + (oh - 1) * wp + ow
-        a, t = acc[:, :size], tmp[:, :size]
-        a.fill(0.0)
-        for ky in range(kh):
-            for kx in range(kw):
-                off = ky * wp + kx
-                for c in chans:
-                    np.multiply(w[ky, kx, c, ..., None], xf[c, off:off + size],
-                                out=t)
-                    np.add(a, t, out=a)
-        out[b0:b0 + b] = (acc.reshape(co, nb, hp, wp)[:, :b, :oh, :ow]
-                          .transpose(1, 2, 3, 0))
+    stagef = np.zeros(ci * span * nb, np.float32)
+    accf = np.empty(co * sites * nb, np.float32)
+    rc, cg = _tap_blocks(1 if w.ndim == 3 else ci, co, sites * nb,
+                         stagef.nbytes + accf.nbytes, nb)
+    prod = np.empty((rc + (rc > 1)) * cg * sites * nb, np.float32)
+    out = None
+    bufsize = np.setbufsize(_TAP_BUFSIZE)
+    try:
+        for b0 in range(0, n, nb):
+            b = min(nb, n - b0)
+            stage = stagef[:ci * span * b].reshape(ci, hp, wp, b)
+            if b < nb:  # the short last chunk re-lays the stage: zero its border
+                stage.fill(0.0)
+            stage[:, pt:pt + h, pl:pl + wd] = x[b0:b0 + b].transpose(3, 1, 2, 0)
+            size = sites * b
+            acc = accf[:co * size].reshape(co, size)
+            acc.fill(0.0)
+            _add_taps(acc, stage.reshape(ci, span * b), w, wp * b, b, prod, rc, cg)
+            if b0 + b == n:
+                del stagef, stage, prod
+            if out is None:
+                out = np.empty((n, oh, ow, co), np.float32)
+            out[b0:b0 + b] = np.ndarray((b, oh, ow, co), np.float32, accf, 0,
+                                        (4, 4 * wp * b, 4 * b, 4 * size))
+    finally:
+        np.setbufsize(bufsize)
     return out
+
+
+def _tap_loop(x: np.ndarray, w: np.ndarray, opts: ConvOptions, oh: int,
+              ow: int) -> np.ndarray:
+    """Tap sums from strided windows of the padded input."""
+    kh, kw = w.shape[:2]
+    sh, sw = opts.stride_h, opts.stride_w
+    xp = _pad_spatial(x, opts.padding, kh, kw, sh, sw, oh, ow, 0.0)
+    acc = np.zeros((x.shape[0], oh, ow, w.shape[-1]), np.float32)
+    for ky in range(kh):
+        for kx in range(kw):
+            patch = _tap(xp, ky, kx, oh, ow, sh, sw)
+            if w.ndim == 3:
+                acc += patch * w[ky, kx]
+                continue
+            for c in range(x.shape[3]):
+                acc += patch[:, :, :, c, None] * w[ky, kx, c]
+    return acc
+
+
+def _conv(x: np.ndarray, w: np.ndarray, bias: np.ndarray | None,
+          opts: ConvOptions, name: str) -> np.ndarray:
+    """Conv2D (``w`` of rank 4) or DepthwiseConv2D (rank 3) past rank checks."""
+    n, h, wd, ci = x.shape
+    kh, kw, wci = w.shape[:3]
+    co = w.shape[-1]
+    _require(wci == ci, f"{name} channels: input {ci} vs weight {wci}")
+    oh = _out_extent(h, kh, opts.stride_h, opts.padding)
+    ow = _out_extent(wd, kw, opts.stride_w, opts.padding)
+    if _takes_chunks(opts, (n, oh, ow, co), w.ndim == 3):
+        acc = _chunked_taps(x, w, oh, ow)
+    else:
+        acc = _tap_loop(x, w, opts, oh, ow)
+    if bias is not None:
+        _require_f32(bias)
+        _require(bias.shape == (co,), f"{name} bias shape {bias.shape} != ({co},)")
+        acc += bias
+    return _apply_activation(acc, opts.activation)
 
 
 def conv2d(x: np.ndarray, w: np.ndarray, bias: np.ndarray | None,
@@ -165,27 +249,7 @@ def conv2d(x: np.ndarray, w: np.ndarray, bias: np.ndarray | None,
     _require_f32(x, w)
     _require(x.ndim == 4, f"Conv2D input must be NHWC, got rank {x.ndim}")
     _require(w.ndim == 4, f"Conv2D weight must be (kh, kw, cin, cout), got rank {w.ndim}")
-    n, h, wd, ci = x.shape
-    kh, kw, wci, co = w.shape
-    _require(wci == ci, f"Conv2D channels: input {ci} vs weight {wci}")
-    sh, sw = opts.stride_h, opts.stride_w
-    oh = _out_extent(h, kh, sh, opts.padding)
-    ow = _out_extent(wd, kw, sw, opts.padding)
-    if _takes_chunks(opts, (n, oh, ow, co)):
-        acc = _chunked_taps(x, w, oh, ow)
-    else:
-        xp = _pad_spatial(x, opts.padding, kh, kw, sh, sw, oh, ow, 0.0)
-        acc = np.zeros((n, oh, ow, co), np.float32)
-        for ky in range(kh):
-            for kx in range(kw):
-                patch = _tap(xp, ky, kx, oh, ow, sh, sw)
-                for c in range(ci):
-                    acc += patch[:, :, :, c, None] * w[ky, kx, c, :]
-    if bias is not None:
-        _require_f32(bias)
-        _require(bias.shape == (co,), f"Conv2D bias shape {bias.shape} != ({co},)")
-        acc += bias
-    return _apply_activation(acc, opts.activation)
+    return _conv(x, w, bias, opts, "Conv2D")
 
 
 def depthwise_conv2d(x: np.ndarray, w: np.ndarray, bias: np.ndarray | None,
@@ -193,25 +257,7 @@ def depthwise_conv2d(x: np.ndarray, w: np.ndarray, bias: np.ndarray | None,
     _require_f32(x, w)
     _require(x.ndim == 4, f"DepthwiseConv2D input must be NHWC, got rank {x.ndim}")
     _require(w.ndim == 3, f"DepthwiseConv2D weight must be (kh, kw, c), got rank {w.ndim}")
-    n, h, wd, c = x.shape
-    kh, kw, wc = w.shape
-    _require(wc == c, f"DepthwiseConv2D channels: input {c} vs weight {wc}")
-    sh, sw = opts.stride_h, opts.stride_w
-    oh = _out_extent(h, kh, sh, opts.padding)
-    ow = _out_extent(wd, kw, sw, opts.padding)
-    if _takes_chunks(opts, (n, oh, ow, c)):
-        acc = _chunked_taps(x, w, oh, ow)
-    else:
-        xp = _pad_spatial(x, opts.padding, kh, kw, sh, sw, oh, ow, 0.0)
-        acc = np.zeros((n, oh, ow, c), np.float32)
-        for ky in range(kh):
-            for kx in range(kw):
-                acc += _tap(xp, ky, kx, oh, ow, sh, sw) * w[ky, kx, :]
-    if bias is not None:
-        _require_f32(bias)
-        _require(bias.shape == (c,), f"DepthwiseConv2D bias shape {bias.shape} != ({c},)")
-        acc += bias
-    return _apply_activation(acc, opts.activation)
+    return _conv(x, w, bias, opts, "DepthwiseConv2D")
 
 
 def _dense_block_rows(n: int, fout: int) -> int:
@@ -282,15 +328,16 @@ def avg_pool2d(x: np.ndarray, opts: PoolOptions) -> np.ndarray:
     oh = _out_extent(h, fh, sh, opts.padding)
     ow = _out_extent(w, fw, sw, opts.padding)
     xp = _pad_spatial(x, opts.padding, fh, fw, sh, sw, oh, ow, 0.0)
-    onesp = _pad_spatial(np.ones((1, h, w, 1), np.float32), opts.padding,
-                         fh, fw, sh, sw, oh, ow, 0.0)
     acc = np.zeros((n, oh, ow, c), np.float32)
-    cnt = np.zeros((1, oh, ow, 1), np.float32)
     for wy in range(fh):
         for wx in range(fw):
             acc += _tap(xp, wy, wx, oh, ow, sh, sw)
-            cnt += _tap(onesp, wy, wx, oh, ow, sh, sw)
-    return acc / cnt
+    if opts.padding is Padding.VALID:  # every window lies inside the input
+        return acc / np.float32(fh * fw)
+    onesp = _pad_spatial(np.ones((1, h, w, 1), np.float32), opts.padding,
+                         fh, fw, sh, sw, oh, ow, 0.0)
+    return acc / sum(_tap(onesp, wy, wx, oh, ow, sh, sw)
+                     for wy in range(fh) for wx in range(fw))
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -331,10 +378,7 @@ def softmax(x: np.ndarray) -> np.ndarray:
     _require(x.ndim >= 1 and x.shape[-1] >= 1, "Softmax needs a non-empty last axis")
     m = np.max(x, axis=-1, keepdims=True)
     e = np.exp(x - m)
-    s = e[..., 0].copy()
-    for j in range(1, x.shape[-1]):
-        s += e[..., j]
-    return e / s[..., None]
+    return e / np.add.accumulate(e, axis=-1)[..., -1:]
 
 
 def reshape(x: np.ndarray, shape_spec: np.ndarray) -> np.ndarray:
@@ -346,17 +390,12 @@ def reshape(x: np.ndarray, shape_spec: np.ndarray) -> np.ndarray:
     _require(all(d >= 1 or d == -1 for d in dims), f"Reshape dims invalid: {dims}")
     total = x.size
     if -1 in dims:
-        known = 1
-        for d in dims:
-            if d != -1:
-                known *= d
+        known = math.prod(d for d in dims if d != -1)
         _require(known > 0 and total % known == 0,
                  f"Reshape cannot infer -1: {total} elements into {dims}")
         dims[dims.index(-1)] = total // known
-    prod = 1
-    for d in dims:
-        prod *= d
-    _require(prod == total, f"Reshape size mismatch: {total} elements into {dims}")
+    _require(math.prod(dims) == total,
+             f"Reshape size mismatch: {total} elements into {dims}")
     return x.reshape(dims)
 
 

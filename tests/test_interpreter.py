@@ -3,8 +3,10 @@ import dataclasses
 import numpy as np
 import pytest
 
+from nnobf.bundle import encode_decoy_shape
 from nnobf.errors import (
     IndexOutOfRange,
+    InvariantViolation,
     MissingBundle,
     ShapeMismatch,
     UnknownCustomName,
@@ -82,6 +84,19 @@ def test_bad_true_input_position_raises_index_out_of_range(lenet):
         run(public, bundle, [rand_input(lenet)])
 
 
+@pytest.mark.parametrize("options", [encode_decoy_shape((1 << 20, 1 << 20)),
+                                     b"\x02\x00"], ids=["oversized", "short"])
+def test_bad_decoy_record_built_in_process_raises(lenet, options):
+    # load_bundle never sees an in-process bundle; run must still refuse
+    # the record instead of allocating 4 TiB or failing in struct
+    config = ObfuscationConfig(seed=5, n_shortcuts=0, n_extra_layers=3)
+    public, bundle, _ = obfuscate(lenet, config)
+    name, rec = next((k, r) for k, r in bundle.records.items() if r.is_decoy)
+    bundle.records[name] = dataclasses.replace(rec, real_options=options)
+    with pytest.raises(InvariantViolation):
+        run(public, bundle, [rand_input(lenet)])
+
+
 def test_timing_is_opt_in(lenet):
     _, trace = run(lenet, None, [rand_input(lenet)])
     assert trace.op_seconds == []
@@ -130,8 +145,8 @@ def test_bundle_weights_count_toward_peak(lenet):
 
 
 def test_batched_run_equals_stacked_single_runs():
-    # batches 3 and 37 run the convolutions' tap loop, batch 256 their
-    # chunked path, whose flat layout must not bleed between images
+    # every batch runs the Conv2Ds' channel-major path (depthwise only at
+    # 256), whose image-minor layout must not bleed between images
     config = ObfuscationConfig(seed=6, n_shortcuts=20, n_extra_layers=20)
     for name in FIXTURE_NAMES:
         g = build_fixture(name, 4)

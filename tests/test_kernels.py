@@ -283,6 +283,7 @@ FIXTURE_CONVS = list(fixture_convs())
 
 
 def test_chunked_conv_matches_tap_loop_at_batch_256(monkeypatch):
+    # every fixture shape at batch 1, 37 and 256 against the tap loop
     rng = runi(109)
     calls = []
     chunked = kernels._chunked_taps
@@ -292,31 +293,101 @@ def test_chunked_conv_matches_tap_loop_at_batch_256(monkeypatch):
     for name, shape, wt, opts in FIXTURE_CONVS:
         kernel = depthwise_conv2d if wt.ndim == 3 else conv2d
         kinds.add(kernel)
-        x = rand(rng, (256, *shape[1:]))
-        x[0] = -0.0
-        b = rand(rng, wt.shape[-1:])
-        got = kernel(x, wt, b, opts)
-        with monkeypatch.context() as m:
-            m.setattr(kernels, "_CONV_CHUNK_BYTES", 1 << 62)  # the tap loop
-            want = kernel(x, wt, b, opts)
-        assert got.tobytes() == want.tobytes(), (name, shape)
+        for n in (1, 37, 256):
+            x = rand(rng, (n, *shape[1:]))
+            x[0] = -0.0
+            b = rand(rng, wt.shape[-1:])
+            got = kernel(x, wt, b, opts)
+            want = kernels._tap_loop(x, wt, opts, *got.shape[1:3]) + b
+            want = kernels._apply_activation(want, opts.activation)
+            assert got.tobytes() == want.tobytes(), (name, shape, n)
     assert kinds == {conv2d, depthwise_conv2d}
-    assert len(calls) == len(FIXTURE_CONVS)
+    n_dw = sum(wt.ndim == 3 for _, _, wt, _ in FIXTURE_CONVS)
+    # Conv2D chunked at every batch, DepthwiseConv2D only at batch 256
+    assert len(calls) == 3 * (len(FIXTURE_CONVS) - n_dw) + n_dw
 
 
 def test_conv_path_choice_by_shape():
-    # every fixture convolution takes the tap loop at batch 1 and the
+    # every stride-1 fixture Conv2D takes the channel-major path at every
+    # batch; a fixture DepthwiseConv2D takes the tap loop at batch 1 and the
     # chunked path at batch 256; a strided convolution always takes the loop
     assert {name for name, *_ in FIXTURE_CONVS} == {"lenet", "branchy",
                                                     "depthwise_net"}
     for name, shape, wt, opts in FIXTURE_CONVS:
         x = np.zeros(shape, F)
-        out = (depthwise_conv2d if wt.ndim == 3 else conv2d)(x, wt, None, opts)
-        assert not kernels._takes_chunks(opts, out.shape), name
-        assert kernels._takes_chunks(opts, (256, *out.shape[1:])), name
-        for sh, sw in ((2, 2), (1, 2), (2, 1)):
-            strided = ConvOptions(sh, sw, opts.padding, opts.activation)
-            assert not kernels._takes_chunks(strided, (256, *out.shape[1:]))
+        dw = wt.ndim == 3
+        out = (depthwise_conv2d if dw else conv2d)(x, wt, None, opts)
+        for n in (1, 3, 37, 256):
+            big = (n, *out.shape[1:])
+            assert kernels._takes_chunks(opts, big, dw) == (n == 256 or not dw), name
+            for sh, sw in ((2, 2), (1, 2), (2, 1)):
+                strided = ConvOptions(sh, sw, opts.padding, opts.activation)
+                assert not kernels._takes_chunks(strided, big, dw)
+
+
+# per-image work budgets from 64 B up by a factor of 1.25, fine enough that
+# every case below takes plain steps, channel blocks with a partial last
+# block, and output-channel groups at some rung
+BUDGET_LADDER = sorted({int(64 * 1.25 ** e) for e in range(29)})
+
+
+@pytest.mark.parametrize("pad", [Padding.VALID, Padding.SAME], ids=["valid", "same"])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 7])
+def test_channel_blocks_and_groups_match_oracle_bytes(n, k, pad, monkeypatch):
+    # every (cin, cout) runs at every rung of the budget ladder; batch 7
+    # runs chunks of 3, 3 and 1 images.  Bias on/off and the activations
+    # cycle over the (cin, cout) combinations, so each case sees all six.
+    rng = runi(110)
+    h, w = (2, 3) if pad is Padding.SAME else (k + 1, k + 2)
+    chosen = set()
+    blocks = kernels._tap_blocks
+
+    def spy(ci, co, *rest):
+        rc, cg = blocks(ci, co, *rest)
+        chosen.add((ci, co, rc, cg))
+        return rc, cg
+
+    monkeypatch.setattr(kernels, "_tap_blocks", spy)
+    variants = [(b, act) for b in (False, True) for act in Activation]
+    combos = [(ci, co) for ci in (1, 3, 8) for co in (1, 4, 16)]
+    for i, (ci, co) in enumerate(combos):
+        x = rand(rng, (n, h, w, ci))
+        wt = rand(rng, (k, k, ci, co))
+        x[0, :1] = -0.0  # image 0's first row
+        if co > 1:  # the last output channel sums only -0.0 products
+            wt[..., -1] = -0.0
+        with_bias, act = variants[(i + k + n) % len(variants)]
+        b = rand(rng, (co,)) if with_bias else None
+        opts = ConvOptions(1, 1, pad, act)
+        want = ref.conv2d_ref(x, wt, b, opts).tobytes()
+        monkeypatch.setattr(kernels, "_CONV_CHUNK_BYTES",
+                            3 * 4 * co * (k + 1) * (k + 2))  # staged image
+        for budget in BUDGET_LADDER:
+            monkeypatch.setattr(kernels, "_CONV_WORK_BYTES", budget)
+            assert conv2d(x, wt, b, opts).tobytes() == want, (ci, co, budget)
+    assert any(rc > 1 for _, _, rc, _ in chosen)
+    assert any(rc > 1 and ci % rc for ci, _, rc, _ in chosen)  # partial block
+    assert any(cg < co for _, co, _, cg in chosen)
+    assert any(rc == 1 and cg == co for _, co, rc, cg in chosen)
+
+
+def test_tap_blocks_keep_all_outputs_when_no_group_fits():
+    # stage plus accumulator alone over the budget: splitting the outputs
+    # cannot bring a step under it, only multiply the steps
+    ci = co = 512
+    assert kernels._tap_blocks(ci, co, 22, 4 * (ci * 36 + co * 22), 1) == (1, co)
+    assert kernels._tap_blocks(4, 256, 30, 4 * (4 * 56 + 256 * 30), 1) == (1, 35)
+
+
+def test_chunked_path_restores_numpy_bufsize():
+    old = np.setbufsize(4096)
+    try:
+        conv2d(np.ones((1, 6, 6, 2), F), np.ones((3, 3, 2, 4), F), None,
+               ConvOptions(1, 1, Padding.SAME, Activation.NONE))
+        assert np.getbufsize() == 4096
+    finally:
+        np.setbufsize(old)
 
 
 @pytest.mark.parametrize("kernel,oracle", [(max_pool2d, ref.max_pool2d_ref),
