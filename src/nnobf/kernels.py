@@ -16,23 +16,24 @@ two rows fits (small batches).  Larger shapes, and shapes with a single
 output element (where NumPy reduces the lone axis pairwise, not in order),
 keep the per-feature loop.  No kernel calls BLAS: it reorders the sums.
 
-Every stride-1 Conv2D, and a stride-1 DepthwiseConv2D with an output of at
-least one chunk (512 KiB), takes one channel-major path; the rest keep the
-tap loop.  It stages ``b`` images image-minor in a zeroed ``(cin, hp, wp,
-b)`` buffer: output ``(i, y, x)`` sits at ``(y * wp + x) * b + i`` and tap
-``(ky, kx)`` reads the same image ``(ky * wp + kx) * b`` further on.  Per tap
-in (ky, kx, cin) order, weight column times shifted channel goes into a
+Every non-empty stride-1 Conv2D, and a stride-1 DepthwiseConv2D with an
+output of at least one chunk (512 KiB), takes one channel-major path; the
+rest keep the tap loop.  It stages ``b`` images image-minor in a zeroed
+``(cin, hp, wp, b)`` buffer: output ``(i, y, x)`` sits at ``(y * wp + x) *
+b + i`` and tap ``(ky, kx)`` reads the same image ``(ky * wp + kx) * b``
+further on.  Per tap in (ky, kx, cin) order, weight column times shifted channel goes into a
 zeroed, contiguous ``(cout, positions)`` accumulator, on short rows ``rc``
 channels at a time summed as in Dense: the tap loop's products and order.
+A block over a single output element keeps ``rc = 1``, as Dense does.
 
 NumPy 2.4 runs a broadcast product through iterator buffers when its rows
 are under a third of the ufunc buffer (8,192 elements by default): 1-3 ns
 and 8 bytes per element, against 0.2-0.4 ns unbuffered.  So the path runs
 with a 16-element buffer (``np.setbufsize``, restored on exit).  On rows
 under 2,048 floats, stage, accumulator and product rows may take 35 KiB per
-image: the widest block that fits wins, output channels go in groups only
-when none does, and every fixture's batch-1 run stays under 57 KiB (lenet's
-second Conv2D takes 35 KiB on top of 20 KiB live).
+image: the widest block that fits wins, a shape where not even one channel
+fits keeps the tap loop, and every fixture's batch-1 run stays under 57 KiB
+(lenet's second Conv2D takes 35 KiB on top of 20 KiB live).
 
 Kernels never consult declared tensor shapes; everything is derived from the
 actual input arrays.  The leading axis is treated as batch throughout.
@@ -118,58 +119,55 @@ def _tap(xp: np.ndarray, ky: int, kx: int, oh: int, ow: int,
 
 
 def _takes_chunks(opts: ConvOptions, out_shape: tuple[int, ...],
-                  depthwise: bool = True) -> bool:
-    """True when the channel-major path computes this convolution."""
-    return (opts.stride_h == opts.stride_w == 1
-            and (not depthwise or 4 * math.prod(out_shape) >= _CONV_CHUNK_BYTES))
+                  depthwise: bool) -> bool:
+    """True when the channel-major path may compute this convolution."""
+    size = 4 * math.prod(out_shape)
+    return (opts.stride_h == opts.stride_w == 1 and size > 0
+            and (not depthwise or size >= _CONV_CHUNK_BYTES))
 
 
-def _tap_blocks(ci: int, co: int, size: int, fixed: int, images: int) -> tuple[int, int]:
-    """``(rc, cg)``, channels per block (plus the accumulator's copy if > 1)
-    and outputs per group, for ``size``-position rows, ``images`` images and
-    ``fixed`` stage and accumulator bytes; all outputs if no group fits."""
+def _tap_blocks(ci: int, co: int, size: int, fixed: int, images: int) -> int:
+    """Channels per block (plus the accumulator's copy if > 1) for ``co``
+    outputs over ``size``-position rows, ``images`` images and ``fixed`` stage
+    and accumulator bytes; 0 when not even one channel fits the budget."""
     if size >= _LONG_ROW:
-        return 1, co
-
-    def fits(rc: int, cg: int) -> bool:
-        return fixed + 4 * (rc + (rc > 1)) * cg * size <= _CONV_WORK_BYTES * images
-
-    rc = max((r for r in range(1, ci + 1) if fits(r, co)), default=0)
-    return (rc, co) if rc else (1, max((g for g in range(1, co) if fits(1, g)), default=co))
+        return 1
+    top = ci if co * size > 1 else 1  # NumPy reduces a lone axis pairwise
+    return max((r for r in range(1, top + 1)
+                if fixed + 4 * (r + (r > 1)) * co * size <= _CONV_WORK_BYTES * images),
+               default=0)
 
 
 def _add_taps(acc: np.ndarray, xf: np.ndarray, w: np.ndarray, dy: int, dx: int,
-              prod: np.ndarray, rc: int, cg: int) -> None:
+              prod: np.ndarray, rc: int) -> None:
     """Add tap ``(ky, kx)``'s products, of ``xf`` shifted ``ky * dy + kx * dx``
     on, into ``acc`` in (ky, kx, cin) order, with ``prod`` as scratch."""
     co, size = acc.shape
     kh, kw = w.shape[:2]
     ci = 1 if w.ndim == 3 else w.shape[2]
-    for g0 in range(0, co, cg):
-        a = acc[g0:g0 + cg]
-        t = prod[:a.size].reshape(a.shape)
-        wg = w[..., g0:g0 + cg, None]
-        for ky in range(kh):
-            for kx in range(kw):
-                off = ky * dy + kx * dx
-                wk, xs = wg[ky, kx], xf[:, off:off + size]
-                if w.ndim == 3:
-                    wk, xs = wk[None], xs[None, g0:g0 + cg]
-                for c0 in range(0, ci, rc):
-                    r = min(rc, ci - c0)
-                    if r == 1:
-                        np.multiply(wk[c0], xs[c0], out=t)
-                        np.add(a, t, out=a)
-                        continue
-                    blk = prod[:(r + 1) * a.size].reshape(r + 1, *a.shape)
-                    blk[0] = a
-                    np.multiply(wk[c0:c0 + r], xs[c0:c0 + r, None], out=blk[1:])
-                    np.add.reduce(blk, axis=0, out=a)
+    t = prod[:acc.size].reshape(acc.shape)
+    for ky in range(kh):
+        for kx in range(kw):
+            off = ky * dy + kx * dx
+            wk, xs = w[ky, kx, ..., None], xf[:, off:off + size]
+            if w.ndim == 3:
+                wk, xs = wk[None], xs[None]
+            for c0 in range(0, ci, rc):
+                r = min(rc, ci - c0)
+                if r == 1:
+                    np.multiply(wk[c0], xs[c0], out=t)
+                    np.add(acc, t, out=acc)
+                    continue
+                blk = prod[:(r + 1) * acc.size].reshape(r + 1, *acc.shape)
+                blk[0] = acc
+                np.multiply(wk[c0:c0 + r], xs[c0:c0 + r, None], out=blk[1:])
+                np.add.reduce(blk, axis=0, out=acc)
 
 
-def _chunked_taps(x: np.ndarray, w: np.ndarray, oh: int, ow: int) -> np.ndarray:
+def _chunked_taps(x: np.ndarray, w: np.ndarray, oh: int, ow: int) -> np.ndarray | None:
     """Stride-1 tap sums, ``(n, oh, ow, cout)``, ``nb`` images per chunk; the
-    output is allocated once the last chunk's scratch is released."""
+    output is allocated once the last chunk's scratch is released.  None,
+    before any allocation, when a step on short rows exceeds the budget."""
     n, h, wd, ci = x.shape
     kh, kw = w.shape[:2]
     co = w.shape[-1]
@@ -177,11 +175,13 @@ def _chunked_taps(x: np.ndarray, w: np.ndarray, oh: int, ow: int) -> np.ndarray:
     pt, pl = (hp - h) // 2, (wp - wd) // 2  # SAME: floor((k - 1) / 2); VALID: 0
     span, sites = hp * wp, (oh - 1) * wp + ow  # a chunk's rows end at its last output
     nb = min(n, max(1, _CONV_CHUNK_BYTES // (4 * co * span)))
+    rc = _tap_blocks(1 if w.ndim == 3 else ci, co, sites * nb,
+                     4 * (ci * span + co * sites) * nb, nb)
+    if not rc:
+        return None
     stagef = np.zeros(ci * span * nb, np.float32)
     accf = np.empty(co * sites * nb, np.float32)
-    rc, cg = _tap_blocks(1 if w.ndim == 3 else ci, co, sites * nb,
-                         stagef.nbytes + accf.nbytes, nb)
-    prod = np.empty((rc + (rc > 1)) * cg * sites * nb, np.float32)
+    prod = np.empty((rc + (rc > 1)) * co * sites * nb, np.float32)
     out = None
     bufsize = np.setbufsize(_TAP_BUFSIZE)
     try:
@@ -194,7 +194,7 @@ def _chunked_taps(x: np.ndarray, w: np.ndarray, oh: int, ow: int) -> np.ndarray:
             size = sites * b
             acc = accf[:co * size].reshape(co, size)
             acc.fill(0.0)
-            _add_taps(acc, stage.reshape(ci, span * b), w, wp * b, b, prod, rc, cg)
+            _add_taps(acc, stage.reshape(ci, span * b), w, wp * b, b, prod, rc)
             if b0 + b == n:
                 del stagef, stage, prod
             if out is None:
@@ -233,9 +233,9 @@ def _conv(x: np.ndarray, w: np.ndarray, bias: np.ndarray | None,
     _require(wci == ci, f"{name} channels: input {ci} vs weight {wci}")
     oh = _out_extent(h, kh, opts.stride_h, opts.padding)
     ow = _out_extent(wd, kw, opts.stride_w, opts.padding)
-    if _takes_chunks(opts, (n, oh, ow, co), w.ndim == 3):
-        acc = _chunked_taps(x, w, oh, ow)
-    else:
+    acc = (_chunked_taps(x, w, oh, ow)
+           if _takes_chunks(opts, (n, oh, ow, co), w.ndim == 3) else None)
+    if acc is None:
         acc = _tap_loop(x, w, opts, oh, ow)
     if bias is not None:
         _require_f32(bias)

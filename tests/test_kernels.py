@@ -262,7 +262,7 @@ def test_chunked_conv_matches_oracle_bytes(depthwise, n, k, pad, monkeypatch):
         for act in Activation:
             opts = ConvOptions(1, 1, pad, act)
             got = kernel(x, wt, b, opts)
-            assert kernels._takes_chunks(opts, got.shape)
+            assert kernels._takes_chunks(opts, got.shape, depthwise)
             assert got.tobytes() == oracle(x, wt, b, opts).tobytes(), (b is None, act)
 
 
@@ -326,15 +326,15 @@ def test_conv_path_choice_by_shape():
 
 
 # per-image work budgets from 64 B up by a factor of 1.25, fine enough that
-# every case below takes plain steps, channel blocks with a partial last
-# block, and output-channel groups at some rung
+# every case below takes the tap loop, plain steps, and channel blocks with a
+# partial last block at some rung
 BUDGET_LADDER = sorted({int(64 * 1.25 ** e) for e in range(29)})
 
 
 @pytest.mark.parametrize("pad", [Padding.VALID, Padding.SAME], ids=["valid", "same"])
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("n", [1, 2, 3, 7])
-def test_channel_blocks_and_groups_match_oracle_bytes(n, k, pad, monkeypatch):
+def test_channel_blocks_match_oracle_bytes(n, k, pad, monkeypatch):
     # every (cin, cout) runs at every rung of the budget ladder; batch 7
     # runs chunks of 3, 3 and 1 images.  Bias on/off and the activations
     # cycle over the (cin, cout) combinations, so each case sees all six.
@@ -344,9 +344,9 @@ def test_channel_blocks_and_groups_match_oracle_bytes(n, k, pad, monkeypatch):
     blocks = kernels._tap_blocks
 
     def spy(ci, co, *rest):
-        rc, cg = blocks(ci, co, *rest)
-        chosen.add((ci, co, rc, cg))
-        return rc, cg
+        rc = blocks(ci, co, *rest)
+        chosen.add((ci, rc))
+        return rc
 
     monkeypatch.setattr(kernels, "_tap_blocks", spy)
     variants = [(b, act) for b in (False, True) for act in Activation]
@@ -366,18 +366,36 @@ def test_channel_blocks_and_groups_match_oracle_bytes(n, k, pad, monkeypatch):
         for budget in BUDGET_LADDER:
             monkeypatch.setattr(kernels, "_CONV_WORK_BYTES", budget)
             assert conv2d(x, wt, b, opts).tobytes() == want, (ci, co, budget)
-    assert any(rc > 1 for _, _, rc, _ in chosen)
-    assert any(rc > 1 and ci % rc for ci, _, rc, _ in chosen)  # partial block
-    assert any(cg < co for _, co, _, cg in chosen)
-    assert any(rc == 1 and cg == co for _, co, rc, cg in chosen)
+    assert any(rc > 1 for _, rc in chosen)
+    assert any(rc > 1 and ci % rc for ci, rc in chosen)  # partial block
+    assert any(rc == 1 for _, rc in chosen)
+    assert any(rc == 0 for _, rc in chosen)  # over budget: the tap loop
 
 
-def test_tap_blocks_keep_all_outputs_when_no_group_fits():
-    # stage plus accumulator alone over the budget: splitting the outputs
-    # cannot bring a step under it, only multiply the steps
-    ci = co = 512
-    assert kernels._tap_blocks(ci, co, 22, 4 * (ci * 36 + co * 22), 1) == (1, co)
-    assert kernels._tap_blocks(4, 256, 30, 4 * (4 * 56 + 256 * 30), 1) == (1, 35)
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_single_output_element_sums_in_tap_order(k):
+    # one image, one output channel, a 1 x 1 output: a channel block would
+    # reduce one lone axis, which NumPy sums pairwise.  Per tap, seven 1.0
+    # products then 1e8 sum to 1e8 + 8 in order but to 1e8 pairwise.
+    # The last tap's channel-0 weight is -0.0.
+    x = np.ones((1, k, k, 8), F)
+    x[..., -1] = 1e8
+    wt = np.ones((k, k, 8, 1), F)
+    wt[-1, -1, 0] = -0.0
+    opts = ConvOptions(1, 1, Padding.VALID, Activation.NONE)
+    assert kernels._tap_blocks(8, 1, 1, 0, 1) == 1
+    for xi in (x, -x, np.full_like(x, -0.0)):
+        want = ref.conv2d_ref(xi, wt, None, opts)
+        assert conv2d(xi, wt, None, opts).tobytes() == want.tobytes()
+
+
+def test_empty_batch_conv():
+    for kernel, wt in ((conv2d, np.ones((3, 3, 2, 4), F)),
+                       (depthwise_conv2d, np.ones((3, 3, 2), F))):
+        for pad, side in ((Padding.SAME, 6), (Padding.VALID, 4)):
+            got = kernel(np.ones((0, 6, 6, 2), F), wt, np.ones(wt.shape[-1:], F),
+                         ConvOptions(1, 1, pad, Activation.RELU))
+            assert got.shape == (0, side, side, wt.shape[-1]) and got.dtype == F
 
 
 def test_chunked_path_restores_numpy_bufsize():

@@ -1,24 +1,28 @@
 """Paired perfbench runs of a parent commit and the working tree, as JSON.
 
-    python3 tools/bench_pairs.py --parent HEAD --pairs 5 --seconds 30 \\
+    python3 tools/bench_pairs.py --parent HEAD~1 --pairs 10 --seconds 30 \\
         --out BENCH_7.json
 
 For each workload, pair k runs ``perfbench/run.py --workload W --seconds S``
 once from each side, back to back, parent first when k is even.  The parent
-runs from a ``git worktree`` of ``--parent`` made in a temporary directory
-and removed afterwards, or from an existing checkout given as
-``--parent-dir``; the change runs from this checkout.  The output holds, per
-workload and end-to-end metric, both sides' runs, medians and quartiles, the
-relative change of the medians, the number of pairs the change won, and
-whether the change stays within the metric's ``BENCHMARK.json`` bound; per
-workload, the failed operations; and the ``env`` line of each side's first
-run.  Standard library only.
+runs from a ``git archive`` of ``--parent`` unpacked in a temporary
+directory, which leaves nothing behind in ``.git``; the change runs from
+this checkout.  The output holds, per workload and end-to-end metric, both
+sides' runs, medians and quartiles, the relative change of the medians, the
+number of pairs the change won, and whether the change stays within the
+metric's ``BENCHMARK.json`` bound; per workload, the failed operations; the
+``env`` line of each side's first run, with ``git_rev`` set to the side's
+commit (``+uncommitted`` when the working tree differs from it); and, as
+``claim``, every metric on which the change won at least nine pairs in ten
+and moved its median by more than the parent's interquartile range.
+Standard library only.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -27,6 +31,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+
+
+def git(*args: str) -> subprocess.CompletedProcess:
+    return subprocess.run(["git", *args], cwd=ROOT, capture_output=True)
 
 
 def run_once(checkout: Path, workload: str, seconds: float, seed: int | None) -> dict:
@@ -69,6 +77,25 @@ def summarize(runs: dict[str, list[dict]], spec: dict) -> dict:
     return metrics
 
 
+def gains(workloads: dict) -> list[str]:
+    """Metrics the change won on at least 90% of the pairs, with a median
+    gap wider than the parent's interquartile range."""
+    found = []
+    for workload, w in workloads.items():
+        for name, e in w["metrics"].items():
+            p, c = e["parent"], e["change"]
+            gap, spread = abs(c["median"] - p["median"]), p["q3"] - p["q1"]
+            if e["change_won_pairs"] >= math.ceil(0.9 * w["pairs"]) and gap > spread:
+                found.append(
+                    f"{workload} {name}: parent median {p['median']:.4g} "
+                    f"[q1 {p['q1']:.4g}, q3 {p['q3']:.4g}] -> change {c['median']:.4g} "
+                    f"({100 * e['rel_change']:+.1f}%); the change won "
+                    f"{e['change_won_pairs']} of {w['pairs']} pairs and the gap of "
+                    f"the medians ({gap:.4g}) exceeds the parent's interquartile "
+                    f"range ({spread:.4g})")
+    return found
+
+
 def bench(parent: Path, args, spec: dict) -> dict:
     checkouts = {"parent": parent, "change": ROOT}
     out = {"env": {}, "workloads": {}}
@@ -99,38 +126,36 @@ def main(argv: list[str] | None = None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--parent", default="HEAD", help="commit to compare against")
-    parser.add_argument("--parent-dir", type=Path,
-                        help="existing checkout of the parent; no worktree is made")
     parser.add_argument("--workloads", nargs="+",
                         default=[w["name"] for w in spec["workloads"]])
     parser.add_argument("--pairs", type=int, default=5)
     parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--seed", type=int, help="perfbench seed (its default if unset)")
-    parser.add_argument("--claim", default="none", help="the gain the change claims")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
-    if args.parent_dir is not None:
-        result = bench(args.parent_dir.resolve(), args, spec)
-    else:
-        with tempfile.TemporaryDirectory() as tmp:
-            tree = Path(tmp) / "parent"
-            subprocess.run(["git", "worktree", "add", "--detach", str(tree), args.parent],
-                           cwd=ROOT, check=True, capture_output=True)
-            try:
-                result = bench(tree, args, spec)
-            finally:
-                subprocess.run(["git", "worktree", "remove", "--force", str(tree)],
-                               cwd=ROOT, check=False, capture_output=True)
-    rev = subprocess.run(["git", "rev-parse", args.parent], cwd=ROOT,
-                         capture_output=True, text=True).stdout.strip()
-    doc = {"description": f"perfbench end-to-end metrics, parent ({rev or args.parent}) "
-                          f"vs the working tree; `python3 perfbench/run.py --workload W "
-                          f"--seconds {args.seconds:g}`, pairs back to back, first side "
-                          f"alternating (even pairs parent first); written by "
-                          f"tools/bench_pairs.py",
-           "claim": args.claim,
+    rev = git("rev-parse", "--verify", f"{args.parent}^{{commit}}")
+    if rev.returncode:
+        raise SystemExit(f"not a commit: {args.parent}")
+    revs = {"parent": rev.stdout.decode().strip(),
+            "change": git("rev-parse", "HEAD").stdout.decode().strip()}
+    if git("diff", "--quiet", "HEAD").returncode:
+        revs["change"] += "+uncommitted"
+    with tempfile.TemporaryDirectory() as tmp:
+        subprocess.run(["tar", "-x", "-C", tmp], check=True,
+                       input=git("archive", revs["parent"]).stdout)
+        result = bench(Path(tmp), args, spec)
+    for side in SIDES:
+        result["env"][side]["git_rev"] = revs[side]
+    found = gains(result["workloads"])
+    doc = {"description": f"perfbench end-to-end metrics, parent {revs['parent']} "
+                          f"vs change {revs['change']}; `python3 perfbench/run.py "
+                          f"--workload W --seconds {args.seconds:g}`, pairs back to "
+                          f"back, first side alternating (even pairs parent first); "
+                          f"written by tools/bench_pairs.py",
+           "claim": "; ".join(found) or "none: no metric won 90% of the pairs "
+                                         "beyond the parent's interquartile range",
            "env_note": "perfbench's env line from each side's first run of the first "
-                       "workload",
+                       "workload, git_rev set to the side's commit",
            **result}
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0
