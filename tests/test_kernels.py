@@ -389,13 +389,12 @@ def test_single_output_element_sums_in_tap_order(k):
         assert conv2d(xi, wt, None, opts).tobytes() == want.tobytes()
 
 
-def test_empty_batch_conv():
-    for kernel, wt in ((conv2d, np.ones((3, 3, 2, 4), F)),
-                       (depthwise_conv2d, np.ones((3, 3, 2), F))):
-        for pad, side in ((Padding.SAME, 6), (Padding.VALID, 4)):
-            got = kernel(np.ones((0, 6, 6, 2), F), wt, np.ones(wt.shape[-1:], F),
-                         ConvOptions(1, 1, pad, Activation.RELU))
-            assert got.shape == (0, side, side, wt.shape[-1]) and got.dtype == F
+def test_conv2d_on_an_empty_batch():
+    w = np.ones((3, 3, 2, 4), F)
+    for pad, side in ((Padding.SAME, 6), (Padding.VALID, 4)):
+        got = conv2d(np.ones((0, 6, 6, 2), F), w, np.ones(4, F),
+                     ConvOptions(1, 1, pad, Activation.RELU))
+        assert got.shape == (0, side, side, 4) and got.dtype == F
 
 
 def test_chunked_path_restores_numpy_bufsize():
