@@ -14,11 +14,16 @@ decoys); runtime shapes come from the actual arrays.  The leading axis of
 every graph input is treated as a batch dimension and may differ from the
 declared size.
 
-Memory accounting is deliberately naive: every graph input, every constant
-(model- or bundle-resident), and every operator output is assumed live for
-the whole run.  That all-live proxy is ``trace.peak_live_bytes``, the one
-peak figure the package reports (``bench.peak_bytes_single`` reads it from a
-batch-1 run).
+A run first resolves every operator (kind, options, true inputs and
+weights, or a decoy's zeros), so a missing bundle, an unknown custom name, a
+bad true input position or a bad decoy record raises before any kernel runs.
+An activation is dropped after its last true read (decoy inputs never extend
+a lifetime); graph outputs and constants are kept.  ``trace.peak_live_bytes``
+is the all-live proxy (``bench.peak_bytes_single`` reads it at batch 1): the
+sum of every graph input, constant (model- or bundle-resident) and operator
+output.  ``trace.peak_live_bytes_liveness`` is the peak of that sum with each
+activation out of it after its last true read; a decoy's shared zeros count
+only while a true reader needs them.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ import numpy as np
 from .bundle import KernelBundle, decode_decoy_shape
 from .errors import (
     IndexOutOfRange,
+    InvariantViolation,
     MissingBundle,
     ShapeMismatch,
     UnknownCustomName,
@@ -47,15 +53,19 @@ from .model_format import (
 )
 
 
+_KIND_OF = {int(k): k for k in BuiltinOp}
+
+
 @functools.lru_cache(maxsize=64)
-def _decoy_zeros(raw: bytes) -> np.ndarray:
-    """Read-only float32 zeros of the shape a decoy record's options encode.
+def _decoy_zeros(raw: bytes) -> tuple[np.ndarray, tuple]:
+    """Read-only float32 zeros of the shape a decoy record's options encode,
+    and their ``output_shapes`` entry.
 
     Bounded in count by the cache and in size by ``decode_decoy_shape``.
     """
     zeros = np.zeros(decode_decoy_shape(raw), np.float32)
     zeros.flags.writeable = False
-    return zeros
+    return zeros, (zeros.shape,)
 
 
 @dataclass
@@ -63,6 +73,7 @@ class ExecutionTrace:
     output_shapes: list[tuple[tuple[int, ...]]] = field(default_factory=list)
     op_seconds: list[float] = field(default_factory=list)
     peak_live_bytes: int = 0
+    peak_live_bytes_liveness: int = 0
 
 
 def _check_inputs(graph: ModelGraph, inputs: list[np.ndarray]) -> None:
@@ -82,39 +93,31 @@ def run(graph: ModelGraph, bundle: KernelBundle | None,
         op_timing: bool = False) -> tuple[list[np.ndarray], ExecutionTrace]:
     """Execute the graph; returns graph outputs and an execution trace.
 
-    ``op_timing=True`` also records each operator's wall time in
-    ``trace.op_seconds``, at two clock reads per operator; shapes and the
-    memory proxy are always recorded.
+    ``op_timing=True`` also records each kernel call's wall time in
+    ``trace.op_seconds``, at two clock reads per call (0.0 for a decoy, which
+    runs nothing); shapes and both memory figures are always recorded.
     """
     _check_inputs(graph, inputs)
-    values: dict[int, np.ndarray] = {}
-    peak = 0
-    for arr, t_idx in zip(inputs, graph.graph_inputs):
-        arr = np.ascontiguousarray(arr)
-        values[t_idx] = arr
-        peak += arr.nbytes
-
+    values = {t: np.ascontiguousarray(a) for t, a in zip(graph.graph_inputs, inputs)}
     consts = materialize_constants(graph)
-    for i, arr in consts.items():
-        values[i] = arr
-        peak += arr.nbytes
+    values.update(consts)
+    total = sum(a.nbytes for a in values.values())
     if bundle is not None:
-        for rec in bundle.records.values():
-            for w in rec.weights:
-                peak += w.nbytes
+        total += sum(w.nbytes for rec in bundle.records.values() for w in rec.weights)
 
-    trace = ExecutionTrace()
-    shapes = trace.output_shapes
-    seconds = trace.op_seconds
-    opcodes = graph.opcodes
-    records = bundle.records if bundle is not None else None
+    # Resolve: a decoy's zeros go into ``values``, other operators become
+    # steps.  last[t] is the step that truly reads tensor t last: -1 if none,
+    # -2 for a decoy output not read yet, past the last step if t is kept.
+    n_ops = len(graph.operators)
     clock = time.perf_counter if op_timing else None
-    for op in graph.operators:
-        opcode = opcodes[op.opcode_index]
-        t0 = clock() if clock else 0.0
+    shapes, seconds = [()] * n_ops, [0.0] * n_ops if clock else []
+    steps: list[tuple] = []
+    last, live = [-1] * len(graph.tensors), total
+    records = bundle.records if bundle is not None else None
+    for s, op in enumerate(graph.operators):
+        opcode = graph.opcodes[op.opcode_index]
         if opcode.builtin_code != CUSTOM_SENTINEL:
-            code, raw = opcode.builtin_code, op.options
-            args = [values[t] for t in op.inputs]
+            code, raw, ins, weights = opcode.builtin_code, op.options, op.inputs, ()
         else:
             if records is None:
                 raise MissingBundle(
@@ -125,26 +128,48 @@ def run(graph: ModelGraph, bundle: KernelBundle | None,
                 raise UnknownCustomName(
                     f"bundle has no record for {opcode.custom_name!r}")
             code, raw = rec.real_builtin_code, rec.real_options
-            if code != DECOY_SENTINEL:
-                try:
-                    args = [values[op.inputs[p]]
-                            for p in rec.true_input_positions]
-                except IndexError:
-                    raise IndexOutOfRange(
-                        f"record {opcode.custom_name!r}: true input positions "
-                        f"{rec.true_input_positions} exceed the operator's "
-                        f"{len(op.inputs)} inputs") from None
-                args.extend(rec.weights)
-        if code == DECOY_SENTINEL:  # reads nothing, never reaches a kernel
-            out = _decoy_zeros(raw)
-        else:
-            kind = BuiltinOp(code)
-            out = execute_builtin(kind, args, decode_options(kind, raw))[0]
-        if clock:
-            seconds.append(clock() - t0)
-        shapes.append((out.shape,))
-        values[op.outputs[0]] = out
-        peak += out.nbytes
+            if code == DECOY_SENTINEL:  # reads nothing, never reaches a kernel
+                out, shapes[s] = _decoy_zeros(raw)
+                values[op.outputs[0]], last[op.outputs[0]] = out, -2
+                total += out.nbytes
+                continue
+            try:
+                ins = [op.inputs[p] for p in rec.true_input_positions]
+            except IndexError:
+                raise IndexOutOfRange(
+                    f"record {opcode.custom_name!r}: true input positions "
+                    f"{rec.true_input_positions} exceed the operator's "
+                    f"{len(op.inputs)} inputs") from None
+            weights = rec.weights
+        kind = _KIND_OF.get(code)
+        if kind is None:
+            raise InvariantViolation(f"operator {s}: unknown builtin {code}")
+        steps.append((s, op.outputs[0], kind, ins, weights, decode_options(kind, raw)))
+        for t in ins:
+            if last[t] == -2:  # a decoy's zeros count once something reads them
+                live += values[t].nbytes
+            last[t] = s
+    for t in (*consts, *graph.graph_outputs):
+        last[t] = n_ops
 
-    trace.peak_live_bytes = peak
-    return [values[t] for t in graph.graph_outputs], trace
+    peak = live
+    for s, o, kind, ins, weights, opts in steps:
+        t0 = clock() if clock else 0.0
+        out = execute_builtin(kind, [*map(values.__getitem__, ins), *weights],
+                              opts)[0]
+        if clock:
+            seconds[s] = clock() - t0
+        shapes[s] = (out.shape,)
+        n = out.nbytes
+        total += n
+        peak = max(peak, live + n)
+        if last[o] > s:  # an output nothing reads is dropped at once
+            values[o] = out
+            live += n
+        for t in ins:  # after its last true read, an activation is dropped
+            if last[t] == s:
+                last[t] = -1  # a step may read a tensor twice
+                live -= values.pop(t).nbytes
+
+    return ([values[t] for t in graph.graph_outputs],
+            ExecutionTrace(shapes, seconds, total, peak))

@@ -11,9 +11,10 @@ Dense has a blocked path that keeps this order.  It takes ``r`` input
 features at a time into an ``(r + 1, batch, out)`` float32 buffer: row 0 is
 the running accumulator, rows 1..r the products, and ``np.add.reduce`` over
 the leading axis sums them strictly in row order, accumulator first.  The
-buffer is capped at 8 KiB, so the path runs only where a block of at least
-two rows fits (small batches).  Larger shapes, and shapes with a single
-output element (where NumPy reduces the lone axis pairwise, not in order),
+buffer is capped at 16 KiB, so the path runs only where a block of at least
+three rows fits (small batches; two rows lose to the row loop); iterator
+buffers make a call peak at about 2.1 times it.  Larger shapes, and shapes
+with a single output element (where NumPy reduces the lone axis pairwise, not in order),
 keep the per-feature loop.  No kernel calls BLAS: it reorders the sums.
 
 Every non-empty stride-1 Conv2D, and a stride-1 DepthwiseConv2D with an
@@ -24,16 +25,20 @@ b + i`` and tap ``(ky, kx)`` reads the same image ``(ky * wp + kx) * b``
 further on.  Per tap in (ky, kx, cin) order, weight column times shifted channel goes into a
 zeroed, contiguous ``(cout, positions)`` accumulator, on short rows ``rc``
 channels at a time summed as in Dense: the tap loop's products and order.
-A block over a single output element keeps ``rc = 1``, as Dense does.
+A block over a single output element keeps ``rc = 1``, as Dense does.  The
+step loop only slices views built once per call.
 
 NumPy 2.4 runs a broadcast product through iterator buffers when its rows
 are under a third of the ufunc buffer (8,192 elements by default): 1-3 ns
-and 8 bytes per element, against 0.2-0.4 ns unbuffered.  So the path runs
-with a 16-element buffer (``np.setbufsize``, restored on exit).  On rows
-under 2,048 floats, stage, accumulator and product rows may take 35 KiB per
-image: the widest block that fits wins, a shape where not even one channel
-fits keeps the tap loop, and every fixture's batch-1 run stays under 57 KiB
-(lenet's second Conv2D takes 35 KiB on top of 20 KiB live).
+and 8 bytes per element, against 0.2-0.4 ns unbuffered.  So both convolution
+paths run with a 128-element buffer (``np.setbufsize``, restored on exit):
+the tap loop's few-channel depthwise rows take twice as long at 16, and the
+channel-major path reads the same at both.  On rows under 2,048 floats,
+stage, accumulator and product rows may take 35 KiB per image: the widest
+block that fits wins, and a shape where not even one channel fits keeps the
+tap loop.  Every fixture's batch-1 run stays under 49 KiB (per operator:
+``tools/op_peaks.py``): branchy's third Conv2D takes 35 KiB on top of 13 KiB
+live, a 16 KiB Dense block 34 KiB on top of 10 KiB.
 
 Kernels never consult declared tensor shapes; everything is derived from the
 actual input arrays.  The leading axis is treated as batch throughout.
@@ -58,16 +63,16 @@ from .model_format import (
 
 _ZERO = np.float32(0.0)
 _SIX = np.float32(6.0)
-# Cap on the blocked Dense path's temporary, sized to leave peak memory flat.
-_DENSE_BLOCK_BYTES = 8 * 1024
+# Cap on the blocked Dense path's buffer; a call peaks at about 2.1 times it.
+_DENSE_BLOCK_BYTES = 16 * 1024
 # Accumulator bytes per chunk of the channel-major convolution path, and the
 # output size in bytes at which a DepthwiseConv2D takes it.
 _CONV_CHUNK_BYTES = 512 * 1024
 # That path's work budget per staged image on rows shorter than _LONG_ROW
-# floats, and its ufunc buffer in elements (see the module docstring).
+# floats, and both conv paths' ufunc buffer in elements (see the docstring).
 _CONV_WORK_BYTES = 35 * 1024
 _LONG_ROW = 2048
-_TAP_BUFSIZE = 16
+_TAP_BUFSIZE = 128
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -144,24 +149,30 @@ def _add_taps(acc: np.ndarray, xf: np.ndarray, w: np.ndarray, dy: int, dx: int,
     on, into ``acc`` in (ky, kx, cin) order, with ``prod`` as scratch."""
     co, size = acc.shape
     kh, kw = w.shape[:2]
-    ci = 1 if w.ndim == 3 else w.shape[2]
-    t = prod[:acc.size].reshape(acc.shape)
+    # Views of the weights and of the stage at every tap: wv[ky, kx, c] is (co, 1)
+    # and xv[ky, kx, c] (1, size); depthwise is one block, (co, 1) by (co, size).
+    if w.ndim == 3:
+        ci, rows, wv = 1, co, w[:, :, None, :, None]
+    else:
+        ci, rows, wv = w.shape[2], 1, w[..., None]
+    xv = np.ndarray((kh, kw, ci, rows, size), np.float32, xf, 0,
+                    (4 * dy, 4 * dx, xf.strides[0], xf.strides[0], 4))
+    t = prod[:acc.size].reshape(co, size)
+    blocks = []  # (c0, c1, sum buffer, product rows); one channel adds t
+    for c0 in range(0, ci, rc):
+        r = min(rc, ci - c0)
+        blk = prod[:(r + 1) * acc.size].reshape(r + 1, co, size) if r > 1 else None
+        blocks.append((c0, c0 + r, blk, t[None] if blk is None else blk[1:]))
     for ky in range(kh):
         for kx in range(kw):
-            off = ky * dy + kx * dx
-            wk, xs = w[ky, kx, ..., None], xf[:, off:off + size]
-            if w.ndim == 3:
-                wk, xs = wk[None], xs[None]
-            for c0 in range(0, ci, rc):
-                r = min(rc, ci - c0)
-                if r == 1:
-                    np.multiply(wk[c0], xs[c0], out=t)
+            wk, xk = wv[ky, kx], xv[ky, kx]
+            for c0, c1, blk, body in blocks:
+                np.multiply(wk[c0:c1], xk[c0:c1], out=body)
+                if blk is None:
                     np.add(acc, t, out=acc)
-                    continue
-                blk = prod[:(r + 1) * acc.size].reshape(r + 1, *acc.shape)
-                blk[0] = acc
-                np.multiply(wk[c0:c0 + r], xs[c0:c0 + r, None], out=blk[1:])
-                np.add.reduce(blk, axis=0, out=acc)
+                else:
+                    blk[0] = acc
+                    np.add.reduce(blk, axis=0, out=acc)
 
 
 def _chunked_taps(x: np.ndarray, w: np.ndarray, oh: int, ow: int) -> np.ndarray | None:
@@ -183,26 +194,22 @@ def _chunked_taps(x: np.ndarray, w: np.ndarray, oh: int, ow: int) -> np.ndarray 
     accf = np.empty(co * sites * nb, np.float32)
     prod = np.empty((rc + (rc > 1)) * co * sites * nb, np.float32)
     out = None
-    bufsize = np.setbufsize(_TAP_BUFSIZE)
-    try:
-        for b0 in range(0, n, nb):
-            b = min(nb, n - b0)
-            stage = stagef[:ci * span * b].reshape(ci, hp, wp, b)
-            if b < nb:  # the short last chunk re-lays the stage: zero its border
-                stage.fill(0.0)
-            stage[:, pt:pt + h, pl:pl + wd] = x[b0:b0 + b].transpose(3, 1, 2, 0)
-            size = sites * b
-            acc = accf[:co * size].reshape(co, size)
-            acc.fill(0.0)
-            _add_taps(acc, stage.reshape(ci, span * b), w, wp * b, b, prod, rc)
-            if b0 + b == n:
-                del stagef, stage, prod
-            if out is None:
-                out = np.empty((n, oh, ow, co), np.float32)
-            out[b0:b0 + b] = np.ndarray((b, oh, ow, co), np.float32, accf, 0,
-                                        (4, 4 * wp * b, 4 * b, 4 * size))
-    finally:
-        np.setbufsize(bufsize)
+    for b0 in range(0, n, nb):
+        b = min(nb, n - b0)
+        stage = stagef[:ci * span * b].reshape(ci, hp, wp, b)
+        if b < nb:  # the short last chunk re-lays the stage: zero its border
+            stage.fill(0.0)
+        stage[:, pt:pt + h, pl:pl + wd] = x[b0:b0 + b].transpose(3, 1, 2, 0)
+        size = sites * b
+        acc = accf[:co * size].reshape(co, size)
+        acc.fill(0.0)
+        _add_taps(acc, stage.reshape(ci, span * b), w, wp * b, b, prod, rc)
+        if b0 + b == n:
+            del stagef, stage, prod
+        if out is None:
+            out = np.empty((n, oh, ow, co), np.float32)
+        out[b0:b0 + b] = np.ndarray((b, oh, ow, co), np.float32, accf, 0,
+                                    (4, 4 * wp * b, 4 * b, 4 * size))
     return out
 
 
@@ -213,14 +220,17 @@ def _tap_loop(x: np.ndarray, w: np.ndarray, opts: ConvOptions, oh: int,
     sh, sw = opts.stride_h, opts.stride_w
     xp = _pad_spatial(x, opts.padding, kh, kw, sh, sw, oh, ow, 0.0)
     acc = np.zeros((x.shape[0], oh, ow, w.shape[-1]), np.float32)
+    tmp = np.empty_like(acc)
     for ky in range(kh):
         for kx in range(kw):
             patch = _tap(xp, ky, kx, oh, ow, sh, sw)
             if w.ndim == 3:
-                acc += patch * w[ky, kx]
+                np.multiply(patch, w[ky, kx], out=tmp)
+                np.add(acc, tmp, out=acc)
                 continue
             for c in range(x.shape[3]):
-                acc += patch[:, :, :, c, None] * w[ky, kx, c]
+                np.multiply(patch[:, :, :, c, None], w[ky, kx, c], out=tmp)
+                np.add(acc, tmp, out=acc)
     return acc
 
 
@@ -233,10 +243,14 @@ def _conv(x: np.ndarray, w: np.ndarray, bias: np.ndarray | None,
     _require(wci == ci, f"{name} channels: input {ci} vs weight {wci}")
     oh = _out_extent(h, kh, opts.stride_h, opts.padding)
     ow = _out_extent(wd, kw, opts.stride_w, opts.padding)
-    acc = (_chunked_taps(x, w, oh, ow)
-           if _takes_chunks(opts, (n, oh, ow, co), w.ndim == 3) else None)
-    if acc is None:
-        acc = _tap_loop(x, w, opts, oh, ow)
+    bufsize = np.setbufsize(_TAP_BUFSIZE)
+    try:
+        acc = (_chunked_taps(x, w, oh, ow)
+               if _takes_chunks(opts, (n, oh, ow, co), w.ndim == 3) else None)
+        if acc is None:
+            acc = _tap_loop(x, w, opts, oh, ow)
+    finally:
+        np.setbufsize(bufsize)
     if bias is not None:
         _require_f32(bias)
         _require(bias.shape == (co,), f"{name} bias shape {bias.shape} != ({co},)")
@@ -264,14 +278,15 @@ def _dense_block_rows(n: int, fout: int) -> int:
     """Input features per block of the blocked Dense path; 0 keeps the row loop.
 
     A block of ``r`` rows needs an ``(r + 1, n, fout)`` float32 buffer, which
-    must fit in ``_DENSE_BLOCK_BYTES`` with ``r >= 2``.  ``n * fout == 1`` keeps
-    the row loop: NumPy then reduces the lone remaining axis pairwise.
+    must fit in ``_DENSE_BLOCK_BYTES`` with ``r >= 3``: two-row blocks are
+    slower than the row loop.  ``n * fout == 1`` keeps the row loop: NumPy
+    then reduces the lone remaining axis pairwise.
     """
     per_row = n * fout
     if per_row < 2:
         return 0
     rows = _DENSE_BLOCK_BYTES // (4 * per_row) - 1
-    return rows if rows >= 2 else 0
+    return rows if rows >= 3 else 0
 
 
 def dense(x: np.ndarray, w: np.ndarray, bias: np.ndarray | None,

@@ -1,9 +1,11 @@
 import dataclasses
+import weakref
 
 import numpy as np
 import pytest
 
-from nnobf.bundle import encode_decoy_shape
+from nnobf import interpreter
+from nnobf.bundle import BundleRecord, KernelBundle, encode_decoy_shape
 from nnobf.errors import (
     IndexOutOfRange,
     InvariantViolation,
@@ -15,12 +17,16 @@ from nnobf.fixtures import FIXTURE_NAMES, build_fixture
 from nnobf.interpreter import run
 from nnobf.kernels import execute_builtin
 from nnobf.model_format import (
+    CUSTOM_SENTINEL,
     BuiltinOp,
+    ConcatOptions,
     DType,
     ModelGraph,
     OperatorCode,
     OperatorEntry,
+    OptionsKind,
     Tensor,
+    encode_options,
     tensor_byte_size,
 )
 from nnobf.obfuscator import ObfuscationConfig, obfuscate
@@ -166,3 +172,159 @@ def test_trace_shapes_and_timing(lenet):
     assert len(trace.op_seconds) == len(lenet.operators)
     assert trace.output_shapes[-1] == ((1, 10),)
     assert all(t >= 0 for t in trace.op_seconds)
+
+
+# -- liveness ---------------------------------------------------------------------
+
+def liveness_graph():
+    """a = relu(x); b = relu(a); d = b + b; e = a + d; f = e + c;
+    g = concat(f, f).  Outputs b and g; c is a constant."""
+    relu, add, cat = (OperatorCode(int(k)) for k in
+                      (BuiltinOp.RELU, BuiltinOp.ADD, BuiltinOp.CONCAT))
+    t = [Tensor(n, DType.F32, (1, 4)) for n in "xcabdef"] + [
+        Tensor("g", DType.F32, (1, 8))]
+    t[1] = Tensor("c", DType.F32, (1, 4), buffer_index=1)
+    ops = [(0, (0,), 2), (0, (2,), 3), (1, (3, 3), 4), (1, (2, 4), 5),
+           (1, (5, 1), 6)]
+    ops = [OperatorEntry(k, ins, (out,)) for k, ins, out in ops]
+    ops.append(OperatorEntry(2, (6, 6), (7,),
+                             options=encode_options(BuiltinOp.CONCAT,
+                                                    ConcatOptions(axis=1))))
+    return ModelGraph(opcodes=(relu, add, cat),
+                      buffers=(b"", np.arange(4, dtype=F).tobytes()),
+                      tensors=tuple(t), operators=tuple(ops),
+                      graph_inputs=(0,), graph_outputs=(3, 7))
+
+
+def shortcut_graph():
+    """a = relu(x); b = relu(a); y = custom(b, a), whose record reads only
+    its first declared input: a is a shortcut-only reference there."""
+    t = tuple(Tensor(n, DType.F32, (1, 4)) for n in "xaby")
+    opcodes = (OperatorCode(int(BuiltinOp.RELU)),
+               OperatorCode(CUSTOM_SENTINEL, "Qwerty"))
+    ops = (OperatorEntry(0, (0,), (1,)), OperatorEntry(0, (1,), (2,)),
+           OperatorEntry(1, (2, 1), (3,), OptionsKind.CUSTOM, b"\x07"))
+    bundle = KernelBundle({"Qwerty": BundleRecord(int(BuiltinOp.RELU), b"",
+                                                  (0,), ())})
+    return ModelGraph(opcodes, (b"",), t, ops, (0,), (3,)), bundle
+
+
+class KernelSpy:
+    """Stands in for ``interpreter.execute_builtin``: keeps weak references
+    to kernel outputs (and, on request, inputs) and, at every call, the
+    names of those still alive."""
+
+    def __init__(self, names, inputs=None):
+        self.names, self.inputs = list(names), inputs or {}
+        self.refs, self.alive = {}, []
+
+    def __call__(self, kind, args, opts):
+        k = len(self.alive)
+        self.alive.append({n for n, r in self.refs.items() if r() is not None})
+        for pos, name in self.inputs.get(k, ()):
+            self.refs[name] = weakref.ref(args[pos])
+        out = execute_builtin(kind, args, opts)
+        self.refs[self.names[k]] = weakref.ref(out[0])
+        return out
+
+
+def test_activation_dies_after_its_last_true_read(monkeypatch):
+    spy = KernelSpy("abdefg", inputs={4: [(1, "c")]})
+    monkeypatch.setattr(interpreter, "execute_builtin", spy)
+    x = np.array([[-1.0, 0.5, 2.0, -3.0]], F)
+    (b, g), trace = run(liveness_graph(), None, [x])
+    assert spy.alive == [
+        set(),
+        {"a"},
+        {"a", "b"},
+        {"a", "b", "d"},         # a is read again by e = a + d
+        {"b", "e"},              # a and d died after their last reads
+        {"b", "f", "c"},         # a constant outlives its last read
+    ]
+    # graph outputs are never dropped, not even b after its last read
+    assert spy.refs["b"]() is b and spy.refs["g"]() is g
+    assert {n for n, r in spy.refs.items() if r() is not None} == {"b", "g"}
+    a = np.maximum(x, 0)
+    f = a + (a + a) + np.arange(4, dtype=F)
+    assert np.array_equal(g, np.concatenate([f, f], axis=1))
+
+
+def test_a_step_may_read_one_tensor_twice():
+    # ADD(b, b) and CONCAT(f, f) drop their input once, after the step
+    (b, g), trace = run(liveness_graph(), None, [np.ones((1, 4), F)])
+    assert np.array_equal(g, np.tile(F(3) + np.arange(4, dtype=F), (1, 2)))
+    # seven 16-byte tensors and g; at most x or c, a, b, d and e at once
+    assert trace.peak_live_bytes == 7 * 16 + 32
+    assert trace.peak_live_bytes_liveness == 5 * 16
+
+
+def test_shortcut_only_reference_does_not_extend_a_lifetime(monkeypatch):
+    graph, bundle = shortcut_graph()
+    spy = KernelSpy("aby")
+    monkeypatch.setattr(interpreter, "execute_builtin", spy)
+    (y,), _ = run(graph, bundle, [np.ones((1, 4), F)])
+    assert spy.alive == [set(), {"a"}, {"b"}]
+    assert np.array_equal(y, np.ones((1, 4), F))
+
+
+def last_record(public, bundle, decoy):
+    """Name of the last operator's record that is (or is not) a decoy."""
+    names = [public.opcodes[op.opcode_index].custom_name
+             for op in public.operators]
+    return next(n for n in reversed(names) if bundle.records[n].is_decoy == decoy)
+
+
+@pytest.mark.parametrize("fault", ["no bundle", "unknown name", "bad position",
+                                   "bad decoy", "unknown kind"])
+def test_resolution_errors_raise_before_any_kernel(lenet, monkeypatch, fault):
+    config = ObfuscationConfig(seed=5, n_shortcuts=5, n_extra_layers=5)
+    public, bundle, _ = obfuscate(lenet, config)
+    x = rand_input(lenet)
+    error = {"no bundle": MissingBundle, "unknown name": UnknownCustomName,
+             "bad position": IndexOutOfRange,
+             "bad decoy": InvariantViolation,
+             "unknown kind": InvariantViolation}[fault]
+    if fault == "no bundle":  # two builtin ReLUs run before the custom op
+        public, bundle = shortcut_graph()[0], None
+        x = np.ones((1, 4), F)
+    else:
+        name = last_record(public, bundle, decoy=fault == "bad decoy")
+        rec = bundle.records[name]
+        if fault == "unknown name":
+            del bundle.records[name]
+        elif fault == "bad position":
+            bundle.records[name] = dataclasses.replace(
+                rec, true_input_positions=(99,))
+        elif fault == "unknown kind":  # load_bundle rejects it; run must too
+            bundle.records[name] = dataclasses.replace(rec, real_builtin_code=200)
+        else:
+            bundle.records[name] = dataclasses.replace(rec, real_options=b"\x02\x00")
+    calls = []
+    monkeypatch.setattr(interpreter, "execute_builtin",
+                        lambda *a: calls.append(a[0]) or execute_builtin(*a))
+    with pytest.raises(error):
+        run(public, bundle, [x])
+    assert calls == []
+
+
+def test_liveness_peak_relu():
+    _, trace = run(relu_graph(), None, [np.ones(4, F)])
+    assert trace.peak_live_bytes == trace.peak_live_bytes_liveness == 32
+
+
+def test_liveness_peak_lenet(lenet):
+    # constants 600 + 9600 + 10240 + 40 bytes stay; the input (3136) dies
+    # after conv1, whose output (13824) dies after pool1 (3456): the peak is
+    # the moment pool1's output joins conv1's
+    _, trace = run(lenet, None, [rand_input(lenet)])
+    assert trace.peak_live_bytes_liveness == 20480 + 13824 + 3456
+    assert trace.peak_live_bytes == sum(tensor_byte_size(t) for t in lenet.tensors)
+
+
+def test_liveness_peak_at_most_the_all_live_proxy(all_fixtures):
+    config = ObfuscationConfig(seed=4, n_shortcuts=20, n_extra_layers=20)
+    for name, g in all_fixtures.items():
+        x = [rand_input(g)]
+        for model, bundle in ((g, None), obfuscate(g, config)[:2]):
+            _, trace = run(model, bundle, x)
+            assert 0 < trace.peak_live_bytes_liveness <= trace.peak_live_bytes, name

@@ -166,7 +166,7 @@ def test_dense_blocked_path_matches_oracle_bytes(n, fout):
 
 
 @pytest.mark.parametrize("n,fin,fout", [(1, 1, 1), (1, 17, 1), (1, 200, 1),
-                                        (7, 9, 100), (256, 5, 3)])
+                                        (7, 9, 200), (256, 5, 6)])
 def test_dense_row_loop_matches_oracle_bytes(n, fin, fout):
     assert kernels._dense_block_rows(n, fout) == 0
     rng = runi(107)
@@ -192,8 +192,8 @@ def test_dense_path_choice_by_shape():
     for n, fout in BLOCKED_DENSE:
         assert kernels._dense_block_rows(n, fout) >= 2
     assert kernels._dense_block_rows(1, 1) == 0
-    assert kernels._dense_block_rows(7, 98) == 0  # a 2-row block exceeds 8 KiB
-    assert kernels._dense_block_rows(256, 3) == 0
+    assert kernels._dense_block_rows(7, 196) == 0  # a 2-row block exceeds 16 KiB
+    assert kernels._dense_block_rows(256, 6) == 0
 
 
 @pytest.mark.parametrize("shape", [(1,), (1, 1), (2,), (3,), (17,), (1, 2),
