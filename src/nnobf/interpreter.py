@@ -111,8 +111,7 @@ def run(graph: ModelGraph, bundle: KernelBundle | None,
     n_ops = len(graph.operators)
     clock = time.perf_counter if op_timing else None
     shapes, seconds = [()] * n_ops, [0.0] * n_ops if clock else []
-    steps: list[tuple] = []
-    last, live = [-1] * len(graph.tensors), total
+    steps, last, live = [], [-1] * len(graph.tensors), total
     records = bundle.records if bundle is not None else None
     for s, op in enumerate(graph.operators):
         opcode = graph.opcodes[op.opcode_index]
@@ -166,6 +165,7 @@ def run(graph: ModelGraph, bundle: KernelBundle | None,
         if last[o] > s:  # an output nothing reads is dropped at once
             values[o] = out
             live += n
+        del out
         for t in ins:  # after its last true read, an activation is dropped
             if last[t] == s:
                 last[t] = -1  # a step may read a tensor twice

@@ -267,6 +267,19 @@ def test_shortcut_only_reference_does_not_extend_a_lifetime(monkeypatch):
     assert np.array_equal(y, np.ones((1, 4), F))
 
 
+def test_output_nothing_reads_is_dropped_at_once(monkeypatch):
+    # a = relu(x) is neither read nor a graph output; b = relu(x) is
+    t = tuple(Tensor(n, DType.F32, (1, 4)) for n in "xab")
+    ops = (OperatorEntry(0, (0,), (1,)), OperatorEntry(0, (0,), (2,)))
+    graph = ModelGraph((OperatorCode(int(BuiltinOp.RELU)),), (b"",), t, ops,
+                       (0,), (2,))
+    spy = KernelSpy("ab")
+    monkeypatch.setattr(interpreter, "execute_builtin", spy)
+    _, trace = run(graph, None, [np.ones((1, 4), F)])
+    assert spy.alive == [set(), set()]
+    assert trace.peak_live_bytes_liveness == 32 < trace.peak_live_bytes == 48
+
+
 def last_record(public, bundle, decoy):
     """Name of the last operator's record that is (or is not) a decoy."""
     names = [public.opcodes[op.opcode_index].custom_name
