@@ -7,15 +7,19 @@ float32 before the add, so results are bit-reproducible and match a naive
 scalar loop that follows the same order.  Bias is added after the taps,
 fused activation last.
 
-Dense has a blocked path that keeps this order.  It takes ``r`` input
-features at a time into an ``(r + 1, batch, out)`` float32 buffer: row 0 is
-the running accumulator, rows 1..r the products, and ``np.add.reduce`` over
-the leading axis sums them strictly in row order, accumulator first.  The
-buffer is capped at 16 KiB, so the path runs only where a block of at least
-three rows fits (small batches; two rows lose to the row loop); iterator
-buffers make a call peak at about 2.1 times it.  Larger shapes, and shapes
-with a single output element (where NumPy reduces the lone axis pairwise, not in order),
-keep the per-feature loop.  No kernel calls BLAS: it reorders the sums.
+Dense has one blocked path that keeps this order at every batch.  It sums
+into a transposed ``(out, batch)`` accumulator, ``r`` input features over
+``ft`` output columns at a time, in an ``(r + 1, ft, batch)`` float32 block
+(batch innermost): row 0 is the accumulator tile, rows 1..r the products,
+and ``np.add.reduce`` over the leading axis adds them strictly in row order,
+accumulator first.  A block takes up to 16 KiB per batch row, 512 KiB in
+all; where three feature rows over every column do not fit, 16-row blocks
+take column tiles.  Rows under 8 floats iterate the product over columns;
+rows of at least 43 floats run under the 128-element ufunc buffer below,
+shorter ones under NumPy's default (a small buffer made batch-1 Dense up to
+2.3 times slower).  Fewer than three rows, and a single output element,
+which NumPy reduces pairwise, keep the per-feature loop.  The output is the
+accumulator's transpose.  No kernel calls BLAS: it reorders the sums.
 
 Every non-empty stride-1 Conv2D, and a stride-1 DepthwiseConv2D with an
 output of at least one chunk (512 KiB), takes one channel-major path; the
@@ -63,7 +67,7 @@ from .model_format import (
 
 _ZERO = np.float32(0.0)
 _SIX = np.float32(6.0)
-# Cap on the blocked Dense path's buffer; a call peaks at about 2.1 times it.
+# Blocked Dense path's block bytes per batch row, at most _CONV_CHUNK_BYTES.
 _DENSE_BLOCK_BYTES = 16 * 1024
 # Accumulator bytes per chunk of the channel-major convolution path, and the
 # output size in bytes at which a DepthwiseConv2D takes it.
@@ -274,19 +278,18 @@ def depthwise_conv2d(x: np.ndarray, w: np.ndarray, bias: np.ndarray | None,
     return _conv(x, w, bias, opts, "DepthwiseConv2D")
 
 
-def _dense_block_rows(n: int, fout: int) -> int:
-    """Input features per block of the blocked Dense path; 0 keeps the row loop.
-
-    A block of ``r`` rows needs an ``(r + 1, n, fout)`` float32 buffer, which
-    must fit in ``_DENSE_BLOCK_BYTES`` with ``r >= 3``: two-row blocks are
-    slower than the row loop.  ``n * fout == 1`` keeps the row loop: NumPy
-    then reduces the lone remaining axis pairwise.
+def _dense_block_rows(n: int, fout: int) -> tuple[int, int]:
+    """``(ft, r)``: output columns per tile and input features per block of
+    the blocked Dense path, or ``(0, 0)`` for the row loop (see the module
+    docstring).  Batch 1 tiles no columns: a one-column tile would be a lone
+    output element.
     """
-    per_row = n * fout
-    if per_row < 2:
-        return 0
-    rows = _DENSE_BLOCK_BYTES // (4 * per_row) - 1
-    return rows if rows >= 3 else 0
+    if n * fout < 2:
+        return 0, 0
+    cap = min(_DENSE_BLOCK_BYTES * n, _CONV_CHUNK_BYTES) // (4 * n)
+    ft = fout if cap >= 4 * fout or n == 1 else max(cap // 16, 1)
+    r = cap // ft - 1
+    return (ft, r) if r >= 3 else (0, 0)
 
 
 def dense(x: np.ndarray, w: np.ndarray, bias: np.ndarray | None,
@@ -297,18 +300,30 @@ def dense(x: np.ndarray, w: np.ndarray, bias: np.ndarray | None,
     n, fin = x.shape
     win, fout = w.shape
     _require(win == fin, f"Dense features: input {fin} vs weight {win}")
-    acc = np.zeros((n, fout), np.float32)
-    rows = min(_dense_block_rows(n, fout), fin)
+    ft, rows = _dense_block_rows(n, fout)
+    rows = min(rows, fin)
     if rows:
-        buf = np.empty((rows + 1, n, fout), np.float32)
-        for i0 in range(0, fin, rows):
-            r = min(rows, fin - i0)
-            blk = buf[:r + 1]
-            blk[0] = acc
-            np.multiply(x[:, i0:i0 + r].T[:, :, None], w[i0:i0 + r, None, :],
-                        out=blk[1:])
-            np.add.reduce(blk, axis=0, out=acc)
+        accT = np.zeros((fout, n), np.float32)
+        xT = np.ascontiguousarray(x.T)
+        buf = np.empty((rows + 1, ft, n), np.float32)
+        order = "C" if n < 8 else "K"  # rows under 8 floats: loop over columns
+        bufsize = np.setbufsize(_TAP_BUFSIZE) if 3 * n >= _TAP_BUFSIZE else 0
+        try:
+            for o0 in range(0, fout, ft):
+                tile = accT[o0:o0 + ft]
+                for i0 in range(0, fin, rows):
+                    i1 = min(i0 + rows, fin)
+                    blk = buf[:i1 - i0 + 1, :len(tile)]
+                    np.multiply(w[i0:i1, None, o0:o0 + ft], xT[i0:i1, :, None],
+                                out=blk[1:].transpose(0, 2, 1), order=order)
+                    blk[0] = tile
+                    np.add.reduce(blk, axis=0, out=tile)
+        finally:
+            if bufsize:
+                np.setbufsize(bufsize)
+        acc = accT.T
     else:
+        acc = np.zeros((n, fout), np.float32)
         for i in range(fin):
             acc += x[:, i, None] * w[i, :]
     if bias is not None:

@@ -131,9 +131,12 @@ def test_dense_matches_oracle_exactly():
 
 # -- blocked Dense path ---------------------------------------------------------
 
-# (batch, fout) pairs whose (r + 1, batch, fout) block buffer fits the cap
+# (batch, fout) pairs that take the blocked path, whose (r + 1, ft, batch)
+# block takes up to 16 KiB per batch row, capped at 512 KiB: batch 1 and 7
+# iterate the product over columns, 37 and 42 run under NumPy's default ufunc
+# buffer, 43 and 256 under the 128-element one
 BLOCKED_DENSE = [(1, 2), (1, 10), (1, 32), (1, 256), (7, 1), (7, 5), (7, 97),
-                 (256, 1), (256, 2)]
+                 (37, 97), (42, 97), (43, 97), (256, 1), (256, 2)]
 
 
 def dense_fins(rows):
@@ -144,60 +147,124 @@ def dense_fins(rows):
 def dense_inputs(rng, n, fin, fout):
     x = rand(rng, (n, fin))
     w = rand(rng, (fin, fout))
-    # a row of -0.0 features and a column of -0.0 weights give all-(-0.0)
-    # products; only an accumulator that starts at +0.0 sums them to +0.0
+    # a row of -0.0 features meets a column of positive weights, and a column
+    # of -0.0 weights a row of positive features: all-(-0.0) products, which
+    # only an accumulator that starts at +0.0 sums to +0.0
+    x[-1, :] = np.abs(x[-1, :])
     x[0, :] = -0.0
-    w[:, 0] = -0.0
+    w[:, 0] = np.abs(w[:, 0])
+    w[:, -1] = -0.0
     return x, w
+
+
+def assert_dense_matches_oracle(x, w, b):
+    """Every activation of ``dense(x, w, b)`` equals the oracle's bytes.  The
+    oracle applies the activation to each finished sum, so one call without
+    one gives every activation's expected output."""
+    plain = ref.dense_ref(x, w, b, DenseOptions(Activation.NONE))
+    for act in Activation:
+        want = np.array([ref._act(v, act) for v in plain.flat], F).reshape(plain.shape)
+        got = dense(x, w, b, DenseOptions(act))
+        assert got.dtype == F and got.tobytes() == want.tobytes(), (x.shape, w.shape, act)
+
+
+def fixture_dense_shapes():
+    """(fin, fout) of every fixture's Dense layers."""
+    shapes = set()
+    for name in FIXTURE_NAMES:
+        g = build_fixture(name, 0)
+        for op in g.operators:
+            if g.opcodes[op.opcode_index].builtin_code == BuiltinOp.DENSE:
+                shapes.add(g.tensors[op.inputs[1]].shape)
+    return sorted(shapes)
 
 
 @pytest.mark.parametrize("n,fout", BLOCKED_DENSE)
 def test_dense_blocked_path_matches_oracle_bytes(n, fout):
-    rows = kernels._dense_block_rows(n, fout)
-    assert rows >= 2
+    ft, rows = kernels._dense_block_rows(n, fout)
+    assert ft == fout and rows >= 3
     rng = runi(106)
     for fin in dense_fins(rows):
         x, w = dense_inputs(rng, n, fin, fout)
         for b in (None, rand(rng, (fout,))):
-            for act in Activation:
-                opts = DenseOptions(act)
-                assert (dense(x, w, b, opts).tobytes()
-                        == ref.dense_ref(x, w, b, opts).tobytes()), (n, fin, fout)
+            assert_dense_matches_oracle(x, w, b)
+
+
+@pytest.mark.parametrize("n,fin,fout", [(2, 17, 1025), (9, 17, 1100)])
+def test_dense_column_tiles_match_oracle_bytes(n, fin, fout):
+    # 16-row blocks over 256-column tiles: two blocks, a partial last tile,
+    # and at batch 2 a last tile of one column
+    assert kernels._dense_block_rows(n, fout) == (256, 15)
+    rng = runi(109)
+    x, w = dense_inputs(rng, n, fin, fout)
+    for b in (None, rand(rng, (fout,))):
+        assert_dense_matches_oracle(x, w, b)
 
 
 @pytest.mark.parametrize("n,fin,fout", [(1, 1, 1), (1, 17, 1), (1, 200, 1),
-                                        (7, 9, 200), (256, 5, 6)])
+                                        (1, 9, 1100), (32769, 1, 2)])
 def test_dense_row_loop_matches_oracle_bytes(n, fin, fout):
-    assert kernels._dense_block_rows(n, fout) == 0
+    assert kernels._dense_block_rows(n, fout) == (0, 0)
     rng = runi(107)
     x, w = dense_inputs(rng, n, fin, fout)
     for b in (None, rand(rng, (fout,))):
-        for act in Activation:
-            opts = DenseOptions(act)
-            assert (dense(x, w, b, opts).tobytes()
-                    == ref.dense_ref(x, w, b, opts).tobytes())
+        assert_dense_matches_oracle(x, w, b)
 
 
 def test_dense_path_choice_by_shape():
-    # every fixture's Dense layer is blocked at batch 1 and row-looped at
-    # batch 256; a single output element always keeps the row loop
-    for name in FIXTURE_NAMES:
-        g = build_fixture(name, 0)
-        for op in g.operators:
-            if g.opcodes[op.opcode_index].builtin_code != BuiltinOp.DENSE:
-                continue
-            fout = g.tensors[op.inputs[1]].shape[1]
-            assert kernels._dense_block_rows(1, fout) >= 2, (name, fout)
-            assert kernels._dense_block_rows(256, fout) == 0, (name, fout)
+    # every fixture's Dense layer is blocked at batch 1, in today's blocks of
+    # (16 KiB / 4 / fout) - 1 rows over every column, and at batch 256
+    for fin, fout in fixture_dense_shapes():
+        assert kernels._dense_block_rows(1, fout) == (fout, 4096 // fout - 1), fout
+        ft, rows = kernels._dense_block_rows(256, fout)
+        assert 1 <= ft <= fout and rows >= 3, fout
     for n, fout in BLOCKED_DENSE:
-        assert kernels._dense_block_rows(n, fout) >= 2
-    assert kernels._dense_block_rows(1, 1) == 0
-    assert kernels._dense_block_rows(7, 196) == 0  # a 2-row block exceeds 16 KiB
-    assert kernels._dense_block_rows(256, 6) == 0
+        assert kernels._dense_block_rows(n, fout)[1] >= 3
+    assert kernels._dense_block_rows(256, 256) == (32, 15)  # mlp's 128 -> 256
+    # a single output element keeps the row loop, so batch 1 tiles no columns;
+    # past 32,768 rows not even a 4-row block of one column fits 512 KiB
+    assert kernels._dense_block_rows(1, 1) == (0, 0)
+    assert kernels._dense_block_rows(1, 1025) == (0, 0)
+    assert kernels._dense_block_rows(32769, 2) == (0, 0)
+
+
+def test_dense_batch_256_equals_stacked_batch_1_rows():
+    rng = runi(108)
+    for fin, fout in fixture_dense_shapes():
+        x, w = dense_inputs(rng, 256, fin, fout)
+        for b in (None, rand(rng, (fout,))):
+            for act in Activation:
+                opts = DenseOptions(act)
+                rows = b"".join(dense(x[k:k + 1], w, b, opts).tobytes()
+                                for k in range(256))
+                assert dense(x, w, b, opts).tobytes() == rows, (fin, fout, act)
+
+
+def test_dense_on_an_empty_batch():
+    b = np.array([-1.0, 0.5, 7.0], F)
+    for fout in (1, 3, 600):
+        got = dense(np.ones((0, 5), F), np.ones((5, fout), F), None,
+                    DenseOptions(Activation.RELU))
+        assert got.shape == (0, fout) and got.dtype == F
+    for act, want in ((Activation.NONE, [-1.0, 0.5, 7.0]),
+                      (Activation.RELU, [0.0, 0.5, 7.0]),
+                      (Activation.RELU6, [0.0, 0.5, 6.0])):
+        got = dense(np.ones((4, 0), F), np.ones((0, 3), F), b, DenseOptions(act))
+        assert got.tobytes() == np.tile(np.array(want, F), (4, 1)).tobytes()
+
+
+def test_dense_restores_numpy_bufsize():
+    old = np.setbufsize(4096)
+    try:
+        dense(np.ones((256, 4), F), np.ones((4, 8), F), None,
+              DenseOptions(Activation.NONE))
+        assert np.getbufsize() == 4096
+    finally:
+        np.setbufsize(old)
 
 
 @pytest.mark.parametrize("shape", [(1,), (1, 1), (2,), (3,), (17,), (1, 2),
-                                   (7, 1), (256, 2)])
+                                   (7, 1), (256, 2), (32, 256)])
 def test_numpy_outer_axis_reduce_is_sequential(shape):
     # The blocked Dense path relies on np.add.reduce summing a leading axis
     # strictly in order.  This stack sums to 0.0 in order (each 1.0 is lost
