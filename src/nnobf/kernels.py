@@ -14,12 +14,13 @@ into a transposed ``(out, batch)`` accumulator, ``r`` input features over
 and ``np.add.reduce`` over the leading axis adds them strictly in row order,
 accumulator first.  A block takes up to 16 KiB per batch row, 512 KiB in
 all; where three feature rows over every column do not fit, 16-row blocks
-take column tiles.  Rows under 8 floats iterate the product over columns;
-rows of at least 43 floats run under the 128-element ufunc buffer below,
-shorter ones under NumPy's default (a small buffer made batch-1 Dense up to
-2.3 times slower).  Fewer than three rows, and a single output element,
-which NumPy reduces pairwise, keep the per-feature loop.  The output is the
-accumulator's transpose.  No kernel calls BLAS: it reorders the sums.
+take column tiles.  A batch under 8 iterates the product over columns; one
+of 43 or more (a third of the 128-element ufunc buffer below) runs under
+that buffer, smaller ones under NumPy's default, as a small buffer made
+batch-1 Dense up to 2.3 times slower.  Fewer than three rows, and a single
+output element, which NumPy reduces pairwise, keep the per-feature loop
+into the same accumulator.  The output is its transpose.  No kernel calls
+BLAS: it reorders the sums.
 
 Every non-empty stride-1 Conv2D, and a stride-1 DepthwiseConv2D with an
 output of at least one chunk (512 KiB), takes one channel-major path; the
@@ -302,8 +303,8 @@ def dense(x: np.ndarray, w: np.ndarray, bias: np.ndarray | None,
     _require(win == fin, f"Dense features: input {fin} vs weight {win}")
     ft, rows = _dense_block_rows(n, fout)
     rows = min(rows, fin)
+    accT = np.zeros((fout, n), np.float32)
     if rows:
-        accT = np.zeros((fout, n), np.float32)
         xT = np.ascontiguousarray(x.T)
         buf = np.empty((rows + 1, ft, n), np.float32)
         order = "C" if n < 8 else "K"  # rows under 8 floats: loop over columns
@@ -321,11 +322,10 @@ def dense(x: np.ndarray, w: np.ndarray, bias: np.ndarray | None,
         finally:
             if bufsize:
                 np.setbufsize(bufsize)
-        acc = accT.T
     else:
-        acc = np.zeros((n, fout), np.float32)
         for i in range(fin):
-            acc += x[:, i, None] * w[i, :]
+            accT += w[i, :, None] * x[:, i]
+    acc = accT.T
     if bias is not None:
         _require_f32(bias)
         _require(bias.shape == (fout,), f"Dense bias shape {bias.shape} != ({fout},)")
