@@ -14,16 +14,16 @@ decoys); runtime shapes come from the actual arrays.  The leading axis of
 every graph input is treated as a batch dimension and may differ from the
 declared size.
 
-A run first resolves every operator (kind, options, true inputs and
-weights, or a decoy's zeros), so a missing bundle, an unknown custom name, a
-bad true input position or a bad decoy record raises before any kernel runs.
-An activation is dropped after its last true read (decoy inputs never extend
-a lifetime); graph outputs and constants are kept.  ``trace.peak_live_bytes``
-is the all-live proxy (``bench.peak_bytes_single`` reads it at batch 1): the
-sum of every graph input, constant (model- or bundle-resident) and operator
-output.  ``trace.peak_live_bytes_liveness`` is the peak of that sum with each
-activation out of it after its last true read; a decoy's shared zeros count
-only while a true reader needs them.
+A run first calls :func:`resolve`, the one resolver of bundle records
+(``reconstruct`` uses it too), so a missing bundle, an unknown custom name, a
+bad true input position or decoy record, or a true input that is a decoy's
+output raises before any kernel runs: a decoy output is never a true input.
+An activation is dropped after its last true read; graph outputs and
+constants are kept.  ``trace.peak_live_bytes`` is the all-live proxy
+(``bench.peak_bytes_single`` reads it at batch 1): the sum of every graph
+input, constant (model- or bundle-resident) and operator output.
+``trace.peak_live_bytes_liveness`` is the peak of that sum with each
+activation out of it after its last true read.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bundle import KernelBundle, decode_decoy_shape
+from .bundle import BundleRecord, KernelBundle, decode_decoy_shape
 from .errors import (
     IndexOutOfRange,
     InvariantViolation,
@@ -88,31 +88,16 @@ def _check_inputs(graph: ModelGraph, inputs: list[np.ndarray]) -> None:
                 f"declared {declared} (leading axis is free)")
 
 
-def run(graph: ModelGraph, bundle: KernelBundle | None,
-        inputs: list[np.ndarray],
-        op_timing: bool = False) -> tuple[list[np.ndarray], ExecutionTrace]:
-    """Execute the graph; returns graph outputs and an execution trace.
+def resolve(graph: ModelGraph, records: dict[str, BundleRecord] | None) \
+        -> list[tuple]:
+    """Resolve every operator through ``records`` (a bundle's, or None).
 
-    ``op_timing=True`` also records each kernel call's wall time in
-    ``trace.op_seconds``, at two clock reads per call (0.0 for a decoy, which
-    runs nothing); shapes and both memory figures are always recorded.
+    Returns one ``(kind, raw_options, true_inputs, weights)`` per operator,
+    ``kind`` being the real ``BuiltinOp``, or None for a decoy layer (its
+    options encode its shape).  A true input that is a decoy's output, like
+    an unknown code, raises ``InvariantViolation``.
     """
-    _check_inputs(graph, inputs)
-    values = {t: np.ascontiguousarray(a) for t, a in zip(graph.graph_inputs, inputs)}
-    consts = materialize_constants(graph)
-    values.update(consts)
-    total = sum(a.nbytes for a in values.values())
-    if bundle is not None:
-        total += sum(w.nbytes for rec in bundle.records.values() for w in rec.weights)
-
-    # Resolve: a decoy's zeros go into ``values``, other operators become
-    # steps.  last[t] is the step that truly reads tensor t last: -1 if none,
-    # -2 for a decoy output not read yet, past the last step if t is kept.
-    n_ops = len(graph.operators)
-    clock = time.perf_counter if op_timing else None
-    shapes, seconds = [()] * n_ops, [0.0] * n_ops if clock else []
-    steps, last, live = [], [-1] * len(graph.tensors), total
-    records = bundle.records if bundle is not None else None
+    resolved, decoy_outs = [], set()
     for s, op in enumerate(graph.operators):
         opcode = graph.opcodes[op.opcode_index]
         if opcode.builtin_code != CUSTOM_SENTINEL:
@@ -128,9 +113,8 @@ def run(graph: ModelGraph, bundle: KernelBundle | None,
                     f"bundle has no record for {opcode.custom_name!r}")
             code, raw = rec.real_builtin_code, rec.real_options
             if code == DECOY_SENTINEL:  # reads nothing, never reaches a kernel
-                out, shapes[s] = _decoy_zeros(raw)
-                values[op.outputs[0]], last[op.outputs[0]] = out, -2
-                total += out.nbytes
+                resolved.append((None, raw, (), ()))
+                decoy_outs.update(op.outputs)
                 continue
             try:
                 ins = [op.inputs[p] for p in rec.true_input_positions]
@@ -143,10 +127,44 @@ def run(graph: ModelGraph, bundle: KernelBundle | None,
         kind = _KIND_OF.get(code)
         if kind is None:
             raise InvariantViolation(f"operator {s}: unknown builtin {code}")
+        if decoy_outs and not decoy_outs.isdisjoint(ins):
+            raise InvariantViolation(f"operator {s}: a true input is a decoy's output")
+        resolved.append((kind, raw, ins, weights))
+    return resolved
+
+
+def run(graph: ModelGraph, bundle: KernelBundle | None,
+        inputs: list[np.ndarray],
+        op_timing: bool = False) -> tuple[list[np.ndarray], ExecutionTrace]:
+    """Execute the graph; returns graph outputs and an execution trace.
+
+    ``op_timing=True`` also records each kernel call's wall time in
+    ``trace.op_seconds``, at two clock reads per call (0.0 for a decoy, which
+    runs nothing); shapes and both memory figures are always recorded.
+    """
+    _check_inputs(graph, inputs)
+    resolved = resolve(graph, bundle.records if bundle is not None else None)
+    values = {t: np.ascontiguousarray(a) for t, a in zip(graph.graph_inputs, inputs)}
+    consts = materialize_constants(graph)
+    values.update(consts)
+    total = sum(a.nbytes for a in values.values())
+    if bundle is not None:
+        total += sum(w.nbytes for rec in bundle.records.values() for w in rec.weights)
+
+    # Decoy zeros go into ``values``, other operators become steps.  last[t]
+    # is the step that truly reads t last: -1 if none, n_ops if t is kept.
+    n_ops = len(graph.operators)
+    clock = time.perf_counter if op_timing else None
+    shapes, seconds = [()] * n_ops, [0.0] * n_ops if clock else []
+    steps, last, live = [], [-1] * len(graph.tensors), total
+    for s, (op, (kind, raw, ins, weights)) in enumerate(zip(graph.operators, resolved)):
+        if kind is None:
+            out, shapes[s] = _decoy_zeros(raw)
+            values[op.outputs[0]] = out
+            total += out.nbytes
+            continue
         steps.append((s, op.outputs[0], kind, ins, weights, decode_options(kind, raw)))
         for t in ins:
-            if last[t] == -2:  # a decoy's zeros count once something reads them
-                live += values[t].nbytes
             last[t] = s
     for t in (*consts, *graph.graph_outputs):
         last[t] = n_ops

@@ -28,6 +28,7 @@ Conventions baked into the format:
 from __future__ import annotations
 
 import functools
+import graphlib
 import json
 import math
 import re
@@ -366,22 +367,14 @@ def validate(graph: ModelGraph) -> list[str]:
 def _has_cycle(graph: ModelGraph) -> bool:
     producers = {t: i for i, op in enumerate(graph.operators)
                  for t in op.outputs if 0 <= t < len(graph.tensors)}
-    n = len(graph.operators)
-    deps: list[set[int]] = [set() for _ in range(n)]
-    for i, op in enumerate(graph.operators):
-        for tin in op.inputs:
-            p = producers.get(tin)
-            if p is not None and p != i:
-                deps[i].add(p)
-    done: set[int] = set()
-    progress = True
-    while progress and len(done) < n:
-        progress = False
-        for i in range(n):
-            if i not in done and deps[i] <= done:
-                done.add(i)
-                progress = True
-    return len(done) < n
+    deps = {i: {producers[t] for t in op.inputs
+                if t in producers and producers[t] != i}
+            for i, op in enumerate(graph.operators)}
+    try:
+        graphlib.TopologicalSorter(deps).prepare()
+    except graphlib.CycleError:
+        return True
+    return False
 
 
 def _raise_for_violations(violations: list[str]) -> None:

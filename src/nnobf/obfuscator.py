@@ -28,6 +28,7 @@ from enum import Enum
 
 import numpy as np
 
+from . import interpreter
 from .bundle import (
     BundleRecord,
     KernelBundle,
@@ -47,6 +48,7 @@ from .model_format import (
     OperatorEntry,
     OptionsKind,
     Tensor,
+    _raise_for_violations,
     materialize_constants,
     validate,
 )
@@ -347,9 +349,7 @@ def obfuscate(graph: ModelGraph, config: ObfuscationConfig) \
         -> tuple[ModelGraph, KernelBundle, ObfuscationPlan]:
     """Apply the enabled passes in canonical order; fully deterministic."""
     validate_config(config)
-    bad = validate(graph)
-    if bad:
-        raise InvariantViolation("; ".join(bad))
+    _raise_for_violations(validate(graph))
 
     master = random.Random(config.seed)
     stage_seed = {s: master.getrandbits(64) for s in STRATEGY_ORDER}
@@ -389,63 +389,45 @@ def reconstruct(graph: ModelGraph, plan: ObfuscationPlan) -> ModelGraph:
 
     Declared activation shapes are restored by executing the rebuilt graph
     once on zero inputs (original models declare their true runtime shapes).
+    Records that do not fit the graph raise ``PlanMismatch``.
     """
-    if Strategy.RENAME not in plan.config.strategies:
-        for op in graph.operators:
-            if graph.opcodes[op.opcode_index].is_custom:
-                raise PlanMismatch("plan has no rename records but the graph "
-                                   "contains custom operators")
-        if Strategy.SHAPE in plan.config.strategies:
-            return _restore_shapes(graph)
-        return graph
-
-    records = plan.records
+    renamed = Strategy.RENAME in plan.config.strategies
     for i, op in enumerate(graph.operators):
-        oc = graph.opcodes[op.opcode_index]
-        if not oc.is_custom:
-            raise PlanMismatch(f"operators[{i}] is not custom; graph does not "
-                               f"match the plan")
-        if oc.custom_name not in records:
-            raise PlanMismatch(f"plan has no record for operator "
-                               f"{oc.custom_name!r}")
+        if graph.opcodes[op.opcode_index].is_custom != renamed:
+            raise PlanMismatch(
+                f"operators[{i}] is {'not ' if renamed else ''}custom but the "
+                f"plan {'renames' if renamed else 'does not rename'} operators")
+    if not renamed:
+        return _restore_shapes(graph) if Strategy.SHAPE in plan.config.strategies \
+            else graph
+    try:
+        resolved = interpreter.resolve(graph, plan.records)
+    except NnobfError as e:
+        raise PlanMismatch(f"plan does not fit the graph: {e}") from e
 
-    decoy_tensors: set[int] = set()
-    real_ops: list[tuple[OperatorEntry, BundleRecord]] = []
-    for op in graph.operators:
-        rec = records[graph.opcodes[op.opcode_index].custom_name]
-        if rec.is_decoy:
-            decoy_tensors.update(op.outputs)
-        else:
-            real_ops.append((op, rec))
-
-    remap: dict[int, int] = {}
-    tensors: list[Tensor] = []
-    for i, t in enumerate(graph.tensors):
-        if i not in decoy_tensors:
-            remap[i] = len(tensors)
-            tensors.append(t)
-
-    opcodes: list[OperatorCode] = []
+    decoys = {op.outputs[0] for op, r in zip(graph.operators, resolved) if r[0] is None}
+    kept = [i for i in range(len(graph.tensors)) if i not in decoys]
+    remap = {i: k for k, i in enumerate(kept)}
+    tensors = [graph.tensors[i] for i in kept]
     opcode_index: dict[int, int] = {}
     # keep existing buffers: without encapsulation, constants still live here
     buffers: list[bytes] = list(graph.buffers)
     operators: list[OperatorEntry] = []
-    for op, rec in real_ops:
-        code = rec.real_builtin_code
-        if code not in opcode_index:
-            opcode_index[code] = len(opcodes)
-            opcodes.append(OperatorCode(code))
-        inputs = [remap[op.inputs[p]] for p in rec.true_input_positions]
-        for w in rec.weights:
+    for op, (kind, raw, ins, weights) in zip(graph.operators, resolved):
+        if kind is None:
+            continue
+        inputs = [remap[t] for t in ins]
+        for w in weights:
             buffers.append(np.ascontiguousarray(w).tobytes())
             tensors.append(Tensor(f"const{len(buffers) - 1}", DTYPE_OF[w.dtype],
                                   tuple(w.shape), len(buffers) - 1))
             inputs.append(len(tensors) - 1)
-        operators.append(OperatorEntry(opcode_index[code], tuple(inputs),
-                                       tuple(remap[t] for t in op.outputs),
-                                       OptionsKind.BUILTIN, rec.real_options))
+        operators.append(OperatorEntry(
+            opcode_index.setdefault(kind, len(opcode_index)), tuple(inputs),
+            tuple(remap[t] for t in op.outputs), OptionsKind.BUILTIN, raw))
 
-    rebuilt = ModelGraph(tuple(opcodes), tuple(buffers), tuple(tensors),
+    opcodes = tuple(OperatorCode(int(kind)) for kind in opcode_index)
+    rebuilt = ModelGraph(opcodes, tuple(buffers), tuple(tensors),
                          tuple(operators),
                          tuple(remap[t] for t in graph.graph_inputs),
                          tuple(remap[t] for t in graph.graph_outputs))
@@ -459,11 +441,9 @@ def reconstruct(graph: ModelGraph, plan: ObfuscationPlan) -> ModelGraph:
 
 
 def _restore_shapes(graph: ModelGraph) -> ModelGraph:
-    from .interpreter import run  # local import to avoid a cycle
-
     zeros = [np.zeros(graph.tensors[t].shape, NP_DTYPE[graph.tensors[t].dtype])
              for t in graph.graph_inputs]
-    _, trace = run(graph, None, zeros)
+    _, trace = interpreter.run(graph, None, zeros)
     shapes = {op.outputs[0]: s
               for op, (s,) in zip(graph.operators, trace.output_shapes)}
     tensors = tuple(replace(t, shape=shapes[i]) if i in shapes else t

@@ -287,8 +287,21 @@ def last_record(public, bundle, decoy):
     return next(n for n in reversed(names) if bundle.records[n].is_decoy == decoy)
 
 
+def decoy_reader(public, records):
+    """Name of the first true record whose operator declares a decoy layer's
+    output among its inputs, and that input's position."""
+    decoy_outs = set()
+    for op in public.operators:
+        name = public.opcodes[op.opcode_index].custom_name
+        if records[name].is_decoy:
+            decoy_outs.update(op.outputs)
+        elif not decoy_outs.isdisjoint(op.inputs):
+            return name, next(p for p, t in enumerate(op.inputs) if t in decoy_outs)
+    raise AssertionError("no operator declares a decoy layer's output")
+
+
 @pytest.mark.parametrize("fault", ["no bundle", "unknown name", "bad position",
-                                   "bad decoy", "unknown kind"])
+                                   "bad decoy", "unknown kind", "decoy read"])
 def test_resolution_errors_raise_before_any_kernel(lenet, monkeypatch, fault):
     config = ObfuscationConfig(seed=5, n_shortcuts=5, n_extra_layers=5)
     public, bundle, _ = obfuscate(lenet, config)
@@ -296,10 +309,16 @@ def test_resolution_errors_raise_before_any_kernel(lenet, monkeypatch, fault):
     error = {"no bundle": MissingBundle, "unknown name": UnknownCustomName,
              "bad position": IndexOutOfRange,
              "bad decoy": InvariantViolation,
-             "unknown kind": InvariantViolation}[fault]
+             "unknown kind": InvariantViolation,
+             "decoy read": InvariantViolation}[fault]
     if fault == "no bundle":  # two builtin ReLUs run before the custom op
         public, bundle = shortcut_graph()[0], None
         x = np.ones((1, 4), F)
+    elif fault == "decoy read":  # a true input that is a decoy's zeros
+        name, pos = decoy_reader(public, bundle.records)
+        rec = bundle.records[name]
+        bundle.records[name] = dataclasses.replace(
+            rec, true_input_positions=(pos, *rec.true_input_positions[1:]))
     else:
         name = last_record(public, bundle, decoy=fault == "bad decoy")
         rec = bundle.records[name]

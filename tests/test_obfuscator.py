@@ -9,7 +9,14 @@ import numpy as np
 import pytest
 
 from nnobf.bundle import load_bundle, serialize_bundle
-from nnobf.errors import InvariantViolation, MalformedPlan, PlanMismatch
+from nnobf.errors import (
+    CycleDetected,
+    IndexOutOfRange,
+    InvariantViolation,
+    MalformedPlan,
+    NnobfError,
+    PlanMismatch,
+)
 from nnobf.fixtures import FIXTURE_NAMES, FIXTURE_STATS, build_fixture
 from nnobf.interpreter import run
 from nnobf.model_format import (
@@ -44,6 +51,7 @@ from nnobf.obfuscator import (
     rename,
 )
 from test_bundle import CORRUPTIONS as BUNDLE_CORRUPTIONS
+from test_interpreter import decoy_reader
 
 F = np.float32
 NAME_RE = re.compile(r"^[A-Z][a-z]{5}$")
@@ -85,6 +93,27 @@ def test_config_requires_prereqs_for_injections():
 def test_config_rejects_negative_counts():
     with pytest.raises(InvariantViolation):
         obfuscate(relu_chain(3), ObfuscationConfig(seed=0, n_shortcuts=-1))
+
+
+def cyclic_graph():
+    """Two ADDs that each read the other's output."""
+    tensors = tuple(Tensor(n, DType.F32, (4,)) for n in "abc")
+    return ModelGraph((OperatorCode(int(BuiltinOp.ADD)),), (b"",), tensors,
+                      (OperatorEntry(0, (0, 2), (1,)), OperatorEntry(0, (0, 1), (2,))),
+                      (0,), (2,))
+
+
+@pytest.mark.parametrize("broken, error", [
+    (cyclic_graph, CycleDetected),
+    (lambda: replace(relu_chain(3), graph_outputs=(99,)), IndexOutOfRange),
+], ids=["cycle", "out of range"])
+def test_obfuscate_rejects_a_bad_graph_as_serialize_model_does(broken, error):
+    with pytest.raises(NnobfError) as want:
+        serialize_model(broken())
+    with pytest.raises(NnobfError) as got:
+        obfuscate(broken(), ObfuscationConfig(seed=0))
+    assert type(want.value) is type(got.value) is error
+    assert str(want.value) == str(got.value)
 
 
 # -- rename -----------------------------------------------------------------------
@@ -558,6 +587,22 @@ def test_reconstruct_rejects_foreign_plan(lenet):
     _, _, other_plan = obfuscate(lenet, ObfuscationConfig(seed=2))
     with pytest.raises(PlanMismatch):
         reconstruct(public, other_plan)
+
+
+@pytest.mark.parametrize("fault", ["position past inputs", "decoy read", "no record"])
+def test_reconstruct_rejects_tampered_plan(lenet, fault):
+    public, _, plan = obfuscate(
+        lenet, ObfuscationConfig(seed=5, n_shortcuts=5, n_extra_layers=5))
+    name, pos = decoy_reader(public, plan.records)
+    rec = plan.records[name]
+    if fault == "no record":
+        del plan.records[name]
+    else:
+        first = 99 if fault == "position past inputs" else pos
+        plan.records[name] = replace(
+            rec, true_input_positions=(first, *rec.true_input_positions[1:]))
+    with pytest.raises(PlanMismatch):
+        reconstruct(public, plan_from_json(plan_to_json(plan)))
 
 
 def test_identity_config_is_identity(lenet):

@@ -12,10 +12,15 @@ sides' runs, medians and quartiles, the relative change of the medians, the
 number of pairs the change won, and whether the change stays within the
 metric's ``BENCHMARK.json`` bound; per workload, the failed operations; the
 ``env`` line of each side's first run, with ``git_rev`` set to the side's
-commit (``+uncommitted`` when the working tree differs from it); and, as
+commit (``+uncommitted`` when the working tree differs from it) and
+``src_lines`` to the line count of the side's ``src/`` Python files; and, as
 ``claim``, every metric on which the change won at least nine pairs in ten
 and moved its median by more than the parent's interquartile range.
-Standard library only.
+
+A metric is ``unresolved`` when the parent's interquartile range, relative
+to its median, is wider than the metric's bound, unless every change run is
+better than every parent run: within that spread, a median inside the bound
+does not show the metric unchanged.  Standard library only.
 """
 
 from __future__ import annotations
@@ -35,6 +40,10 @@ SIDES = ("parent", "change")
 
 def git(*args: str) -> subprocess.CompletedProcess:
     return subprocess.run(["git", *args], cwd=ROOT, capture_output=True)
+
+
+def src_lines(checkout: Path) -> int:
+    return sum(p.read_bytes().count(b"\n") for p in (checkout / "src").rglob("*.py"))
 
 
 def run_once(checkout: Path, workload: str, seconds: float, seed: int | None) -> dict:
@@ -71,8 +80,12 @@ def summarize(runs: dict[str, list[dict]], spec: dict) -> dict:
         worse = rel if lower else -rel
         wins = sum((c < p) if lower else (c > p)
                    for p, c in zip(values["parent"], values["change"]))
+        spread = (entry["parent"]["q3"] - entry["parent"]["q1"]) / abs(base) if base else 0.0
+        beats_all = (max(values["change"]) < min(values["parent"]) if lower
+                     else min(values["change"]) > max(values["parent"]))
         entry.update({"rel_change": rel, "change_won_pairs": wins,
-                      "bound": m["bound"], "within_bound": worse <= m["bound"]})
+                      "bound": m["bound"], "within_bound": worse <= m["bound"],
+                      "unresolved": spread > m["bound"] and not beats_all})
         metrics[name] = entry
     return metrics
 
@@ -119,6 +132,8 @@ def bench(parent: Path, args, spec: dict) -> dict:
             "failed_ops": {side: sum(r["failed"] for r in runs[side]) for side in SIDES},
             "metrics": summarize(runs, spec),
         }
+    for side in SIDES:
+        out["env"][side]["src_lines"] = src_lines(checkouts[side])
     return out
 
 
@@ -154,8 +169,12 @@ def main(argv: list[str] | None = None) -> int:
                           f"written by tools/bench_pairs.py",
            "claim": "; ".join(found) or "none: no metric won 90% of the pairs "
                                          "beyond the parent's interquartile range",
+           "unresolved": [f"{workload} {name}"
+                          for workload, w in result["workloads"].items()
+                          for name, e in w["metrics"].items() if e["unresolved"]],
            "env_note": "perfbench's env line from each side's first run of the first "
-                       "workload, git_rev set to the side's commit",
+                       "workload, git_rev set to the side's commit, src_lines to "
+                       "the line count of the side's src/*.py",
            **result}
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0
