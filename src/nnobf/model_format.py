@@ -367,8 +367,7 @@ def validate(graph: ModelGraph) -> list[str]:
 def _has_cycle(graph: ModelGraph) -> bool:
     producers = {t: i for i, op in enumerate(graph.operators)
                  for t in op.outputs if 0 <= t < len(graph.tensors)}
-    deps = {i: {producers[t] for t in op.inputs
-                if t in producers and producers[t] != i}
+    deps = {i: {p for t in op.inputs if (p := producers.get(t, i)) != i}
             for i, op in enumerate(graph.operators)}
     try:
         graphlib.TopologicalSorter(deps).prepare()
