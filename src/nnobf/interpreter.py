@@ -143,7 +143,6 @@ def run(graph: ModelGraph, bundle: KernelBundle | None,
     runs nothing); shapes and both memory figures are always recorded.
     """
     _check_inputs(graph, inputs)
-    resolved = resolve(graph, bundle.records if bundle is not None else None)
     values = {t: np.ascontiguousarray(a) for t, a in zip(graph.graph_inputs, inputs)}
     consts = materialize_constants(graph)
     values.update(consts)
@@ -151,13 +150,15 @@ def run(graph: ModelGraph, bundle: KernelBundle | None,
     if bundle is not None:
         total += sum(w.nbytes for rec in bundle.records.values() for w in rec.weights)
 
-    # Decoy zeros go into ``values``, other operators become steps.  last[t]
-    # is the step that truly reads t last: -1 if none, n_ops if t is kept.
+    # Decoy zeros go into ``values``, other operators become steps; the
+    # resolved list dies with the loop, before any kernel runs.  last[t] is
+    # the step that truly reads t last: -1 if none, n_ops if t is kept.
     n_ops = len(graph.operators)
     clock = time.perf_counter if op_timing else None
     shapes, seconds = [()] * n_ops, [0.0] * n_ops if clock else []
     steps, last, live = [], [-1] * len(graph.tensors), total
-    for s, (op, (kind, raw, ins, weights)) in enumerate(zip(graph.operators, resolved)):
+    for s, (op, (kind, raw, ins, weights)) in enumerate(
+            zip(graph.operators, resolve(graph, bundle and bundle.records))):
         if kind is None:
             out, shapes[s] = _decoy_zeros(raw)
             values[op.outputs[0]] = out
