@@ -23,7 +23,7 @@ reader serve both formats.
 any record the runtime could not execute: a name that is not UTF-8, a code
 that is neither a ``BuiltinOp`` nor ``DECOY_SENTINEL``, decoy options whose
 length disagrees with their rank byte, a decoy shape of more than 65,536
-elements (the runtime allocates its zeros), an unknown dtype byte, and weight
+elements (the runtime counts its size), an unknown dtype byte, and weight
 data that is not exactly ``itemsize * prod(dims)`` bytes.  Records hold wire
 data only; the runtime keeps no state in them.  Short input raises
 :class:`~nnobf.errors.TruncatedSection`, a bad header
@@ -52,8 +52,8 @@ from .model_format import (
 BUNDLE_MAGIC = b"OBFB"
 BUNDLE_VERSION = 1
 # Largest decoy output, in elements, that load_bundle accepts.  The runtime
-# allocates every decoy's zeros, so an unchecked shape is a memory bomb; the
-# obfuscator draws at most 8 x 8.
+# counts every decoy's output size in its memory figures; the obfuscator
+# draws at most 8 x 8.
 _MAX_DECOY_ELEMENTS = 65_536
 
 

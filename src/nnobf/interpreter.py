@@ -6,8 +6,8 @@ from the declared input list, appends encapsulated weights, and executes the
 real kernel with the real options.  Every operator has exactly one output.
 Decoy inputs and decoy layers never feed the true computation, so obfuscated
 outputs are bit-identical to the original's.  A decoy layer's output is
-read-only zeros of its recorded shape, from a bounded memo keyed by the
-record's option bytes.
+never a true input nor a graph output, so a run allocates none: it records
+the shape and size the record's option bytes encode, from a bounded memo.
 
 Declared tensor shapes are never consulted during execution (they may be
 decoys); runtime shapes come from the actual arrays.  The leading axis of
@@ -16,12 +16,12 @@ declared size.
 
 A run first calls :func:`resolve`, the one resolver of bundle records
 (``reconstruct`` uses it too), so a missing bundle, an unknown custom name, a
-bad true input position or decoy record, or a true input that is a decoy's
-output raises before any kernel runs: a decoy output is never a true input.
-An activation is dropped after its last true read; graph outputs and
-constants are kept.  ``trace.peak_live_bytes`` is the all-live proxy
-(``bench.peak_bytes_single`` reads it at batch 1): the sum of every graph
-input, constant (model- or bundle-resident) and operator output.
+bad true input position or decoy record, or a true input or graph output that
+is a decoy's output raises before any kernel runs.  An activation is dropped
+after its last true read; graph outputs and constants are kept.
+``trace.peak_live_bytes`` is the all-live proxy (``bench.peak_bytes_single``
+reads it at batch 1): the sum of every graph input, constant (model- or
+bundle-resident) and operator output, decoys included.
 ``trace.peak_live_bytes_liveness`` is the peak of that sum with each
 activation out of it after its last true read.
 """
@@ -29,6 +29,7 @@ activation out of it after its last true read.
 from __future__ import annotations
 
 import functools
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -57,15 +58,11 @@ _KIND_OF = {int(k): k for k in BuiltinOp}
 
 
 @functools.lru_cache(maxsize=64)
-def _decoy_zeros(raw: bytes) -> tuple[np.ndarray, tuple]:
-    """Read-only float32 zeros of the shape a decoy record's options encode,
-    and their ``output_shapes`` entry.
-
-    Bounded in count by the cache and in size by ``decode_decoy_shape``.
-    """
-    zeros = np.zeros(decode_decoy_shape(raw), np.float32)
-    zeros.flags.writeable = False
-    return zeros, (zeros.shape,)
+def _decoy_output(raw: bytes) -> tuple[tuple, int]:
+    """The ``output_shapes`` entry and float32 byte size of the output a
+    decoy record's options encode (bounded by ``decode_decoy_shape``)."""
+    shape = decode_decoy_shape(raw)
+    return (shape,), 4 * math.prod(shape)
 
 
 @dataclass
@@ -94,8 +91,8 @@ def resolve(graph: ModelGraph, records: dict[str, BundleRecord] | None) \
 
     Returns one ``(kind, raw_options, true_inputs, weights)`` per operator,
     ``kind`` being the real ``BuiltinOp``, or None for a decoy layer (its
-    options encode its shape).  A true input that is a decoy's output, like
-    an unknown code, raises ``InvariantViolation``.
+    options encode its shape).  A true input or graph output that is a
+    decoy's output, like an unknown code, raises ``InvariantViolation``.
     """
     resolved, decoy_outs = [], set()
     for s, op in enumerate(graph.operators):
@@ -114,7 +111,7 @@ def resolve(graph: ModelGraph, records: dict[str, BundleRecord] | None) \
             code, raw = rec.real_builtin_code, rec.real_options
             if code == DECOY_SENTINEL:  # reads nothing, never reaches a kernel
                 resolved.append((None, raw, (), ()))
-                decoy_outs.update(op.outputs)
+                decoy_outs.add(op.outputs[0])
                 continue
             try:
                 ins = [op.inputs[p] for p in rec.true_input_positions]
@@ -130,6 +127,8 @@ def resolve(graph: ModelGraph, records: dict[str, BundleRecord] | None) \
         if decoy_outs and not decoy_outs.isdisjoint(ins):
             raise InvariantViolation(f"operator {s}: a true input is a decoy's output")
         resolved.append((kind, raw, ins, weights))
+    if decoy_outs and not decoy_outs.isdisjoint(graph.graph_outputs):
+        raise InvariantViolation("a graph output is a decoy's output")
     return resolved
 
 
@@ -150,21 +149,19 @@ def run(graph: ModelGraph, bundle: KernelBundle | None,
     if bundle is not None:
         total += sum(w.nbytes for rec in bundle.records.values() for w in rec.weights)
 
-    # Decoy zeros go into ``values``, other operators become steps; the
-    # resolved list dies with the loop, before any kernel runs.  last[t] is
-    # the step that truly reads t last: -1 if none, n_ops if t is kept.
+    # The resolved list dies with this loop, before any kernel runs.  last[t]
+    # is the step that truly reads t last: -1 if none, n_ops if t is kept.
     n_ops = len(graph.operators)
     clock = time.perf_counter if op_timing else None
     shapes, seconds = [()] * n_ops, [0.0] * n_ops if clock else []
     steps, last, live = [], [-1] * len(graph.tensors), total
-    for s, (op, (kind, raw, ins, weights)) in enumerate(
-            zip(graph.operators, resolve(graph, bundle and bundle.records))):
+    ops = graph.operators
+    for s, (kind, raw, ins, weights) in enumerate(resolve(graph, bundle and bundle.records)):
         if kind is None:
-            out, shapes[s] = _decoy_zeros(raw)
-            values[op.outputs[0]] = out
-            total += out.nbytes
+            shapes[s], n = _decoy_output(raw)
+            total += n
             continue
-        steps.append((s, op.outputs[0], kind, ins, weights, decode_options(kind, raw)))
+        steps.append((s, ops[s].outputs[0], kind, ins, weights, decode_options(kind, raw)))
         for t in ins:
             last[t] = s
     for t in (*consts, *graph.graph_outputs):

@@ -287,6 +287,13 @@ def last_record(public, bundle, decoy):
     return next(n for n in reversed(names) if bundle.records[n].is_decoy == decoy)
 
 
+def decoy_op(public, bundle):
+    """The last decoy layer's operator."""
+    name = last_record(public, bundle, decoy=True)
+    return next(op for op in public.operators
+                if public.opcodes[op.opcode_index].custom_name == name)
+
+
 def decoy_reader(public, records):
     """Name of the first true record whose operator declares a decoy layer's
     output among its inputs, and that input's position."""
@@ -301,7 +308,8 @@ def decoy_reader(public, records):
 
 
 @pytest.mark.parametrize("fault", ["no bundle", "unknown name", "bad position",
-                                   "bad decoy", "unknown kind", "decoy read"])
+                                   "bad decoy", "unknown kind", "decoy read",
+                                   "decoy graph output"])
 def test_resolution_errors_raise_before_any_kernel(lenet, monkeypatch, fault):
     config = ObfuscationConfig(seed=5, n_shortcuts=5, n_extra_layers=5)
     public, bundle, _ = obfuscate(lenet, config)
@@ -310,7 +318,8 @@ def test_resolution_errors_raise_before_any_kernel(lenet, monkeypatch, fault):
              "bad position": IndexOutOfRange,
              "bad decoy": InvariantViolation,
              "unknown kind": InvariantViolation,
-             "decoy read": InvariantViolation}[fault]
+             "decoy read": InvariantViolation,
+             "decoy graph output": InvariantViolation}[fault]
     if fault == "no bundle":  # two builtin ReLUs run before the custom op
         public, bundle = shortcut_graph()[0], None
         x = np.ones((1, 4), F)
@@ -319,6 +328,8 @@ def test_resolution_errors_raise_before_any_kernel(lenet, monkeypatch, fault):
         rec = bundle.records[name]
         bundle.records[name] = dataclasses.replace(
             rec, true_input_positions=(pos, *rec.true_input_positions[1:]))
+    elif fault == "decoy graph output":
+        public = dataclasses.replace(public, graph_outputs=decoy_op(public, bundle).outputs)
     else:
         name = last_record(public, bundle, decoy=fault == "bad decoy")
         rec = bundle.records[name]

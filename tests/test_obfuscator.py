@@ -51,7 +51,7 @@ from nnobf.obfuscator import (
     rename,
 )
 from test_bundle import CORRUPTIONS as BUNDLE_CORRUPTIONS
-from test_interpreter import decoy_reader
+from test_interpreter import decoy_op, decoy_reader
 
 F = np.float32
 NAME_RE = re.compile(r"^[A-Z][a-z]{5}$")
@@ -589,14 +589,17 @@ def test_reconstruct_rejects_foreign_plan(lenet):
         reconstruct(public, other_plan)
 
 
-@pytest.mark.parametrize("fault", ["position past inputs", "decoy read", "no record"])
-def test_reconstruct_rejects_tampered_plan(lenet, fault):
+@pytest.mark.parametrize("fault", ["position past inputs", "decoy read", "no record",
+                                   "decoy graph output"])
+def test_reconstruct_rejects_a_plan_that_does_not_fit(lenet, fault):
     public, _, plan = obfuscate(
         lenet, ObfuscationConfig(seed=5, n_shortcuts=5, n_extra_layers=5))
     name, pos = decoy_reader(public, plan.records)
     rec = plan.records[name]
     if fault == "no record":
         del plan.records[name]
+    elif fault == "decoy graph output":  # the model is the tampered part
+        public = replace(public, graph_outputs=decoy_op(public, plan).outputs)
     else:
         first = 99 if fault == "position past inputs" else pos
         plan.records[name] = replace(
