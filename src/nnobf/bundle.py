@@ -15,9 +15,9 @@ Wire format "OBFB", little-endian:
                 n_weights u32, per weight: dtype u8, dims: index list,
                                            data u64 len + bytes
 
-An index list is ``n u32`` followed by ``n`` u32 values, the same layout the
-model file uses for operator inputs and tensor shapes, so one packer and one
-reader serve both formats.
+``_BUNDLE`` is the wire spec; the text above restates it.  An index list is
+``n u32`` followed by ``n`` u32 values, as in the model file, whose layout
+walker writes and reads both formats.
 
 :func:`load_bundle` rejects, with :class:`~nnobf.errors.InvariantViolation`,
 any record the runtime could not execute: a name that is not UTF-8, a code
@@ -25,8 +25,8 @@ that is neither a ``BuiltinOp`` nor ``DECOY_SENTINEL``, decoy options whose
 length disagrees with their rank byte, a decoy shape of more than 65,536
 elements (the runtime counts its size), an unknown dtype byte, and weight
 data that is not exactly ``itemsize * prod(dims)`` bytes.  Records hold wire
-data only; the runtime keeps no state in them.  Short input raises
-:class:`~nnobf.errors.TruncatedSection`, a bad header
+data only; the runtime keeps no state in them.  Short input and trailing
+bytes raise :class:`~nnobf.errors.TruncatedSection`, a bad header
 :class:`~nnobf.errors.BadMagic`.
 """
 
@@ -38,15 +38,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadMagic, InvariantViolation, TruncatedSection
+from .errors import InvariantViolation
 from .model_format import (
     DECOY_SENTINEL,
     DTYPE_OF,
     NP_DTYPE,
     BuiltinOp,
-    _pack_indices,
-    _pack_str,
-    _Reader,
+    DType,
+    _decode,
+    _encode,
 )
 
 BUNDLE_MAGIC = b"OBFB"
@@ -103,66 +103,37 @@ def decode_decoy_shape(raw: bytes, what: str = "decoy") -> tuple[int, ...]:
 @dataclass
 class KernelBundle:
     records: dict[str, BundleRecord]
-    version: int = BUNDLE_VERSION
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, KernelBundle):
-            return NotImplemented
-        return self.version == other.version and self.records == other.records
+
+def _record(name, code, options, positions, weights) -> tuple[str, BundleRecord]:
+    if code == DECOY_SENTINEL:
+        decode_decoy_shape(options, f"decoy record {name!r}")
+    elif code not in BuiltinOp._value2member_map_:
+        raise InvariantViolation(f"record {name!r}: unknown builtin {code}")
+    return name, BundleRecord(code, options, positions, weights)
+
+
+def _weight(dtype, shape, raw) -> np.ndarray:
+    want = math.prod(shape) * NP_DTYPE[dtype].itemsize
+    if len(raw) != want:
+        raise InvariantViolation(f"weight of shape {shape} holds {len(raw)} "
+                                 f"bytes, not {want}")
+    return np.frombuffer(raw, dtype=NP_DTYPE[dtype]).reshape(shape)
+
+
+# The wire layout, in the field kinds of model_format._MODEL.
+_BUNDLE = ((_record, ("s", "H", "b", "i", (_weight, (DType, "i", "q")))),)
 
 
 def serialize_bundle(bundle: KernelBundle) -> bytes:
-    out = [BUNDLE_MAGIC, struct.pack("<I", bundle.version),
-           struct.pack("<I", len(bundle.records))]
-    for name, rec in bundle.records.items():
-        out.append(_pack_str(name))
-        out.append(struct.pack("<HI", rec.real_builtin_code,
-                               len(rec.real_options)))
-        out.append(rec.real_options)
-        out.append(_pack_indices(rec.true_input_positions))
-        out.append(struct.pack("<I", len(rec.weights)))
-        for w in rec.weights:
-            data = np.ascontiguousarray(w).tobytes()
-            out.append(struct.pack("<B", int(DTYPE_OF[w.dtype])))
-            out.append(_pack_indices(w.shape))
-            out.append(struct.pack("<Q", len(data)))
-            out.append(data)
-    return b"".join(out)
+    rows = [(name, rec.real_builtin_code, rec.real_options,
+             rec.true_input_positions,
+             [(DTYPE_OF[w.dtype], w.shape, np.ascontiguousarray(w).tobytes())
+              for w in rec.weights])
+            for name, rec in bundle.records.items()]
+    return _encode(BUNDLE_MAGIC, BUNDLE_VERSION, _BUNDLE, (rows,))
 
 
 def load_bundle(data: bytes) -> KernelBundle:
-    r = _Reader(data)
-    if r.take(4) != BUNDLE_MAGIC:
-        raise BadMagic(f"expected {BUNDLE_MAGIC!r} header")
-    version = r.u32()
-    if version != BUNDLE_VERSION:
-        raise BadMagic(f"unsupported bundle version {version}")
-    records: dict[str, BundleRecord] = {}
-    for _ in range(r.u32()):
-        name = r.string()
-        code = r.u16()
-        options = r.take(r.u32())
-        if code == DECOY_SENTINEL:
-            decode_decoy_shape(options, f"decoy record {name!r}")
-        elif code not in BuiltinOp._value2member_map_:
-            raise InvariantViolation(f"record {name!r}: unknown builtin {code}")
-        positions = r.indices()
-        weights = []
-        for _ in range(r.u32()):
-            dtype_raw = r.u8()
-            if dtype_raw not in NP_DTYPE:
-                raise InvariantViolation(
-                    f"record {name!r}: unknown dtype {dtype_raw}")
-            np_dtype = NP_DTYPE[dtype_raw]
-            shape = r.indices()
-            raw = r.take(r.u64())
-            want = math.prod(shape) * np_dtype.itemsize
-            if len(raw) != want:
-                raise InvariantViolation(
-                    f"record {name!r}: weight of shape {shape} holds "
-                    f"{len(raw)} bytes, not {want}")
-            weights.append(np.frombuffer(raw, dtype=np_dtype).reshape(shape))
-        records[name] = BundleRecord(code, options, positions, tuple(weights))
-    if r.pos != len(data):
-        raise TruncatedSection(f"{len(data) - r.pos} trailing bytes in bundle")
-    return KernelBundle(records, version)
+    (records,) = _decode(BUNDLE_MAGIC, BUNDLE_VERSION, _BUNDLE, data)
+    return KernelBundle(dict(records))

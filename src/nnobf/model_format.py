@@ -14,6 +14,10 @@ A model file is a little-endian, length-prefixed dump of five tables:
                                           options_kind u8, options u32 len + bytes
     graph io       n u32 + u32 indices, twice (inputs then outputs)
 
+``_MODEL`` is the wire spec; the text above restates it.  One writer and one
+reader walk it, and the bundle's ``_BUNDLE``.  Any strict prefix of a file,
+and a file with bytes after its last field, raises ``TruncatedSection``.
+
 Serialization is canonical: a graph maps to exactly one byte string, and
 ``parse_model(serialize_model(g)) == g`` field for field.
 
@@ -33,8 +37,10 @@ import json
 import math
 import re
 import struct
-from dataclasses import asdict, astuple, dataclass
+from dataclasses import asdict, astuple, dataclass, is_dataclass
 from enum import IntEnum
+from itertools import chain
+from operator import attrgetter
 
 import numpy as np
 
@@ -391,150 +397,133 @@ def _raise_for_violations(violations: list[str]) -> None:
 # serialization
 # ---------------------------------------------------------------------------
 
-def _pack_str(s: str) -> bytes:
-    raw = s.encode("utf-8")
-    return struct.pack("<I", len(raw)) + raw
+_U8, _U16, _U32, _U64 = (struct.Struct(f) for f in ("<B", "<H", "<I", "<Q"))
+_FIXED = {"B": _U8, "H": _U16, "I": _U32}
+_COUNTED = {"s": _U32, "b": _U32, "q": _U64}
+
+# The wire layouts, field by field in wire order.  Field kinds: "B"/"H"/"I"
+# a fixed unsigned int; an IntEnum class one byte; "s" a u32-counted UTF-8
+# string; "b"/"q" u32-/u64-counted bytes; "i" an index list (n u32, then n
+# u32 values); (build, sub) a u32-counted list of rows of layout ``sub``,
+# each read back as ``build(*fields)``.  When ``build`` is a dataclass, its
+# fields are the row's fields in wire order; other rows are written from a
+# tuple of their fields or, with a one-field ``sub``, from the value itself.
+_MODEL = ((OperatorCode, ("H", "s")), (bytes, ("q",)),
+          (Tensor, ("s", DType, "i", "I")),
+          (OperatorEntry, ("I", "i", "i", OptionsKind, "b")), "i", "i")
 
 
-def _pack_indices(idx: tuple[int, ...]) -> bytes:
-    return struct.pack(f"<I{len(idx)}I", len(idx), *idx)
+def _write(layout, values, out: list) -> None:
+    """Append the encoding of ``values`` under ``layout`` to ``out``."""
+    for kind, value in zip(layout, values):
+        if type(kind) is str:
+            if kind == "i":
+                out.append(struct.pack(f"<I{len(value)}I", len(value), *value))
+            elif kind in _FIXED:
+                out.append(_FIXED[kind].pack(value))
+            else:  # a count, then that many bytes
+                raw = value.encode("utf-8") if kind == "s" else value
+                out += (_COUNTED[kind].pack(len(raw)), raw)
+        elif type(kind) is tuple:
+            build, sub = kind
+            out.append(_U32.pack(len(value)))
+            if value:  # one walk over every row's fields
+                rows = (map(attrgetter(*build.__dataclass_fields__), value)
+                        if is_dataclass(build) else value)
+                _write(sub * len(value),
+                       chain.from_iterable(rows) if len(sub) > 1 else rows, out)
+        else:  # an IntEnum class: one byte
+            out.append(_U8.pack(value))
+
+
+def _read(layout, data: bytes, pos: int) -> tuple[list, int]:
+    """Decode ``layout`` from ``data`` at ``pos``: its values and the offset
+    past them.  A short fixed-width read raises ``struct.error``."""
+    values = []
+    for kind in layout:
+        if type(kind) is str:
+            if kind == "i":
+                (n,) = _U32.unpack_from(data, pos)
+                value = struct.unpack_from(f"<{n}I", data, pos + 4)
+                pos += 4 + 4 * n
+            elif kind in _FIXED:
+                (value,) = _FIXED[kind].unpack_from(data, pos)
+                pos += _FIXED[kind].size
+            else:
+                (n,) = _COUNTED[kind].unpack_from(data, pos)
+                start = pos + _COUNTED[kind].size
+                pos = start + n
+                if pos > len(data):
+                    raise TruncatedSection(f"need {n} bytes at offset {start}, "
+                                           f"have {len(data) - start}")
+                value = data[start:pos]
+                if kind == "s":
+                    try:
+                        value = value.decode("utf-8")
+                    except UnicodeDecodeError as e:
+                        raise InvariantViolation(
+                            f"name ending at offset {pos} is not UTF-8: "
+                            f"{e.reason}") from None
+        elif type(kind) is tuple:
+            build, sub = kind
+            (n,) = _U32.unpack_from(data, pos)
+            pos += 4
+            rows = []
+            for _ in range(n):
+                row, pos = _read(sub, data, pos)
+                rows.append(build(*row))
+            value = tuple(rows)
+        else:  # an IntEnum class: one byte
+            (raw,) = _U8.unpack_from(data, pos)
+            value = kind._value2member_map_.get(raw)
+            if value is None:
+                raise InvariantViolation(
+                    f"unknown {kind.__name__} {raw} at offset {pos}")
+            pos += 1
+        values.append(value)
+    return values, pos
+
+
+def _encode(magic: bytes, version: int, layout, values) -> bytes:
+    """``magic | version u32`` followed by ``values`` under ``layout``."""
+    out = [magic, _U32.pack(version)]
+    _write(layout, values, out)
+    return b"".join(out)
+
+
+def _decode(magic: bytes, version: int, layout, data: bytes) -> list:
+    """Inverse of :func:`_encode`.  A wrong magic or version raises
+    :class:`BadMagic`; any strict prefix of a container, and a container
+    with bytes after its last field, :class:`TruncatedSection`."""
+    # slices taken from here key decode_options' cache: keep them hashable
+    # even when the caller passes a bytearray
+    data = bytes(data)
+    if len(data) >= 4 and data[:4] != magic:
+        raise BadMagic(f"expected {magic!r} header")
+    # only the walker's own unpack_from calls raise struct.error, so a row
+    # builder's errors pass through unrelabelled
+    try:
+        (got,) = _U32.unpack_from(data, 4)
+        if got != version:
+            raise BadMagic(f"unsupported {magic.decode()} version {got}")
+        values, pos = _read(layout, data, 8)
+    except struct.error as e:
+        raise TruncatedSection(f"short read: {e}") from None
+    if pos != len(data):
+        raise TruncatedSection(f"{len(data) - pos} trailing bytes")
+    return values
 
 
 def serialize_model(graph: ModelGraph) -> bytes:
     """Canonical byte encoding; a pure function of the graph."""
     _raise_for_violations(validate(graph))
-    out = [MAGIC, struct.pack("<I", VERSION)]
-
-    out.append(struct.pack("<I", len(graph.opcodes)))
-    for oc in graph.opcodes:
-        out.append(struct.pack("<H", oc.builtin_code))
-        out.append(_pack_str(oc.custom_name))
-
-    out.append(struct.pack("<I", len(graph.buffers)))
-    for buf in graph.buffers:
-        out.append(struct.pack("<Q", len(buf)))
-        out.append(buf)
-
-    out.append(struct.pack("<I", len(graph.tensors)))
-    for t in graph.tensors:
-        out.append(_pack_str(t.name))
-        out.append(struct.pack("<B", int(t.dtype)))
-        out.append(_pack_indices(t.shape))
-        out.append(struct.pack("<I", t.buffer_index))
-
-    out.append(struct.pack("<I", len(graph.operators)))
-    for op in graph.operators:
-        out.append(struct.pack("<I", op.opcode_index))
-        out.append(_pack_indices(op.inputs))
-        out.append(_pack_indices(op.outputs))
-        out.append(struct.pack("<B", int(op.options_kind)))
-        out.append(struct.pack("<I", len(op.options)))
-        out.append(op.options)
-
-    out.append(_pack_indices(graph.graph_inputs))
-    out.append(_pack_indices(graph.graph_outputs))
-    return b"".join(out)
-
-
-_U16, _U32, _U64 = struct.Struct("<H"), struct.Struct("<I"), struct.Struct("<Q")
-
-
-class _Reader:
-    """Cursor over a byte string that raises TruncatedSection on overrun."""
-
-    def __init__(self, data: bytes):
-        # option blobs sliced from here key decode_options' cache: keep them
-        # hashable even when the caller passes a bytearray
-        self.data = bytes(data)
-        self.pos = 0
-
-    def _claim(self, n: int) -> int:
-        """Advance past the next n bytes and return their offset."""
-        pos = self.pos
-        if pos + n > len(self.data):
-            raise TruncatedSection(
-                f"need {n} bytes at offset {pos}, have {len(self.data) - pos}")
-        self.pos = pos + n
-        return pos
-
-    def take(self, n: int) -> bytes:
-        pos = self._claim(n)
-        return self.data[pos:pos + n]
-
-    def u8(self) -> int:
-        return self.data[self._claim(1)]
-
-    def u16(self) -> int:
-        return _U16.unpack_from(self.data, self._claim(2))[0]
-
-    def u32(self) -> int:
-        return _U32.unpack_from(self.data, self._claim(4))[0]
-
-    def u64(self) -> int:
-        return _U64.unpack_from(self.data, self._claim(8))[0]
-
-    def string(self) -> str:
-        raw = self.take(self.u32())
-        try:
-            return raw.decode("utf-8")
-        except UnicodeDecodeError as e:
-            raise InvariantViolation(f"name ending at offset {self.pos} is not "
-                                     f"UTF-8: {e.reason}") from None
-
-    def indices(self) -> tuple[int, ...]:
-        n = self.u32()
-        return struct.unpack_from(f"<{n}I", self.data, self._claim(4 * n))
+    return _encode(MAGIC, VERSION, _MODEL,
+                   attrgetter(*ModelGraph.__dataclass_fields__)(graph))
 
 
 def parse_model(data: bytes) -> ModelGraph:
     """Parse NNM1 bytes into a validated ModelGraph."""
-    r = _Reader(data)
-    if r.take(4) != MAGIC:
-        raise BadMagic(f"expected {MAGIC!r} header")
-    version = r.u32()
-    if version != VERSION:
-        raise BadMagic(f"unsupported version {version}")
-
-    opcodes = []
-    for _ in range(r.u32()):
-        code = r.u16()
-        opcodes.append(OperatorCode(code, r.string()))
-
-    buffers = []
-    for _ in range(r.u32()):
-        buffers.append(r.take(r.u64()))
-
-    tensors = []
-    for _ in range(r.u32()):
-        name = r.string()
-        dtype_raw = r.u8()
-        try:
-            dtype = DType(dtype_raw)
-        except ValueError:
-            raise InvariantViolation(f"tensor {name!r}: unknown dtype {dtype_raw}")
-        shape = r.indices()
-        tensors.append(Tensor(name, dtype, shape, r.u32()))
-
-    operators = []
-    for _ in range(r.u32()):
-        opcode_index = r.u32()
-        inputs = r.indices()
-        outputs = r.indices()
-        kind_raw = r.u8()
-        try:
-            kind = OptionsKind(kind_raw)
-        except ValueError:
-            raise InvariantViolation(f"operator: unknown options kind {kind_raw}")
-        options = r.take(r.u32())
-        operators.append(OperatorEntry(opcode_index, inputs, outputs, kind, options))
-
-    graph_inputs = r.indices()
-    graph_outputs = r.indices()
-    if r.pos != len(data):
-        raise InvariantViolation(f"{len(data) - r.pos} trailing bytes after graph io")
-
-    graph = ModelGraph(tuple(opcodes), tuple(buffers), tuple(tensors),
-                       tuple(operators), graph_inputs, graph_outputs)
+    graph = ModelGraph(*_decode(MAGIC, VERSION, _MODEL, data))
     _raise_for_violations(validate(graph))
     return graph
 

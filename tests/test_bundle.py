@@ -131,6 +131,31 @@ def _one_record_bundle(code, options):
         {"Abcdef": BundleRecord(code, options, (0,), ())}))
 
 
+def test_one_record_bundle_golden_bytes():
+    """The wire layout of the bundle docstring, written out by hand."""
+    blob = _one_record_bundle(DECOY_SENTINEL, encode_decoy_shape((2, 3)))
+    assert blob == bytes.fromhex(
+        "4f424642" "01000000"                   # magic "OBFB", version 1
+        "01000000"                              # 1 record:
+        "06000000" "416263646566"               #   name "Abcdef"
+        "feff"                                  #   code DECOY_SENTINEL
+        "09000000" "02" "02000000" "03000000"   #   options: shape (2, 3)
+        "01000000" "00000000"                   #   true inputs (0,)
+        "00000000")                             #   0 weights
+
+
+def test_weight_golden_bytes():
+    record = BundleRecord(int(BuiltinOp.DENSE), b"\x00", (),
+                          (np.array([[7], [-1]], dtype=np.int32),))
+    blob = serialize_bundle(KernelBundle({"Abcdef": record}))
+    assert blob[-33:] == bytes.fromhex(
+        "01000000"                              # 1 weight:
+        "01"                                    #   dtype I32
+        "02000000" "02000000" "01000000"        #   dims (2, 1)
+        "0800000000000000"                      #   u64 len 8
+        "07000000" "ffffffff")                  #   data 7, -1
+
+
 @pytest.mark.parametrize("options", [b"", b"\x05\x01", b"\x01" + bytes(5),
                                      encode_decoy_shape((2, 3)) + b"\x00"])
 def test_decoy_options_must_encode_a_shape(options):

@@ -11,7 +11,7 @@ import random
 import pytest
 
 from nnobf.bundle import load_bundle, serialize_bundle
-from nnobf.errors import NnobfError
+from nnobf.errors import NnobfError, TruncatedSection
 from nnobf.fixtures import build_fixture
 from nnobf.model_format import parse_model, serialize_model
 from nnobf.obfuscator import (
@@ -66,3 +66,14 @@ def test_mutated_artifacts_raise_only_nnobf_errors(artifacts, kind):
             escapes.append(f"case {case}: {type(e).__name__}: {e}")
     assert not escapes, "\n".join(escapes[:10])
     assert rejected > 0
+
+
+@pytest.mark.parametrize("kind", ["model", "bundle"])
+def test_every_strict_prefix_and_a_trailing_byte_are_truncations(artifacts,
+                                                                 kind):
+    decode, data = DECODERS[kind], artifacts[kind]
+    for cut in range(len(data)):
+        with pytest.raises(TruncatedSection):
+            decode(data[:cut])
+    with pytest.raises(TruncatedSection):
+        decode(data + b"\x00")

@@ -80,6 +80,40 @@ def test_name_that_is_not_utf8_raises(lenet):
         parse_model(data[:at] + b"\xff" + data[at + 1:])
 
 
+def _dtype_byte(lenet, data):
+    name = lenet.tensors[0].name.encode()
+    return data.index(struct.pack("<I", len(name)) + name) + 4 + len(name)
+
+
+def _options_kind_byte(lenet, data):
+    io = 8 + 4 * (len(lenet.graph_inputs) + len(lenet.graph_outputs))
+    return len(data) - io - 4 - len(lenet.operators[-1].options) - 1
+
+
+@pytest.mark.parametrize("locate", [_dtype_byte, _options_kind_byte])
+def test_unknown_enum_byte_raises_with_its_offset(lenet, locate):
+    data = serialize_model(lenet)
+    at = locate(lenet, data)
+    with pytest.raises(InvariantViolation, match=rf"unknown \w+ 9 at offset {at}$"):
+        parse_model(data[:at] + b"\x09" + data[at + 1:])
+
+
+def test_one_tensor_graph_golden_bytes():
+    """The wire layout of the model docstring, written out by hand."""
+    assert serialize_model(one_tensor_graph()) == bytes.fromhex(
+        "4e4e4d31" "01000000"                   # magic "NNM1", version 1
+        "00000000"                              # 0 opcodes
+        "01000000" "0000000000000000"           # 1 buffer: u64 len 0
+        "01000000"                              # 1 tensor:
+        "02000000" "696f"                       #   name "io"
+        "00"                                    #   dtype F32
+        "01000000" "04000000"                   #   shape (4,)
+        "00000000"                              #   buffer 0
+        "00000000"                              # 0 operators
+        "01000000" "00000000"                   # graph inputs (0,)
+        "01000000" "00000000")                  # graph outputs (0,)
+
+
 def test_serialize_minimal_graph_round_trips():
     g = one_tensor_graph()
     assert validate(g) == []
