@@ -90,11 +90,13 @@ def _options_kind_byte(lenet, data):
     return len(data) - io - 4 - len(lenet.operators[-1].options) - 1
 
 
-@pytest.mark.parametrize("locate", [_dtype_byte, _options_kind_byte])
-def test_unknown_enum_byte_raises_with_its_offset(lenet, locate):
+@pytest.mark.parametrize("locate,enum", [(_dtype_byte, "DType"),
+                                         (_options_kind_byte, "OptionsKind")])
+def test_unknown_enum_byte_raises_with_its_offset(lenet, locate, enum):
     data = serialize_model(lenet)
     at = locate(lenet, data)
-    with pytest.raises(InvariantViolation, match=rf"unknown \w+ 9 at offset {at}$"):
+    with pytest.raises(InvariantViolation,
+                       match=rf"^unknown {enum} 9 at offset {at}$"):
         parse_model(data[:at] + b"\x09" + data[at + 1:])
 
 
