@@ -15,6 +15,7 @@ from .bundle import load_bundle
 from .errors import NnobfError
 from .extractor import attack_matrix, build_default_zoo
 from .fixtures import FIXTURE_NAMES, build_fixture
+from .interpreter import run
 from .model_format import dump_json, parse_model, serialize_model
 from .obfuscator import (
     ALL_STRATEGIES,
@@ -27,10 +28,6 @@ from .obfuscator import (
 )
 from .similarity import PKConfig, similarity_matrix, to_labeled_graph
 from .tensor_io import read_tensor, write_tensor
-
-_SHAPE_CHOICES = {"random": ShapeStrategy.RANDOM,
-                  "align": ShapeStrategy.ALIGN_TO_LARGEST}
-
 
 def _parse_strategies(text: str) -> frozenset[Strategy]:
     if text == "all":
@@ -48,7 +45,7 @@ def _cmd_obfuscate(args) -> int:
     graph = _load_model(args.model)
     config = ObfuscationConfig(seed=args.seed, n_shortcuts=args.n1,
                                n_extra_layers=args.n2,
-                               shape_strategy=_SHAPE_CHOICES[args.shape],
+                               shape_strategy=ShapeStrategy(args.shape),
                                strategies=_parse_strategies(args.strategies))
     public, _bundle, plan = obfuscate(graph, config)
     out = Path(args.output)
@@ -66,7 +63,6 @@ def _cmd_run(args) -> int:
     graph = _load_model(args.model)
     bundle = load_bundle(Path(args.bundle).read_bytes()) if args.bundle else None
     inputs = [read_tensor(p) for p in args.input]
-    from .interpreter import run
     outputs, _trace = run(graph, bundle, inputs)
     if len(outputs) != 1 and args.output:
         print(f"error: model has {len(outputs)} outputs; -o expects exactly 1",
@@ -131,7 +127,7 @@ def _cmd_bench(args) -> int:
         configs.append((int(n1), int(n2)))
     records = run_bench(args.model, args.bundle, configs, n=args.n,
                         seed=args.seed,
-                        shape_strategy=_SHAPE_CHOICES[args.shape],
+                        shape_strategy=ShapeStrategy(args.shape),
                         include_original=args.original, reps=args.reps)
     csv = records_to_csv(records)
     if args.output:
@@ -162,7 +158,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n1", type=int, default=0, help="shortcut count")
     p.add_argument("--n2", type=int, default=0, help="extra layer count")
-    p.add_argument("--shape", choices=sorted(_SHAPE_CHOICES), default="align")
+    p.add_argument("--shape", choices=sorted(s.value for s in ShapeStrategy),
+                   default="align")
     p.add_argument("--strategies", default="all",
                    help="comma list of rename,encapsulate,shape,shortcut,"
                         "extra_layer, or 'all'/'none'")
@@ -209,7 +206,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-n", type=int, default=1000, help="inferences per timing run")
     p.add_argument("--reps", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--shape", choices=sorted(_SHAPE_CHOICES), default="align")
+    p.add_argument("--shape", choices=sorted(s.value for s in ShapeStrategy),
+                   default="align")
     p.add_argument("-o", "--output", help="CSV path (default stdout)")
     p.set_defaults(func=_cmd_bench)
 
@@ -231,10 +229,7 @@ def cli_dispatch(argv: list[str]) -> int:
         return code if isinstance(code, int) else 2
     try:
         return args.func(args)
-    except NnobfError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError) as e:
+    except (NnobfError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -22,28 +22,29 @@ output element, which NumPy reduces pairwise, keep the per-feature loop
 into the same accumulator.  The output is its transpose.  No kernel calls
 BLAS: it reorders the sums.
 
-Every non-empty stride-1 Conv2D, and a stride-1 DepthwiseConv2D with an
-output of at least one chunk (512 KiB), takes one channel-major path; the
-rest keep the tap loop.  It stages ``b`` images image-minor in a zeroed
-``(cin, hp, wp, b)`` buffer: output ``(i, y, x)`` sits at ``(y * wp + x) *
-b + i`` and tap ``(ky, kx)`` reads the same image ``(ky * wp + kx) * b``
-further on.  Per tap in (ky, kx, cin) order, weight column times shifted channel goes into a
-zeroed, contiguous ``(cout, positions)`` accumulator, on short rows ``rc``
-channels at a time summed as in Dense: the tap loop's products and order.
-A block over a single output element keeps ``rc = 1``, as Dense does.  The
-step loop only slices views built once per call.
+Every convolution, Conv2D or DepthwiseConv2D at any stride, takes one
+channel-major path.  It stages ``b`` images image-minor in a zeroed
+``(cin, hp, wp, b)`` buffer: stride-1 position ``(i, y, x)`` sits at
+``(y * wp + x) * b + i`` and tap ``(ky, kx)`` reads the same image
+``(ky * wp + kx) * b`` further on.  Per tap in (ky, kx, cin) order, weight
+column times shifted channel goes into a zeroed, contiguous ``(cout,
+positions)`` accumulator, on short rows ``rc`` channels at a time summed as
+in Dense.  Every stride-1 position is summed, and a strided convolution keeps
+every ``sh``-th row and ``sw``-th column: each kept element has the products
+and order it would have alone.  A block over a single output element keeps
+``rc = 1``, as Dense does.  The step loop only slices views built once per
+call.  An empty output, or one with no products to sum, is zeros.
 
 NumPy 2.4 runs a broadcast product through iterator buffers when its rows
 are under a third of the ufunc buffer (8,192 elements by default): 1-3 ns
-and 8 bytes per element, against 0.2-0.4 ns unbuffered.  So both convolution
-paths run with a 128-element buffer (``np.setbufsize``, restored on exit):
-the tap loop's few-channel depthwise rows take twice as long at 16, and the
-channel-major path reads the same at both.  On rows under 2,048 floats,
-stage, accumulator and product rows may take 35 KiB per image: the widest
-block that fits wins, and a shape where not even one channel fits keeps the
-tap loop.  Every fixture's batch-1 run stays under 49 KiB (per operator:
-``tools/op_peaks.py``): branchy's third Conv2D takes 35 KiB on top of 13 KiB
-live, a 16 KiB Dense block 34 KiB on top of 10 KiB.
+and 8 bytes per element, against 0.2-0.4 ns unbuffered.  So convolutions run
+with a 128-element buffer (``np.setbufsize``, restored on exit).  On rows
+under 2,048 floats, stage, accumulator and product rows may take 35 KiB per
+image: the widest block that fits wins, and a shape where not even one
+channel fits steps one channel at a time.  Every fixture's batch-1 run stays
+under 49 KiB (per operator: ``tools/op_peaks.py``): branchy's third Conv2D
+takes 35 KiB on top of 13 KiB live, a 16 KiB Dense block 34 KiB on top of
+10 KiB.
 
 Kernels never consult declared tensor shapes; everything is derived from the
 actual input arrays.  The leading axis is treated as batch throughout.
@@ -70,11 +71,10 @@ _ZERO = np.float32(0.0)
 _SIX = np.float32(6.0)
 # Blocked Dense path's block bytes per batch row, at most _CONV_CHUNK_BYTES.
 _DENSE_BLOCK_BYTES = 16 * 1024
-# Accumulator bytes per chunk of the channel-major convolution path, and the
-# output size in bytes at which a DepthwiseConv2D takes it.
+# Accumulator bytes per chunk of the convolution path.
 _CONV_CHUNK_BYTES = 512 * 1024
-# That path's work budget per staged image on rows shorter than _LONG_ROW
-# floats, and both conv paths' ufunc buffer in elements (see the docstring).
+# Its work budget per staged image on rows shorter than _LONG_ROW floats, and
+# its ufunc buffer in elements (see the docstring).
 _CONV_WORK_BYTES = 35 * 1024
 _LONG_ROW = 2048
 _TAP_BUFSIZE = 128
@@ -128,24 +128,14 @@ def _tap(xp: np.ndarray, ky: int, kx: int, oh: int, ow: int,
     return xp[:, ky:ky + (oh - 1) * sh + 1:sh, kx:kx + (ow - 1) * sw + 1:sw]
 
 
-def _takes_chunks(opts: ConvOptions, out_shape: tuple[int, ...],
-                  depthwise: bool) -> bool:
-    """True when the channel-major path may compute this convolution."""
-    size = 4 * math.prod(out_shape)
-    return (opts.stride_h == opts.stride_w == 1 and size > 0
-            and (not depthwise or size >= _CONV_CHUNK_BYTES))
-
-
 def _tap_blocks(ci: int, co: int, size: int, fixed: int, images: int) -> int:
     """Channels per block (plus the accumulator's copy if > 1) for ``co``
     outputs over ``size``-position rows, ``images`` images and ``fixed`` stage
-    and accumulator bytes; 0 when not even one channel fits the budget."""
+    and accumulator bytes; 1 when not even one channel fits the budget."""
     if size >= _LONG_ROW:
         return 1
     top = ci if co * size > 1 else 1  # NumPy reduces a lone axis pairwise
-    return max((r for r in range(1, top + 1)
-                if fixed + 4 * (r + (r > 1)) * co * size <= _CONV_WORK_BYTES * images),
-               default=0)
+    return max(1, min(top, (_CONV_WORK_BYTES * images - fixed) // (4 * co * size) - 1))
 
 
 def _add_taps(acc: np.ndarray, xf: np.ndarray, w: np.ndarray, dy: int, dx: int,
@@ -180,21 +170,25 @@ def _add_taps(acc: np.ndarray, xf: np.ndarray, w: np.ndarray, dy: int, dx: int,
                     np.add.reduce(blk, axis=0, out=acc)
 
 
-def _chunked_taps(x: np.ndarray, w: np.ndarray, oh: int, ow: int) -> np.ndarray | None:
-    """Stride-1 tap sums, ``(n, oh, ow, cout)``, ``nb`` images per chunk; the
-    output is allocated once the last chunk's scratch is released.  None,
-    before any allocation, when a step on short rows exceeds the budget."""
+def _chunked_taps(x: np.ndarray, w: np.ndarray, opts: ConvOptions, oh: int,
+                  ow: int) -> np.ndarray:
+    """Tap sums, ``(n, oh, ow, cout)``, ``nb`` images per chunk: every stride-1
+    position of the chunk is summed and every ``sh``-th row and ``sw``-th
+    column kept.  The output is allocated once the last chunk's scratch is
+    released."""
     n, h, wd, ci = x.shape
     kh, kw = w.shape[:2]
     co = w.shape[-1]
-    hp, wp = oh + kh - 1, ow + kw - 1
-    pt, pl = (hp - h) // 2, (wp - wd) // 2  # SAME: floor((k - 1) / 2); VALID: 0
-    span, sites = hp * wp, (oh - 1) * wp + ow  # a chunk's rows end at its last output
+    if not n * oh * ow * w.size:  # no output, or no products to sum
+        return np.zeros((n, oh, ow, co), np.float32)
+    sh, sw = opts.stride_h, opts.stride_w
+    hp, wp = (oh - 1) * sh + kh, (ow - 1) * sw + kw  # the rows and columns read
+    pt, pl = ((kh - 1) // 2, (kw - 1) // 2) if opts.padding is Padding.SAME else (0, 0)
+    hh, ww = min(h, hp - pt), min(wd, wp - pl)  # input rows and columns read
+    span, sites = hp * wp, (oh - 1) * sh * wp + (ow - 1) * sw + 1  # to the last output
     nb = min(n, max(1, _CONV_CHUNK_BYTES // (4 * co * span)))
     rc = _tap_blocks(1 if w.ndim == 3 else ci, co, sites * nb,
                      4 * (ci * span + co * sites) * nb, nb)
-    if not rc:
-        return None
     stagef = np.zeros(ci * span * nb, np.float32)
     accf = np.empty(co * sites * nb, np.float32)
     prod = np.empty((rc + (rc > 1)) * co * sites * nb, np.float32)
@@ -204,7 +198,7 @@ def _chunked_taps(x: np.ndarray, w: np.ndarray, oh: int, ow: int) -> np.ndarray 
         stage = stagef[:ci * span * b].reshape(ci, hp, wp, b)
         if b < nb:  # the short last chunk re-lays the stage: zero its border
             stage.fill(0.0)
-        stage[:, pt:pt + h, pl:pl + wd] = x[b0:b0 + b].transpose(3, 1, 2, 0)
+        stage[:, pt:pt + hh, pl:pl + ww] = x[b0:b0 + b, :hh, :ww].transpose(3, 1, 2, 0)
         size = sites * b
         acc = accf[:co * size].reshape(co, size)
         acc.fill(0.0)
@@ -214,35 +208,14 @@ def _chunked_taps(x: np.ndarray, w: np.ndarray, oh: int, ow: int) -> np.ndarray 
         if out is None:
             out = np.empty((n, oh, ow, co), np.float32)
         out[b0:b0 + b] = np.ndarray((b, oh, ow, co), np.float32, accf, 0,
-                                    (4, 4 * wp * b, 4 * b, 4 * size))
+                                    (4, 4 * sh * wp * b, 4 * sw * b, 4 * size))
     return out
-
-
-def _tap_loop(x: np.ndarray, w: np.ndarray, opts: ConvOptions, oh: int,
-              ow: int) -> np.ndarray:
-    """Tap sums from strided windows of the padded input."""
-    kh, kw = w.shape[:2]
-    sh, sw = opts.stride_h, opts.stride_w
-    xp = _pad_spatial(x, opts.padding, kh, kw, sh, sw, oh, ow, 0.0)
-    acc = np.zeros((x.shape[0], oh, ow, w.shape[-1]), np.float32)
-    tmp = np.empty_like(acc)
-    for ky in range(kh):
-        for kx in range(kw):
-            patch = _tap(xp, ky, kx, oh, ow, sh, sw)
-            if w.ndim == 3:
-                np.multiply(patch, w[ky, kx], out=tmp)
-                np.add(acc, tmp, out=acc)
-                continue
-            for c in range(x.shape[3]):
-                np.multiply(patch[:, :, :, c, None], w[ky, kx, c], out=tmp)
-                np.add(acc, tmp, out=acc)
-    return acc
 
 
 def _conv(x: np.ndarray, w: np.ndarray, bias: np.ndarray | None,
           opts: ConvOptions, name: str) -> np.ndarray:
     """Conv2D (``w`` of rank 4) or DepthwiseConv2D (rank 3) past rank checks."""
-    n, h, wd, ci = x.shape
+    _, h, wd, ci = x.shape
     kh, kw, wci = w.shape[:3]
     co = w.shape[-1]
     _require(wci == ci, f"{name} channels: input {ci} vs weight {wci}")
@@ -250,10 +223,7 @@ def _conv(x: np.ndarray, w: np.ndarray, bias: np.ndarray | None,
     ow = _out_extent(wd, kw, opts.stride_w, opts.padding)
     bufsize = np.setbufsize(_TAP_BUFSIZE)
     try:
-        acc = (_chunked_taps(x, w, oh, ow)
-               if _takes_chunks(opts, (n, oh, ow, co), w.ndim == 3) else None)
-        if acc is None:
-            acc = _tap_loop(x, w, opts, oh, ow)
+        acc = _chunked_taps(x, w, opts, oh, ow)
     finally:
         np.setbufsize(bufsize)
     if bias is not None:

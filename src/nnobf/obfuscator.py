@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import base64
 import json
+import math
 import random
 import string
 import warnings
@@ -226,17 +227,9 @@ def obfuscate_shapes(graph: ModelGraph, strategy: ShapeStrategy,
     """
     if not graph.tensors:
         return graph
-    largest: tuple[int, ...] = ()
-    if strategy is ShapeStrategy.ALIGN_TO_LARGEST:
-        best = -1
-        for t in graph.tensors:
-            if t.buffer_index != 0:
-                continue  # pool covers activation shapes, not weights
-            n = 1
-            for d in t.shape:
-                n *= d
-            if n > best:
-                best, largest = n, t.shape
+    # the pool covers activation shapes, not weights
+    largest = max((t.shape for t in graph.tensors if t.buffer_index == 0),
+                  key=math.prod, default=())
     inputs = set(graph.graph_inputs)
     tensors: list[Tensor] = []
     for i, t in enumerate(graph.tensors):

@@ -78,7 +78,7 @@ def conv_cases():
     rng = runi(101)
     for _ in range(100):
         k = int(rng.integers(1, 4))
-        stride = int(rng.integers(1, 3))
+        sh, sw = (int(v) for v in rng.integers(1, 4, 2))
         pad = Padding.SAME if rng.integers(2) else Padding.VALID
         act = Activation(int(rng.integers(3)))
         n = int(rng.integers(1, 3))
@@ -88,7 +88,7 @@ def conv_cases():
         co = int(rng.integers(1, 5))
         yield (rand(rng, (n, h, w, ci)), rand(rng, (k, k, ci, co)),
                rand(rng, (co,)) if rng.integers(2) else None,
-               ConvOptions(stride, stride, pad, act))
+               ConvOptions(sh, sw, pad, act))
 
 
 def test_conv2d_matches_oracle_exactly():
@@ -101,7 +101,7 @@ def test_depthwise_matches_oracle_exactly():
     rng = runi(102)
     for _ in range(100):
         k = int(rng.integers(1, 4))
-        stride = int(rng.integers(1, 3))
+        sh, sw = (int(v) for v in rng.integers(1, 4, 2))
         pad = Padding.SAME if rng.integers(2) else Padding.VALID
         act = Activation(int(rng.integers(3)))
         n = int(rng.integers(1, 3))
@@ -111,7 +111,7 @@ def test_depthwise_matches_oracle_exactly():
         x = rand(rng, (n, h, w, c))
         wt = rand(rng, (k, k, c))
         b = rand(rng, (c,)) if rng.integers(2) else None
-        opts = ConvOptions(stride, stride, pad, act)
+        opts = ConvOptions(sh, sw, pad, act)
         assert np.array_equal(depthwise_conv2d(x, wt, b, opts),
                               ref.depthwise_conv2d_ref(x, wt, b, opts))
 
@@ -288,9 +288,8 @@ def test_numpy_outer_axis_reduce_is_sequential(shape):
 # -- channel-major chunked convolution path ------------------------------------
 
 def chunked_conv_case(rng, depthwise, n, k, pad):
-    """Inputs with 5 x 6 output positions.  An image stages at most 9 x 10
-    positions (k = 5), so a two-image chunk is no larger than a 7-image
-    output and the chunked path runs."""
+    """Inputs with 5 x 6 output positions; an image stages at most 9 x 10
+    positions (k = 5)."""
     h, w = (5, 6) if pad is Padding.SAME else (k + 4, k + 5)
     ci, co = 3, 3
     x = rand(rng, (n, h, w, ci))
@@ -329,7 +328,6 @@ def test_chunked_conv_matches_oracle_bytes(depthwise, n, k, pad, monkeypatch):
         for act in Activation:
             opts = ConvOptions(1, 1, pad, act)
             got = kernel(x, wt, b, opts)
-            assert kernels._takes_chunks(opts, got.shape, depthwise)
             assert got.tobytes() == oracle(x, wt, b, opts).tobytes(), (b is None, act)
 
 
@@ -349,52 +347,29 @@ def fixture_convs():
 FIXTURE_CONVS = list(fixture_convs())
 
 
-def test_chunked_conv_matches_tap_loop_at_batch_256(monkeypatch):
-    # every fixture shape at batch 1, 37 and 256 against the tap loop
+def test_fixture_convs_equal_stacked_batch_1_rows():
+    # every fixture shape, at strides 1 and 2, at batch 37 and 256: chunks
+    # of several images give each image the bytes it gets alone
     rng = runi(109)
-    calls = []
-    chunked = kernels._chunked_taps
-    monkeypatch.setattr(kernels, "_chunked_taps",
-                        lambda *a: calls.append(1) or chunked(*a))
     kinds = set()
     for name, shape, wt, opts in FIXTURE_CONVS:
         kernel = depthwise_conv2d if wt.ndim == 3 else conv2d
         kinds.add(kernel)
-        for n in (1, 37, 256):
-            x = rand(rng, (n, *shape[1:]))
-            x[0] = -0.0
-            b = rand(rng, wt.shape[-1:])
-            got = kernel(x, wt, b, opts)
-            want = kernels._tap_loop(x, wt, opts, *got.shape[1:3]) + b
-            want = kernels._apply_activation(want, opts.activation)
-            assert got.tobytes() == want.tobytes(), (name, shape, n)
+        for s in (1, 2):
+            o = ConvOptions(s, s, opts.padding, opts.activation)
+            for n in (37, 256):
+                x = rand(rng, (n, *shape[1:]))
+                x[0] = -0.0
+                b = rand(rng, wt.shape[-1:])
+                rows = b"".join(kernel(x[k:k + 1], wt, b, o).tobytes()
+                                for k in range(n))
+                assert kernel(x, wt, b, o).tobytes() == rows, (name, shape, s, n)
     assert kinds == {conv2d, depthwise_conv2d}
-    n_dw = sum(wt.ndim == 3 for _, _, wt, _ in FIXTURE_CONVS)
-    # Conv2D chunked at every batch, DepthwiseConv2D only at batch 256
-    assert len(calls) == 3 * (len(FIXTURE_CONVS) - n_dw) + n_dw
-
-
-def test_conv_path_choice_by_shape():
-    # every stride-1 fixture Conv2D takes the channel-major path at every
-    # batch; a fixture DepthwiseConv2D takes the tap loop at batch 1 and the
-    # chunked path at batch 256; a strided convolution always takes the loop
-    assert {name for name, *_ in FIXTURE_CONVS} == {"lenet", "branchy",
-                                                    "depthwise_net"}
-    for name, shape, wt, opts in FIXTURE_CONVS:
-        x = np.zeros(shape, F)
-        dw = wt.ndim == 3
-        out = (depthwise_conv2d if dw else conv2d)(x, wt, None, opts)
-        for n in (1, 3, 37, 256):
-            big = (n, *out.shape[1:])
-            assert kernels._takes_chunks(opts, big, dw) == (n == 256 or not dw), name
-            for sh, sw in ((2, 2), (1, 2), (2, 1)):
-                strided = ConvOptions(sh, sw, opts.padding, opts.activation)
-                assert not kernels._takes_chunks(strided, big, dw)
 
 
 # per-image work budgets from 64 B up by a factor of 1.25, fine enough that
-# every case below takes the tap loop, plain steps, and channel blocks with a
-# partial last block at some rung
+# every case below takes plain steps over budget and within it, and channel
+# blocks with a partial last block, at some rung
 BUDGET_LADDER = sorted({int(64 * 1.25 ** e) for e in range(29)})
 
 
@@ -436,7 +411,6 @@ def test_channel_blocks_match_oracle_bytes(n, k, pad, monkeypatch):
     assert any(rc > 1 for _, rc in chosen)
     assert any(rc > 1 and ci % rc for ci, rc in chosen)  # partial block
     assert any(rc == 1 for _, rc in chosen)
-    assert any(rc == 0 for _, rc in chosen)  # over budget: the tap loop
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -462,6 +436,12 @@ def test_conv2d_on_an_empty_batch():
         got = conv2d(np.ones((0, 6, 6, 2), F), w, np.ones(4, F),
                      ConvOptions(1, 1, pad, Activation.RELU))
         assert got.shape == (0, side, side, 4) and got.dtype == F
+    # no products to sum: a zero-height window, or no input channels
+    for x, w in ((np.ones((1, 1, 3, 1), F), np.ones((0, 1, 1, 2), F)),
+                 (np.ones((2, 4, 4, 0), F), np.ones((3, 3, 0, 4), F))):
+        for s in (1, 2):
+            got = conv2d(x, w, None, ConvOptions(s, s, Padding.SAME, Activation.NONE))
+            assert got.tobytes() == np.zeros_like(got).tobytes()
 
 
 def test_chunked_path_restores_numpy_bufsize():
