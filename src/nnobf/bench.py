@@ -7,7 +7,8 @@ execute identical kernels in an identical order.
 
 ``bench`` measures per-inference latency (median of several repetitions,
 after warm-up, reported as seconds per 1000 inferences), the all-intermediates
-peak-memory proxy, and artifact sizes for a sweep of obfuscation configs.
+peak-memory proxy, artifact sizes, and the shortcut and decoy-layer counts
+the obfuscator achieved for a sweep of obfuscation configs.
 """
 
 from __future__ import annotations
@@ -45,16 +46,18 @@ class BenchRecord:
     peak_bytes: int
     model_file_bytes: int
     bundle_bytes: int
+    shortcuts: int      # achieved, which may fall short of n1
+    extra_layers: int   # achieved, which may fall short of n2
 
 
 CSV_HEADER = ("model,n1,n2,shape,strategies,latency_s_per_1000,"
-              "peak_bytes,model_file_bytes,bundle_bytes")
+              "peak_bytes,model_file_bytes,bundle_bytes,shortcuts,extra_layers")
 
 
 def record_to_csv(r: BenchRecord) -> str:
     return (f"{r.model_id},{r.n1},{r.n2},{r.shape_strategy},{r.strategies},"
             f"{r.latency_s_per_1000:.6f},{r.peak_bytes},"
-            f"{r.model_file_bytes},{r.bundle_bytes}")
+            f"{r.model_file_bytes},{r.bundle_bytes},{r.shortcuts},{r.extra_layers}")
 
 
 def records_to_csv(records: list[BenchRecord]) -> str:
@@ -181,7 +184,7 @@ def bench(model_path: str | Path, bundle_path: str | Path | None,
             measure_latency(graph, bundle, n=n, seed=seed, reps=reps),
             peak_bytes_single(graph, bundle, seed=seed),
             path.stat().st_size,
-            Path(bundle_path).stat().st_size if bundle_path else 0))
+            Path(bundle_path).stat().st_size if bundle_path else 0, 0, 0))
 
     for n1, n2 in configs:
         config = ObfuscationConfig(seed=seed, n_shortcuts=n1, n_extra_layers=n2,
@@ -195,5 +198,6 @@ def bench(model_path: str | Path, bundle_path: str | Path | None,
             measure_latency(public, bundle, n=n, seed=seed, reps=reps),
             peak_bytes_single(public, bundle, seed=seed),
             len(serialize_model(public)),
-            len(emit_bundle(plan))))
+            len(emit_bundle(plan)),
+            len(plan.injected_shortcuts), len(plan.injected_layers)))
     return records

@@ -25,7 +25,8 @@ that is neither a ``BuiltinOp`` nor ``DECOY_SENTINEL``, decoy options whose
 length disagrees with their rank byte, a decoy shape of more than 65,536
 elements (the runtime counts its size), an unknown dtype byte, and weight
 data that is not exactly ``itemsize * prod(dims)`` bytes.  Records hold wire
-data only; the runtime keeps no state in them.  Short input and trailing
+data only; the runtime keeps no state in them.  Records and bundles are
+frozen once built.  Short input and trailing
 bytes raise :class:`~nnobf.errors.TruncatedSection`, a bad header
 :class:`~nnobf.errors.BadMagic`.
 """
@@ -34,7 +35,9 @@ from __future__ import annotations
 
 import math
 import struct
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -57,7 +60,7 @@ BUNDLE_VERSION = 1
 _MAX_DECOY_ELEMENTS = 65_536
 
 
-@dataclass
+@dataclass(frozen=True)
 class BundleRecord:
     real_builtin_code: int
     real_options: bytes
@@ -100,9 +103,15 @@ def decode_decoy_shape(raw: bytes, what: str = "decoy") -> tuple[int, ...]:
     return shape
 
 
-@dataclass
+@dataclass(frozen=True)
 class KernelBundle:
-    records: dict[str, BundleRecord]
+    """Immutable: ``records`` is a read-only view of a private copy of the
+    mapping given, so a bundle cannot change after the runtime has compiled
+    it (``dataclasses.replace`` or a new ``KernelBundle`` makes a variant)."""
+    records: Mapping[str, BundleRecord]
+
+    def __post_init__(self):
+        object.__setattr__(self, "records", MappingProxyType(dict(self.records)))
 
 
 def _record(name, code, options, positions, weights) -> tuple[str, BundleRecord]:

@@ -14,11 +14,17 @@ decoys); runtime shapes come from the actual arrays.  The leading axis of
 every graph input is treated as a batch dimension and may differ from the
 declared size.
 
-A run first calls :func:`resolve`, the one resolver of bundle records
-(``reconstruct`` uses it too), so a missing bundle, an unknown custom name, a
-bad true input position or decoy record, or a true input or graph output that
-is a decoy's output raises before any kernel runs.  An activation is dropped
-after its last true read; graph outputs and constants are kept.
+The first run of a ``(graph, bundle)`` pair compiles it: :func:`resolve`,
+the one resolver of bundle records (``reconstruct`` uses it too), then the
+real kernel steps with decoded options, the last-read table and the static
+byte count.  A missing bundle, an unknown custom name, a bad true input
+position or decoy record, or a true input or graph output that is a decoy's
+output raises there, before any kernel runs, and nothing is kept.  The
+program lives as long as both objects (graphs and bundles are immutable) and
+holds neither; later runs only check their inputs, decode the constants
+(per call, so none outlives the run) and execute the steps.  Nothing in a
+program depends on the batch size.  An activation is dropped after its last
+true read; graph outputs and constants are kept.
 ``trace.peak_live_bytes`` is the all-live proxy (``bench.peak_bytes_single``
 reads it at batch 1): the sum of every graph input, constant (model- or
 bundle-resident) and operator output, decoys included.
@@ -31,6 +37,7 @@ from __future__ import annotations
 import functools
 import math
 import time
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -132,6 +139,53 @@ def resolve(graph: ModelGraph, records: dict[str, BundleRecord] | None) \
     return resolved
 
 
+def _compile(graph: ModelGraph, bundle: KernelBundle | None,
+             consts: dict[int, np.ndarray]) -> tuple:
+    """``run``'s program for ``(graph, bundle)``, whose constants are
+    ``consts``: the real steps ``(s, output, kind, true_inputs, weights,
+    options)``, the last-read table (``last[t]`` is the step that truly reads
+    t last: -1 if none, the operator count if t is a constant or graph
+    output), every decoy's output shape and the static bytes (bundle weights
+    and decoy outputs)."""
+    n_ops, ops = len(graph.operators), graph.operators
+    shapes, steps, last, static = [()] * n_ops, [], [-1] * len(graph.tensors), 0
+    if bundle is not None:
+        static = sum(w.nbytes for rec in bundle.records.values() for w in rec.weights)
+    for s, (kind, raw, ins, weights) in enumerate(resolve(graph, bundle and bundle.records)):
+        if kind is None:
+            shapes[s], n = _decoy_output(raw)
+            static += n
+            continue
+        steps.append((s, ops[s].outputs[0], kind, ins, weights, decode_options(kind, raw)))
+        for t in ins:
+            last[t] = s
+    for t in (*consts, *graph.graph_outputs):
+        last[t] = n_ops
+    return steps, last, shapes, static
+
+
+# (id(graph), id(bundle)) -> (program, weak references to graph and bundle);
+# a reference's callback drops the entry when its object dies, before the id
+# can be reused.  Graphs and bundles are immutable, so a program never goes
+# stale.
+_programs: dict[tuple[int, int], tuple] = {}
+
+
+def _program(graph: ModelGraph, bundle: KernelBundle | None,
+             consts: dict[int, np.ndarray]) -> tuple:
+    key = (id(graph), id(bundle))
+    entry = _programs.get(key)
+    if entry is None:
+        program = _compile(graph, bundle, consts)  # raises before anything is kept
+
+        def drop(_ref):
+            _programs.pop(key, None)
+
+        refs = tuple(weakref.ref(o, drop) for o in (graph, bundle) if o is not None)
+        _programs[key] = entry = (program, refs)
+    return entry[0]
+
+
 def run(graph: ModelGraph, bundle: KernelBundle | None,
         inputs: list[np.ndarray],
         op_timing: bool = False) -> tuple[list[np.ndarray], ExecutionTrace]:
@@ -145,27 +199,12 @@ def run(graph: ModelGraph, bundle: KernelBundle | None,
     values = {t: np.ascontiguousarray(a) for t, a in zip(graph.graph_inputs, inputs)}
     consts = materialize_constants(graph)
     values.update(consts)
-    total = sum(a.nbytes for a in values.values())
-    if bundle is not None:
-        total += sum(w.nbytes for rec in bundle.records.values() for w in rec.weights)
-
-    # The resolved list dies with this loop, before any kernel runs.  last[t]
-    # is the step that truly reads t last: -1 if none, n_ops if t is kept.
-    n_ops = len(graph.operators)
+    steps, last, shapes, total = _program(graph, bundle, consts)
+    last, shapes = last[:], shapes[:]
+    live = sum(a.nbytes for a in values.values())
+    total += live
     clock = time.perf_counter if op_timing else None
-    shapes, seconds = [()] * n_ops, [0.0] * n_ops if clock else []
-    steps, last, live = [], [-1] * len(graph.tensors), total
-    ops = graph.operators
-    for s, (kind, raw, ins, weights) in enumerate(resolve(graph, bundle and bundle.records)):
-        if kind is None:
-            shapes[s], n = _decoy_output(raw)
-            total += n
-            continue
-        steps.append((s, ops[s].outputs[0], kind, ins, weights, decode_options(kind, raw)))
-        for t in ins:
-            last[t] = s
-    for t in (*consts, *graph.graph_outputs):
-        last[t] = n_ops
+    seconds = [0.0] * len(shapes) if clock else []
 
     peak = live
     for s, o, kind, ins, weights, opts in steps:

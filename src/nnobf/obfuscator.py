@@ -128,7 +128,7 @@ class ObfuscationPlan:
 
 
 def bundle_from_plan(plan: ObfuscationPlan) -> KernelBundle:
-    return KernelBundle(dict(plan.records))
+    return KernelBundle(plan.records)
 
 
 def emit_bundle(plan: ObfuscationPlan) -> bytes:
@@ -502,6 +502,6 @@ def _plan_from_doc(doc) -> ObfuscationPlan:
     # validate=True: the default silently drops non-alphabet bytes
     blob = base64.b64decode(doc.pop("bundle"), validate=True)
     return ObfuscationPlan(
-        config=config, records=load_bundle(blob).records,
+        config=config, records=dict(load_bundle(blob).records),
         injected_shortcuts=[tuple(p) for p in doc["injected_shortcuts"]],
         injected_layers=[(i, tuple(s)) for i, s in doc["injected_layers"]])

@@ -85,6 +85,20 @@ def test_bench_sweep_row_count_and_csv(tmp_path):
     assert plain.model_file_bytes < base.model_file_bytes  # constants gone
 
 
+def test_bench_reports_achieved_injection_counts(tmp_path):
+    # mlp has too few free operator pairs for 20 shortcuts
+    _, path = write_model(tmp_path, "mlp")
+    base, obf = bench(path, None, configs=[(20, 20)], n=4, seed=1,
+                      include_original=True, reps=1)
+    assert (base.shortcuts, base.extra_layers) == (0, 0)
+    assert obf.shortcuts < obf.n1 == 20
+    assert obf.extra_layers == obf.n2 == 20
+    lines = records_to_csv([base, obf]).strip().split("\n")
+    assert lines[0].endswith(",bundle_bytes,shortcuts,extra_layers")
+    assert lines[1].endswith(",0,0")
+    assert lines[2].endswith(f",{obf.shortcuts},20")
+
+
 def test_batched_random_inputs_deterministic(lenet):
     a = batched_random_inputs(lenet, 4, 9)
     b = batched_random_inputs(lenet, 4, 9)

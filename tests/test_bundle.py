@@ -1,3 +1,4 @@
+import dataclasses
 import struct
 
 import numpy as np
@@ -204,3 +205,25 @@ def test_every_dtype_round_trips_through_bundle_and_plan():
             assert got.dtype == want.dtype
             assert got.shape == want.shape
             assert np.array_equal(got, want)
+
+
+def test_bundle_and_records_are_frozen(lenet_bundle):
+    source = dict(load_bundle(lenet_bundle).records)
+    bundle = KernelBundle(source)
+    name, rec = next(iter(source.items()))
+    with pytest.raises(TypeError):
+        bundle.records[name] = rec
+    with pytest.raises(TypeError):
+        del bundle.records[name]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        bundle.records = {}
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rec.real_options = b""
+    # the bundle keeps a private copy: editing the mapping given changes nothing
+    del source[name]
+    assert name in bundle.records and len(bundle.records) == len(source) + 1
+    # a plan's records stay a plain dict, which the obfuscator's passes edit
+    plan = plan_from_json(plan_to_json(ObfuscationPlan(
+        ObfuscationConfig(seed=3), records=dict(bundle.records))))
+    assert plan.records == bundle.records
+    del plan.records[name]

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import weakref
 
 import numpy as np
@@ -85,7 +86,8 @@ def test_bad_true_input_position_raises_index_out_of_range(lenet):
     public, bundle, _ = obfuscate(lenet, ObfuscationConfig(seed=5))
     name, rec = next((k, r) for k, r in bundle.records.items()
                      if not r.is_decoy)
-    bundle.records[name] = dataclasses.replace(rec, true_input_positions=(99,))
+    bundle = KernelBundle({**bundle.records, name: dataclasses.replace(
+        rec, true_input_positions=(99,))})
     with pytest.raises(IndexOutOfRange):
         run(public, bundle, [rand_input(lenet)])
 
@@ -98,7 +100,8 @@ def test_bad_decoy_record_built_in_process_raises(lenet, options):
     config = ObfuscationConfig(seed=5, n_shortcuts=0, n_extra_layers=3)
     public, bundle, _ = obfuscate(lenet, config)
     name, rec = next((k, r) for k, r in bundle.records.items() if r.is_decoy)
-    bundle.records[name] = dataclasses.replace(rec, real_options=options)
+    bundle = KernelBundle({**bundle.records,
+                           name: dataclasses.replace(rec, real_options=options)})
     with pytest.raises(InvariantViolation):
         run(public, bundle, [rand_input(lenet)])
 
@@ -326,27 +329,29 @@ def test_resolution_errors_raise_before_any_kernel(lenet, monkeypatch, fault):
     elif fault == "decoy read":  # a true input that is a decoy's zeros
         name, pos = decoy_reader(public, bundle.records)
         rec = bundle.records[name]
-        bundle.records[name] = dataclasses.replace(
-            rec, true_input_positions=(pos, *rec.true_input_positions[1:]))
+        bundle = KernelBundle({**bundle.records, name: dataclasses.replace(
+            rec, true_input_positions=(pos, *rec.true_input_positions[1:]))})
     elif fault == "decoy graph output":
         public = dataclasses.replace(public, graph_outputs=decoy_op(public, bundle).outputs)
     else:
         name = last_record(public, bundle, decoy=fault == "bad decoy")
-        rec = bundle.records[name]
+        rec, records = bundle.records[name], dict(bundle.records)
         if fault == "unknown name":
-            del bundle.records[name]
+            del records[name]
         elif fault == "bad position":
-            bundle.records[name] = dataclasses.replace(
-                rec, true_input_positions=(99,))
+            records[name] = dataclasses.replace(rec, true_input_positions=(99,))
         elif fault == "unknown kind":  # load_bundle rejects it; run must too
-            bundle.records[name] = dataclasses.replace(rec, real_builtin_code=200)
+            records[name] = dataclasses.replace(rec, real_builtin_code=200)
         else:
-            bundle.records[name] = dataclasses.replace(rec, real_options=b"\x02\x00")
+            records[name] = dataclasses.replace(rec, real_options=b"\x02\x00")
+        bundle = KernelBundle(records)
     calls = []
     monkeypatch.setattr(interpreter, "execute_builtin",
                         lambda *a: calls.append(a[0]) or execute_builtin(*a))
-    with pytest.raises(error):
-        run(public, bundle, [x])
+    for _ in range(2):  # a failed compile keeps nothing, so it fails again
+        with pytest.raises(error):
+            run(public, bundle, [x])
+        assert (id(public), id(bundle)) not in interpreter._programs
     assert calls == []
 
 
@@ -371,3 +376,86 @@ def test_liveness_peak_at_most_the_all_live_proxy(all_fixtures):
         for model, bundle in ((g, None), obfuscate(g, config)[:2]):
             _, trace = run(model, bundle, x)
             assert 0 < trace.peak_live_bytes_liveness <= trace.peak_live_bytes, name
+
+
+# -- compiled programs -------------------------------------------------------------
+
+def fresh(graph, bundle):
+    """Equal copies of ``graph`` and ``bundle`` that no run has compiled."""
+    return (dataclasses.replace(graph),
+            None if bundle is None else KernelBundle(bundle.records))
+
+
+def trace_fields(trace):
+    return trace.output_shapes, trace.peak_live_bytes, trace.peak_live_bytes_liveness
+
+
+def outputs_bytes(outs):
+    return [(a.dtype, a.shape, a.tobytes()) for a in outs]
+
+
+def test_program_dies_with_its_graph_or_bundle():
+    original = build_fixture("lenet", 7)
+    public, bundle, _ = obfuscate(original, ObfuscationConfig(seed=5))
+    x = [rand_input(original)]
+    run(public, bundle, x)
+    run(original, None, x)
+    keys = [(id(public), id(bundle)), (id(original), id(None))]
+    programs = [interpreter._programs[k][0] for k in keys]  # kept alive here
+    refs = [weakref.ref(o) for o in (public, bundle, original)]
+    del public, bundle, original
+    gc.collect()
+    # the programs hold neither object, and their entries went with them
+    assert [r() for r in refs] == [None] * 3
+    assert not any(k in interpreter._programs for k in keys)
+    assert all(programs)
+
+
+def test_program_dies_with_its_bundle_alone(lenet):
+    public, bundle, _ = obfuscate(lenet, ObfuscationConfig(seed=5))
+    run(public, bundle, [rand_input(lenet)])
+    key = (id(public), id(bundle))
+    assert key in interpreter._programs
+    del bundle
+    gc.collect()
+    assert key not in interpreter._programs
+
+
+def test_cold_and_warm_programs_agree(all_fixtures):
+    config = ObfuscationConfig(seed=6, n_shortcuts=20, n_extra_layers=20)
+    for name, g in all_fixtures.items():
+        for model, bundle in ((g, None), obfuscate(g, config)[:2]):
+            run(model, bundle, [rand_input(g)])  # compiles
+            for n in (1, 37, 256):
+                x = [rand_input(g, seed=n, batch=n)]
+                cold = run(*fresh(model, bundle), x)
+                warm = run(model, bundle, x)
+                assert (id(model), id(bundle)) in interpreter._programs
+                assert outputs_bytes(cold[0]) == outputs_bytes(warm[0]), (name, n)
+                assert trace_fields(cold[1]) == trace_fields(warm[1]), (name, n)
+
+
+def test_batch_sizes_share_one_program(all_fixtures):
+    # nothing that depends on the batch size is kept between runs
+    config = ObfuscationConfig(seed=7, n_shortcuts=20, n_extra_layers=20)
+    for name, g in all_fixtures.items():
+        model, bundle = obfuscate(g, config)[:2]
+        xs = [[rand_input(g, seed=k, batch=n)] for k, n in enumerate((1, 256, 1))]
+        shared = [run(model, bundle, x) for x in xs]  # traces checked after all
+        for x, (outs, trace) in zip(xs, shared):
+            own_outs, own_trace = run(*fresh(model, bundle), x)
+            assert outputs_bytes(outs) == outputs_bytes(own_outs), name
+            assert trace_fields(trace) == trace_fields(own_trace), name
+
+
+def test_op_timing_on_a_warm_program(lenet):
+    public, bundle, _ = obfuscate(
+        lenet, ObfuscationConfig(seed=5, n_shortcuts=5, n_extra_layers=5))
+    x = [rand_input(lenet)]
+    run(public, bundle, x)
+    _, trace = run(public, bundle, x, op_timing=True)
+    decoy = [bundle.records[public.opcodes[op.opcode_index].custom_name].is_decoy
+             for op in public.operators]
+    assert len(trace.op_seconds) == len(public.operators) and any(decoy)
+    assert [t > 0 for t in trace.op_seconds] == [not d for d in decoy]
+    assert run(public, bundle, x)[1].op_seconds == []

@@ -15,12 +15,17 @@ operator's peak.  Decoy layers call no kernel and print no row.  The
 wrapper's own records add a few dozen bytes per call to later ``live``
 figures.  ``run peak`` is a second, unwrapped measured run: the figure
 ``perfbench`` reports as ``peak_alloc_kib`` for a serving workload is the
-largest of these over the obfuscated models.  Standard library plus nnobf.
+largest of these over the obfuscated models.  ``program`` is the traced
+memory a compiled program keeps while its graph and bundle live: the growth,
+after ``gc.collect()``, left by a first run of fresh copies of both.  The
+warm-up run compiles the program before the measured one, so ``run peak``
+(like ``peak_alloc_kib``) leaves it out.  Standard library plus nnobf.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import gc
 import sys
 import tracemalloc
@@ -28,6 +33,7 @@ import tracemalloc
 import numpy as np
 
 from nnobf import interpreter
+from nnobf.bundle import KernelBundle
 from nnobf.fixtures import FIXTURE_NAMES, build_fixture
 from nnobf.obfuscator import ObfuscationConfig, ShapeStrategy, obfuscate
 
@@ -46,6 +52,21 @@ def measured(fn):
     finally:
         tracemalloc.stop()
         gc.enable()
+
+
+def program_bytes(graph, bundle, x) -> int:
+    """Traced bytes that compiling ``(graph, bundle)`` leaves held."""
+    graph = dataclasses.replace(graph)  # equal copies no run has compiled
+    bundle = bundle and KernelBundle(bundle.records)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        interpreter.run(graph, bundle, x)
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
 
 
 def op_rows(graph, bundle, x) -> list[tuple[str, list[tuple], int, int]]:
@@ -92,7 +113,9 @@ def main(argv: list[str] | None = None) -> int:
         public, bundle, _ = obfuscate(g, config)
         for label, model, kb in (("obfuscated", public, bundle), ("original", g, None)):
             peak = measured(lambda: interpreter.run(model, kb, x))
-            print(f"{name} {label} batch {args.batch}: run peak {peak / 1024:.1f} KiB")
+            held = program_bytes(model, kb, x)
+            print(f"{name} {label} batch {args.batch}: run peak {peak / 1024:.1f} KiB, "
+                  f"program {held / 1024:.1f} KiB")
             print(f"  {'kernel':<18} {'live KiB':>9} {'in-call KiB':>12}  inputs")
             for kind, shapes, live, call in op_rows(model, kb, x):
                 print(f"  {kind:<18} {live / 1024:>9.1f} {call / 1024:>12.1f}  "
