@@ -26,8 +26,8 @@ length disagrees with their rank byte, a decoy shape of more than 65,536
 elements (the runtime counts its size), an unknown dtype byte, and weight
 data that is not exactly ``itemsize * prod(dims)`` bytes.  Records hold wire
 data only; the runtime keeps no state in them.  Records and bundles are
-frozen once built.  Short input and trailing
-bytes raise :class:`~nnobf.errors.TruncatedSection`, a bad header
+frozen once built.  Short input and trailing bytes raise
+:class:`~nnobf.errors.TruncatedSection`, a bad header
 :class:`~nnobf.errors.BadMagic`.
 """
 
@@ -60,12 +60,23 @@ BUNDLE_VERSION = 1
 _MAX_DECOY_ELEMENTS = 65_536
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class BundleRecord:
     real_builtin_code: int
     real_options: bytes
     true_input_positions: tuple[int, ...]
     weights: tuple[np.ndarray, ...]
+
+    def __init__(self, real_builtin_code, real_options, true_input_positions,
+                 weights):
+        # Stores straight into __dict__: the generated frozen __init__ calls
+        # object.__setattr__ per field, about 1 us more per record, and the
+        # obfuscator's passes and both bundle readers build one per operator.
+        fields = self.__dict__
+        fields["real_builtin_code"] = real_builtin_code
+        fields["real_options"] = real_options
+        fields["true_input_positions"] = true_input_positions
+        fields["weights"] = weights
 
     @property
     def is_decoy(self) -> bool:
