@@ -60,23 +60,12 @@ BUNDLE_VERSION = 1
 _MAX_DECOY_ELEMENTS = 65_536
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class BundleRecord:
     real_builtin_code: int
     real_options: bytes
     true_input_positions: tuple[int, ...]
     weights: tuple[np.ndarray, ...]
-
-    def __init__(self, real_builtin_code, real_options, true_input_positions,
-                 weights):
-        # Stores straight into __dict__: the generated frozen __init__ calls
-        # object.__setattr__ per field, about 1 us more per record, and the
-        # obfuscator's passes and both bundle readers build one per operator.
-        fields = self.__dict__
-        fields["real_builtin_code"] = real_builtin_code
-        fields["real_options"] = real_options
-        fields["true_input_positions"] = true_input_positions
-        fields["weights"] = weights
 
     @property
     def is_decoy(self) -> bool:
@@ -116,9 +105,10 @@ def decode_decoy_shape(raw: bytes, what: str = "decoy") -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class KernelBundle:
-    """Immutable: ``records`` is a read-only view of a private copy of the
-    mapping given, so a bundle cannot change after the runtime has compiled
-    it (``dataclasses.replace`` or a new ``KernelBundle`` makes a variant)."""
+    """Immutable: ``records`` is a read-only view of a private dict copied
+    from the mapping or ``(name, record)`` pairs given, so a bundle cannot
+    change after the runtime has compiled it (``dataclasses.replace`` or a
+    new ``KernelBundle`` makes a variant)."""
     records: Mapping[str, BundleRecord]
 
     def __post_init__(self):
@@ -156,4 +146,4 @@ def serialize_bundle(bundle: KernelBundle) -> bytes:
 
 def load_bundle(data: bytes) -> KernelBundle:
     (records,) = _decode(BUNDLE_MAGIC, BUNDLE_VERSION, _BUNDLE, data)
-    return KernelBundle(dict(records))
+    return KernelBundle(records)

@@ -145,23 +145,25 @@ def _compile(graph: ModelGraph, bundle: KernelBundle | None,
     ``consts``: the real steps ``(s, output, kind, true_inputs, weights,
     options)``, the last-read table (``last[t]`` is the step that truly reads
     t last: -1 if none, the operator count if t is a constant or graph
-    output), every decoy's output shape and the static bytes (bundle weights
-    and decoy outputs)."""
+    output), every decoy's output shape, the bundle's weight bytes (live for
+    the whole run) and the decoy output bytes (never live)."""
     n_ops, ops = len(graph.operators), graph.operators
-    shapes, steps, last, static = [()] * n_ops, [], [-1] * len(graph.tensors), 0
+    shapes, steps, last = [()] * n_ops, [], [-1] * len(graph.tensors)
+    weight_bytes = decoy_bytes = 0
     if bundle is not None:
-        static = sum(w.nbytes for rec in bundle.records.values() for w in rec.weights)
+        weight_bytes = sum(w.nbytes for rec in bundle.records.values()
+                           for w in rec.weights)
     for s, (kind, raw, ins, weights) in enumerate(resolve(graph, bundle and bundle.records)):
         if kind is None:
             shapes[s], n = _decoy_output(raw)
-            static += n
+            decoy_bytes += n
             continue
         steps.append((s, ops[s].outputs[0], kind, ins, weights, decode_options(kind, raw)))
         for t in ins:
             last[t] = s
     for t in (*consts, *graph.graph_outputs):
         last[t] = n_ops
-    return steps, last, shapes, static
+    return steps, last, shapes, weight_bytes, decoy_bytes
 
 
 # (id(graph), id(bundle)) -> (program, weak references to graph and bundle);
@@ -199,10 +201,10 @@ def run(graph: ModelGraph, bundle: KernelBundle | None,
     values = {t: np.ascontiguousarray(a) for t, a in zip(graph.graph_inputs, inputs)}
     consts = materialize_constants(graph)
     values.update(consts)
-    steps, last, shapes, total = _program(graph, bundle, consts)
+    steps, last, shapes, live, decoy_bytes = _program(graph, bundle, consts)
     last, shapes = last[:], shapes[:]
-    live = sum(a.nbytes for a in values.values())
-    total += live
+    live += sum(a.nbytes for a in values.values())
+    total = live + decoy_bytes
     clock = time.perf_counter if op_timing else None
     seconds = [0.0] * len(shapes) if clock else []
 

@@ -369,6 +369,23 @@ def test_liveness_peak_lenet(lenet):
     assert trace.peak_live_bytes == sum(tensor_byte_size(t) for t in lenet.tensors)
 
 
+def test_liveness_peak_counts_bundle_weights(lenet, all_fixtures):
+    # encapsulated, the constants live in the bundle for the whole run, so
+    # with no decoys an obfuscated run's memory figures are the original's,
+    # cold and warm
+    config = ObfuscationConfig(seed=5, n_shortcuts=0, n_extra_layers=0)
+    public, bundle, _ = obfuscate(lenet, config)
+    for _ in range(2):
+        _, trace = run(public, bundle, [rand_input(lenet)])
+        assert trace.peak_live_bytes_liveness == 20480 + 13824 + 3456
+    for name, g in all_fixtures.items():
+        x = [rand_input(g)]
+        public, bundle, _ = obfuscate(g, config)
+        want = trace_fields(run(g, None, x)[1])[1:]
+        for _ in range(2):
+            assert trace_fields(run(public, bundle, x)[1])[1:] == want, name
+
+
 def test_liveness_peak_at_most_the_all_live_proxy(all_fixtures):
     config = ObfuscationConfig(seed=4, n_shortcuts=20, n_extra_layers=20)
     for name, g in all_fixtures.items():
