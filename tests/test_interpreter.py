@@ -144,13 +144,19 @@ def test_peak_bytes_grow_by_decoy_output_sizes(lenet):
             == peak_live_bytes(g0, b0, x) + extra)
 
 
-def test_bundle_weights_count_toward_peak(lenet):
-    # constants move from the model to the bundle, byte-for-byte
-    x = [rand_input(lenet)]
-    public, bundle, _ = obfuscate(
-        lenet, ObfuscationConfig(seed=2, n_shortcuts=0, n_extra_layers=0))
-    assert peak_live_bytes(public, bundle, x) == \
-        peak_live_bytes(lenet, None, x)
+def test_bundle_weights_count_toward_peak(all_fixtures):
+    # constants move from the model to the bundle, byte-for-byte, and stay
+    # live for the whole run: with no decoys both memory figures are the
+    # original's, from a cold and from a warm program
+    config = ObfuscationConfig(seed=2, n_shortcuts=0, n_extra_layers=0)
+    for name, g in all_fixtures.items():
+        x = [rand_input(g)]
+        public, bundle, _ = obfuscate(g, config)
+        _, want = run(g, None, x)
+        for _ in range(2):
+            _, got = run(public, bundle, x)
+            assert got.peak_live_bytes == want.peak_live_bytes, name
+            assert got.peak_live_bytes_liveness == want.peak_live_bytes_liveness, name
 
 
 def test_batched_run_equals_stacked_single_runs():
@@ -367,23 +373,6 @@ def test_liveness_peak_lenet(lenet):
     _, trace = run(lenet, None, [rand_input(lenet)])
     assert trace.peak_live_bytes_liveness == 20480 + 13824 + 3456
     assert trace.peak_live_bytes == sum(tensor_byte_size(t) for t in lenet.tensors)
-
-
-def test_liveness_peak_counts_bundle_weights(lenet, all_fixtures):
-    # encapsulated, the constants live in the bundle for the whole run, so
-    # with no decoys an obfuscated run's memory figures are the original's,
-    # cold and warm
-    config = ObfuscationConfig(seed=5, n_shortcuts=0, n_extra_layers=0)
-    public, bundle, _ = obfuscate(lenet, config)
-    for _ in range(2):
-        _, trace = run(public, bundle, [rand_input(lenet)])
-        assert trace.peak_live_bytes_liveness == 20480 + 13824 + 3456
-    for name, g in all_fixtures.items():
-        x = [rand_input(g)]
-        public, bundle, _ = obfuscate(g, config)
-        want = trace_fields(run(g, None, x)[1])[1:]
-        for _ in range(2):
-            assert trace_fields(run(public, bundle, x)[1])[1:] == want, name
 
 
 def test_liveness_peak_at_most_the_all_live_proxy(all_fixtures):
