@@ -42,7 +42,6 @@ from .model_format import (
     CUSTOM_SENTINEL,
     DECOY_SENTINEL,
     DTYPE_OF,
-    NP_DTYPE,
     DType,
     ModelGraph,
     OperatorCode,
@@ -120,11 +119,17 @@ class NameGenerator:
 
 @dataclass
 class ObfuscationPlan:
-    """Private inverse mapping ("cache file"); never ship with the model."""
+    """Private inverse mapping ("cache file"); never ship with the model.
+
+    ``shapes[i]`` is the true declared shape of public tensor ``i``, for
+    every tensor but the decoy layers' outputs (which come last).  It is
+    empty when shape obfuscation is off, since then no shape was replaced.
+    """
     config: ObfuscationConfig
     records: dict[str, BundleRecord] = field(default_factory=dict)
     injected_shortcuts: list[tuple[int, int]] = field(default_factory=list)
     injected_layers: list[tuple[int, tuple[int, ...]]] = field(default_factory=list)
+    shapes: list[tuple[int, ...]] = field(default_factory=list)
 
 
 def bundle_from_plan(plan: ObfuscationPlan) -> KernelBundle:
@@ -356,6 +361,8 @@ def obfuscate(graph: ModelGraph, config: ObfuscationConfig) \
         g = encapsulate_parameters(g, plan,
                                    random.Random(stage_seed[Strategy.ENCAPSULATE]))
     if Strategy.SHAPE in config.strategies:
+        # the injections below only append tensors, so these indices hold
+        plan.shapes = [t.shape for t in g.tensors]
         g = obfuscate_shapes(g, config.shape_strategy,
                              random.Random(stage_seed[Strategy.SHAPE]))
     if Strategy.SHORTCUT in config.strategies:
@@ -380,9 +387,8 @@ def obfuscate(graph: ModelGraph, config: ObfuscationConfig) \
 def reconstruct(graph: ModelGraph, plan: ObfuscationPlan) -> ModelGraph:
     """Invert the obfuscation using the private plan.
 
-    Declared activation shapes are restored by executing the rebuilt graph
-    once on zero inputs (original models declare their true runtime shapes).
-    Records that do not fit the graph raise ``PlanMismatch``.
+    Declared activation shapes come from ``plan.shapes``; no model runs.
+    Records or shapes that do not fit the graph raise ``PlanMismatch``.
     """
     renamed = Strategy.RENAME in plan.config.strategies
     for i, op in enumerate(graph.operators):
@@ -390,9 +396,20 @@ def reconstruct(graph: ModelGraph, plan: ObfuscationPlan) -> ModelGraph:
             raise PlanMismatch(
                 f"operators[{i}] is {'not ' if renamed else ''}custom but the "
                 f"plan {'renames' if renamed else 'does not rename'} operators")
-    if not renamed:
-        return _restore_shapes(graph) if Strategy.SHAPE in plan.config.strategies \
-            else graph
+    if renamed:
+        rebuilt = _unwrap(graph, plan)
+    else:
+        rebuilt = replace(graph, tensors=_restore_shapes(graph.tensors,
+                                                         plan.shapes))
+    bad = validate(rebuilt)
+    if bad:
+        raise PlanMismatch("reconstruction produced an invalid graph: "
+                           + "; ".join(bad))
+    return rebuilt
+
+
+def _unwrap(graph: ModelGraph, plan: ObfuscationPlan) -> ModelGraph:
+    """Drop the decoys and give each operator its real kind and weights."""
     try:
         resolved = interpreter.resolve(graph, plan.records)
     except NnobfError as e:
@@ -401,7 +418,7 @@ def reconstruct(graph: ModelGraph, plan: ObfuscationPlan) -> ModelGraph:
     decoys = {op.outputs[0] for op, r in zip(graph.operators, resolved) if r[0] is None}
     kept = [i for i in range(len(graph.tensors)) if i not in decoys]
     remap = {i: k for k, i in enumerate(kept)}
-    tensors = [graph.tensors[i] for i in kept]
+    tensors = list(_restore_shapes([graph.tensors[i] for i in kept], plan.shapes))
     opcode_index: dict[int, int] = {}
     # keep existing buffers: without encapsulation, constants still live here
     buffers: list[bytes] = list(graph.buffers)
@@ -420,28 +437,19 @@ def reconstruct(graph: ModelGraph, plan: ObfuscationPlan) -> ModelGraph:
             tuple(remap[t] for t in op.outputs), OptionsKind.BUILTIN, raw))
 
     opcodes = tuple(OperatorCode(int(kind)) for kind in opcode_index)
-    rebuilt = ModelGraph(opcodes, tuple(buffers), tuple(tensors),
-                         tuple(operators),
-                         tuple(remap[t] for t in graph.graph_inputs),
-                         tuple(remap[t] for t in graph.graph_outputs))
-    if Strategy.SHAPE in plan.config.strategies:
-        rebuilt = _restore_shapes(rebuilt)
-    bad = validate(rebuilt)
-    if bad:
-        raise PlanMismatch("reconstruction produced an invalid graph: "
-                           + "; ".join(bad))
-    return rebuilt
+    return ModelGraph(opcodes, tuple(buffers), tuple(tensors), tuple(operators),
+                      tuple(remap[t] for t in graph.graph_inputs),
+                      tuple(remap[t] for t in graph.graph_outputs))
 
 
-def _restore_shapes(graph: ModelGraph) -> ModelGraph:
-    zeros = [np.zeros(graph.tensors[t].shape, NP_DTYPE[graph.tensors[t].dtype])
-             for t in graph.graph_inputs]
-    _, trace = interpreter.run(graph, None, zeros)
-    shapes = {op.outputs[0]: s
-              for op, (s,) in zip(graph.operators, trace.output_shapes)}
-    tensors = tuple(replace(t, shape=shapes[i]) if i in shapes else t
-                    for i, t in enumerate(graph.tensors))
-    return replace(graph, tensors=tensors)
+def _restore_shapes(tensors, shapes: list[tuple[int, ...]]) -> tuple[Tensor, ...]:
+    """Give the non-decoy tensors their true shapes; empty ``shapes`` keeps them."""
+    if not shapes:
+        return tuple(tensors)
+    if len(shapes) != len(tensors):
+        raise PlanMismatch(f"plan holds {len(shapes)} tensor shapes; the graph "
+                           f"has {len(tensors)} non-decoy tensors")
+    return tuple(replace(t, shape=s) for t, s in zip(tensors, shapes))
 
 
 # ---------------------------------------------------------------------------
@@ -453,15 +461,17 @@ PLAN_WARNING = ("PRIVATE ARTIFACT: this plan inverts the obfuscation. "
 
 
 def plan_to_json(plan: ObfuscationPlan) -> str:
-    """Version-2 plan: config, the serialized bundle, and the injection log.
+    """Version-3 plan: config, true shapes, injection log, then the bundle.
 
     The records travel as ``base64(serialize_bundle(...))``, so the plan
-    shares the bundle's one record codec and its load-time checks.
+    shares the bundle's one record codec and its load-time checks.  The
+    bundle text goes last and is spliced in as it is: base64 never needs
+    JSON escaping, so the encoder is spared a scan of the largest field.
     """
     doc = {
         "warning": PLAN_WARNING,
         "format": "nnobf-plan",
-        "version": 2,
+        "version": 3,
         "config": {
             "seed": plan.config.seed,
             "n_shortcuts": plan.config.n_shortcuts,
@@ -470,11 +480,12 @@ def plan_to_json(plan: ObfuscationPlan) -> str:
             "strategies": [s.value for s in STRATEGY_ORDER
                            if s in plan.config.strategies],
         },
-        "bundle": base64.b64encode(emit_bundle(plan)).decode("ascii"),
+        "shapes": [list(s) for s in plan.shapes],
         "injected_shortcuts": [list(p) for p in plan.injected_shortcuts],
         "injected_layers": [[i, list(s)] for i, s in plan.injected_layers],
     }
-    return json.dumps(doc)
+    bundle = base64.b64encode(emit_bundle(plan)).decode("ascii")
+    return "".join((json.dumps(doc)[:-1], ', "bundle": "', bundle, '"}'))
 
 
 def plan_from_json(text: str) -> ObfuscationPlan:
@@ -489,8 +500,8 @@ def plan_from_json(text: str) -> ObfuscationPlan:
 
 def _plan_from_doc(doc) -> ObfuscationPlan:
     if not isinstance(doc, dict) or doc.get("format") != "nnobf-plan" \
-            or doc.get("version") != 2:
-        raise MalformedPlan("not a version-2 nnobf plan file")
+            or doc.get("version") != 3:
+        raise MalformedPlan("not a version-3 nnobf plan file")
     cfg = doc["config"]
     config = ObfuscationConfig(
         seed=cfg["seed"],
@@ -503,5 +514,27 @@ def _plan_from_doc(doc) -> ObfuscationPlan:
     blob = base64.b64decode(doc.pop("bundle"), validate=True)
     return ObfuscationPlan(
         config=config, records=dict(load_bundle(blob).records),
-        injected_shortcuts=[tuple(p) for p in doc["injected_shortcuts"]],
-        injected_layers=[(i, tuple(s)) for i, s in doc["injected_layers"]])
+        injected_shortcuts=[tuple(map(_index, _list(p, 2)))
+                            for p in _list(doc["injected_shortcuts"])],
+        injected_layers=[(_index(i), _shape(s)) for i, s in
+                         (_list(p, 2) for p in _list(doc["injected_layers"]))],
+        shapes=[_shape(s) for s in _list(doc["shapes"])])
+
+
+def _list(v, n: int | None = None) -> list:
+    if not isinstance(v, list) or n is not None and len(v) != n:
+        raise MalformedPlan(f"expected a list{f' of {n}' if n else ''}, "
+                            f"got {type(v).__name__} {v!r:.40}")
+    return v
+
+
+def _index(v) -> int:
+    if type(v) is not int or v < 0:  # type(): bool is an int subclass
+        raise MalformedPlan(f"expected an index, got {v!r:.40}")
+    return v
+
+
+def _shape(v) -> tuple[int, ...]:
+    if any(type(d) is not int or d < 1 for d in _list(v)):
+        raise MalformedPlan(f"expected a shape (dims >= 1), got {v!r:.40}")
+    return tuple(v)

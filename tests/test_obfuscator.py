@@ -492,6 +492,7 @@ def test_plan_json_round_trip(lenet):
     assert loaded.records == plan.records
     assert loaded.injected_shortcuts == plan.injected_shortcuts
     assert loaded.injected_layers == plan.injected_layers
+    assert loaded.shapes == plan.shapes
 
 
 def test_plan_json_carries_warning_banner(lenet):
@@ -521,6 +522,34 @@ def _bundle_not_string(doc):
     doc["bundle"] = 7
 
 
+def _drop_shapes(doc):
+    del doc["shapes"]
+
+
+def _shape_not_list(doc):
+    doc["shapes"][1] = 7
+
+
+def _zero_dim(doc):
+    doc["shapes"][1][0] = 0
+
+
+def _bool_dim(doc):
+    doc["shapes"][1][0] = True
+
+
+def _float_dim(doc):
+    doc["shapes"][1][0] = 1.0
+
+
+def _shortcut_is_string(doc):
+    doc["injected_shortcuts"].append("ab")
+
+
+def _layer_bad_index_and_shape(doc):
+    doc["injected_layers"].append([1.5, [0, -2]])
+
+
 def _on_bundle(corrupt):
     """Apply a byte-level bundle corruption to the plan's embedded blob."""
     def apply(doc):
@@ -532,7 +561,9 @@ def _on_bundle(corrupt):
 
 @pytest.mark.parametrize(
     "corrupt",
-    [_drop_config_seed, _bad_strategy, _bad_base64, _bundle_not_string]
+    [_drop_config_seed, _bad_strategy, _bad_base64, _bundle_not_string,
+     _drop_shapes, _shape_not_list, _zero_dim, _bool_dim, _float_dim,
+     _shortcut_is_string, _layer_bad_index_and_shape]
     + [_on_bundle(c) for c in BUNDLE_CORRUPTIONS],
     ids=lambda f: f.__name__)
 def test_malformed_plan_doc_raises(lenet, corrupt):
@@ -544,9 +575,20 @@ def test_malformed_plan_doc_raises(lenet, corrupt):
         plan_from_json(json.dumps(doc))
 
 
+def _version_2_plans():
+    """A plan as version 2 wrote it (no shapes), and a v3 plan labelled v2."""
+    _, _, plan = obfuscate(build_fixture("mlp", 0), ObfuscationConfig(seed=5))
+    v3 = json.loads(plan_to_json(plan))
+    v2 = {k: v3[k] for k in ("warning", "format", "config", "bundle",
+                             "injected_shortcuts", "injected_layers")}
+    return [pytest.param(json.dumps({**v2, "version": 2}), id="version-2-plan"),
+            pytest.param(json.dumps({**v3, "version": 2}), id="version-3-labelled-2")]
+
+
 @pytest.mark.parametrize("text", [
     "", "{", "not json", "[]", "null", '{"format": "nnobf-plan"}',
     '{"format": "nnobf-plan", "version": 2}', "[" * 100_000,
+    *_version_2_plans(),
 ])
 def test_malformed_plan_text_raises(text):
     with pytest.raises(MalformedPlan):
@@ -574,12 +616,35 @@ def _normalized_dump(graph):
     return doc
 
 
-def test_reconstruct_dump_matches_up_to_tensor_naming(lenet):
+def test_reconstruct_dump_matches_up_to_tensor_naming(all_fixtures):
+    for g in all_fixtures.values():
+        for strategy in ShapeStrategy:
+            for n in (0, 20):
+                public, _, plan = obfuscate(g, ObfuscationConfig(4, n, n, strategy))
+                rebuilt = reconstruct(public, plan_from_json(plan_to_json(plan)))
+                assert _normalized_dump(rebuilt) == _normalized_dump(g)
+                assert rebuilt.buffers == g.buffers
+
+
+def test_reconstruct_runs_no_inference(monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("reconstruct ran the model")
+
+    cases = [(g, obfuscate(g, ObfuscationConfig(3, 5, 5, strategy)))
+             for g in (build_fixture(name, 7) for name in FIXTURE_NAMES)
+             for strategy in ShapeStrategy]
+    monkeypatch.setattr("nnobf.interpreter.run", no_run)
+    for g, (public, _, plan) in cases:
+        assert _normalized_dump(reconstruct(public, plan)) == _normalized_dump(g)
+
+
+@pytest.mark.parametrize("change", [-1, 1])
+def test_reconstruct_rejects_a_wrong_shape_count(lenet, change):
     public, _, plan = obfuscate(
-        lenet, ObfuscationConfig(seed=4, n_shortcuts=5, n_extra_layers=5))
-    rebuilt = reconstruct(public, plan)
-    assert _normalized_dump(rebuilt) == _normalized_dump(lenet)
-    assert rebuilt.buffers == lenet.buffers
+        lenet, ObfuscationConfig(seed=5, n_shortcuts=5, n_extra_layers=5))
+    plan.shapes = plan.shapes[:-1] if change < 0 else [*plan.shapes, (1, 2)]
+    with pytest.raises(PlanMismatch, match="tensor shapes"):
+        reconstruct(public, plan)
 
 
 def test_reconstruct_rejects_foreign_plan(lenet):
