@@ -626,13 +626,12 @@ def test_reconstruct_dump_matches_up_to_tensor_naming(all_fixtures):
                 assert rebuilt.buffers == g.buffers
 
 
-def test_reconstruct_runs_no_inference(monkeypatch):
+def test_reconstruct_runs_no_inference(all_fixtures, monkeypatch):
     def no_run(*args, **kwargs):
         raise AssertionError("reconstruct ran the model")
 
     cases = [(g, obfuscate(g, ObfuscationConfig(3, 5, 5, strategy)))
-             for g in (build_fixture(name, 7) for name in FIXTURE_NAMES)
-             for strategy in ShapeStrategy]
+             for g in all_fixtures.values() for strategy in ShapeStrategy]
     monkeypatch.setattr("nnobf.interpreter.run", no_run)
     for g, (public, _, plan) in cases:
         assert _normalized_dump(reconstruct(public, plan)) == _normalized_dump(g)
