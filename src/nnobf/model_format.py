@@ -27,6 +27,12 @@ Conventions baked into the format:
 * operators are stored in a valid topological order.
 * within one operator's input list, constant tensors follow activation tensors.
 * every operator declares exactly one output tensor.
+
+Each graph object is validated once: the codecs, ``dump_json`` and the
+obfuscator mark a graph that passes :func:`validate` and skip marked ones.
+Graphs are immutable (compiled programs rely on that too), so a mark never
+goes stale; it lives on the graph, since an ``id``-keyed table's resizes
+would make peak allocation depend on history.  A failing graph is re-checked.
 """
 
 from __future__ import annotations
@@ -226,13 +232,17 @@ class OperatorEntry:
 
 @dataclass(frozen=True)
 class ModelGraph:
-    """Immutable single-subgraph model. Safe to share across threads."""
+    """Immutable single-subgraph model. Safe to share across threads.
+
+    Its validation mark and the interpreter's programs rely on that."""
     opcodes: tuple[OperatorCode, ...]
     buffers: tuple[bytes, ...]
     tensors: tuple[Tensor, ...]
     operators: tuple[OperatorEntry, ...]
     graph_inputs: tuple[int, ...]
     graph_outputs: tuple[int, ...]
+    # not a field: set once validate() finds no violation (see _violations)
+    _validated = False
 
     def is_constant(self, tensor_index: int) -> bool:
         return self.tensors[tensor_index].buffer_index != 0
@@ -267,27 +277,33 @@ def materialize_constants(graph: ModelGraph) -> dict[int, np.ndarray]:
 def validate(graph: ModelGraph) -> list[str]:
     """Return a description of every violated invariant; [] means executable."""
     v: list[str] = []
-    n_op = len(graph.operators)
     n_t = len(graph.tensors)
 
+    # per opcode: custom?, and the options length a known builtin requires
+    codes: list[tuple[bool, int | None]] = []
     for i, oc in enumerate(graph.opcodes):
-        if oc.is_custom != bool(oc.custom_name):
+        custom = oc.builtin_code == CUSTOM_SENTINEL
+        if custom != bool(oc.custom_name):
             v.append(f"opcodes[{i}]: builtin_code/custom_name mismatch "
                      f"(code={oc.builtin_code:#x}, name={oc.custom_name!r})")
         if oc.custom_name and not CUSTOM_NAME_RE.match(oc.custom_name):
             v.append(f"opcodes[{i}].custom_name: {oc.custom_name!r} does not "
                      f"match [A-Z][a-z]{{5}}")
-        if not oc.is_custom and oc.builtin_code not in BuiltinOp._value2member_map_:
+        kind = None if custom else BuiltinOp._value2member_map_.get(oc.builtin_code)
+        if not custom and kind is None:
             v.append(f"opcodes[{i}].builtin_code: unknown builtin {oc.builtin_code}")
+        codes.append((custom, kind))
 
     if not graph.buffers:
         v.append("buffers: table must contain reserved empty entry 0")
     elif graph.buffers[0] != b"":
         v.append("buffers[0]: reserved entry must be empty")
 
+    const: list[bool] = []
     for i, t in enumerate(graph.tensors):
-        if any(d < 1 for d in t.shape):
+        if t.shape and min(t.shape) < 1:
             v.append(f"tensors[{i}].shape: dims must be >= 1, got {t.shape}")
+        const.append(t.buffer_index != 0)
         if not 0 <= t.buffer_index < len(graph.buffers):
             v.append(f"tensors[{i}].buffer_index: {t.buffer_index} out of range")
         elif t.buffer_index != 0:
@@ -298,25 +314,35 @@ def validate(graph: ModelGraph) -> list[str]:
                          f"bytes, shape/dtype implies {want}")
 
     produced_by: dict[int, int] = {}
+    graph_input_set = set(graph.graph_inputs)
+    order: list[str] = []  # stored order must be a valid execution order
     for i, op in enumerate(graph.operators):
-        if not 0 <= op.opcode_index < len(graph.opcodes):
+        if not 0 <= op.opcode_index < len(codes):
             v.append(f"operators[{i}].opcode_index: {op.opcode_index} out of range")
         else:
-            oc = graph.opcodes[op.opcode_index]
-            if oc.is_custom and op.options_kind is not OptionsKind.CUSTOM:
-                v.append(f"operators[{i}]: custom opcode requires CUSTOM options")
-            if not oc.is_custom:
-                if op.options_kind is not OptionsKind.BUILTIN:
-                    v.append(f"operators[{i}]: builtin opcode requires BUILTIN options")
-                elif oc.builtin_code in BuiltinOp._value2member_map_:
-                    kind = BuiltinOp(oc.builtin_code)
-                    want = OPTIONS_LENGTH[kind]
-                    if len(op.options) != want:
-                        v.append(f"operators[{i}].options: expected {want} bytes "
-                                 f"for {BUILTIN_NAMES[kind]}, got {len(op.options)}")
+            custom, kind = codes[op.opcode_index]
+            if custom:
+                if op.options_kind is not OptionsKind.CUSTOM:
+                    v.append(f"operators[{i}]: custom opcode requires CUSTOM options")
+            elif op.options_kind is not OptionsKind.BUILTIN:
+                v.append(f"operators[{i}]: builtin opcode requires BUILTIN options")
+            elif kind is not None and len(op.options) != OPTIONS_LENGTH[kind]:
+                v.append(f"operators[{i}].options: expected {OPTIONS_LENGTH[kind]} "
+                         f"bytes for {BUILTIN_NAMES[kind]}, got {len(op.options)}")
+        # constants must trail activations so custom-dispatch reassembly stays
+        # positional
+        seen_const, follows = False, None
         for j, tin in enumerate(op.inputs):
             if not 0 <= tin < n_t:
                 v.append(f"operators[{i}].inputs[{j}]: tensor index {tin} out of range")
+            elif const[tin]:
+                seen_const = True
+            else:
+                if seen_const and follows is None:
+                    follows = j
+                if tin not in produced_by and tin not in graph_input_set:
+                    order.append(f"operators[{i}]: input tensor {tin} is not a "
+                                 f"graph input, constant, or earlier output")
         if len(op.outputs) != 1:
             v.append(f"operators[{i}].outputs: must declare exactly one "
                      f"output, got {len(op.outputs)}")
@@ -329,18 +355,9 @@ def validate(graph: ModelGraph) -> list[str]:
                          f"both produce tensor {tout}")
             else:
                 produced_by[tout] = i
-        # constants must trail activations so custom-dispatch reassembly stays
-        # positional
-        seen_const = False
-        for j, tin in enumerate(op.inputs):
-            if not 0 <= tin < n_t:
-                continue
-            if graph.is_constant(tin):
-                seen_const = True
-            elif seen_const:
-                v.append(f"operators[{i}].inputs: activation input at position "
-                         f"{j} follows a constant input")
-                break
+        if follows is not None:
+            v.append(f"operators[{i}].inputs: activation input at position "
+                     f"{follows} follows a constant input")
 
     for io_name, idxs in (("graph_inputs", graph.graph_inputs),
                           ("graph_outputs", graph.graph_outputs)):
@@ -348,23 +365,12 @@ def validate(graph: ModelGraph) -> list[str]:
             if not 0 <= t < n_t:
                 v.append(f"{io_name}[{j}]: tensor index {t} out of range")
 
-    graph_input_set = set(graph.graph_inputs)
     for j, t in enumerate(graph.graph_outputs):
         if 0 <= t < n_t and t not in produced_by and t not in graph_input_set:
             v.append(f"graph_outputs[{j}]: tensor {t} is never produced")
 
-    # stored order must be a valid execution order
-    available = set(graph_input_set)
-    available.update(i for i in range(n_t) if graph.tensors[i].buffer_index != 0)
-    order_ok = True
-    for i, op in enumerate(graph.operators):
-        for tin in op.inputs:
-            if 0 <= tin < n_t and tin not in available:
-                order_ok = False
-                v.append(f"operators[{i}]: input tensor {tin} is not a graph "
-                         f"input, constant, or earlier output")
-        available.update(t for t in op.outputs if 0 <= t < n_t)
-    if not order_ok and _has_cycle(graph):
+    v += order
+    if order and _has_cycle(graph):
         v.append("operators: data-flow graph contains a cycle")
 
     return v
@@ -380,6 +386,19 @@ def _has_cycle(graph: ModelGraph) -> bool:
     except graphlib.CycleError:
         return True
     return False
+
+
+def _violations(graph: ModelGraph, check=None) -> list[str]:
+    """``check(graph)`` (default ``validate``) unless the graph passed before.
+
+    Only a graph with no violation is marked.
+    """
+    if graph._validated:
+        return []
+    bad = (check or validate)(graph)
+    if not bad:
+        object.__setattr__(graph, "_validated", True)  # past the frozen guard
+    return bad
 
 
 def _raise_for_violations(violations: list[str]) -> None:
@@ -516,7 +535,7 @@ def _decode(magic: bytes, version: int, layout, data: bytes) -> list:
 
 def serialize_model(graph: ModelGraph) -> bytes:
     """Canonical byte encoding; a pure function of the graph."""
-    _raise_for_violations(validate(graph))
+    _raise_for_violations(_violations(graph))
     return _encode(MAGIC, VERSION, _MODEL,
                    attrgetter(*ModelGraph.__dataclass_fields__)(graph))
 
@@ -524,7 +543,7 @@ def serialize_model(graph: ModelGraph) -> bytes:
 def parse_model(data: bytes) -> ModelGraph:
     """Parse NNM1 bytes into a validated ModelGraph."""
     graph = ModelGraph(*_decode(MAGIC, VERSION, _MODEL, data))
-    _raise_for_violations(validate(graph))
+    _raise_for_violations(_violations(graph))
     return graph
 
 
@@ -550,7 +569,7 @@ def options_to_dict(kind: BuiltinOp, raw: bytes) -> dict:
 
 def dump_json(graph: ModelGraph) -> str:
     """Readable JSON view of the model file, with stable key order."""
-    _raise_for_violations(validate(graph))
+    _raise_for_violations(_violations(graph))
     codes = []
     for oc in graph.opcodes:
         entry = {"deprecated_builtin_code": oc.builtin_code}

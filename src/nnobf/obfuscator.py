@@ -22,7 +22,6 @@ import base64
 import json
 import math
 import random
-import string
 import warnings
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -49,6 +48,7 @@ from .model_format import (
     OptionsKind,
     Tensor,
     _raise_for_violations,
+    _violations,
     materialize_constants,
     validate,
 )
@@ -100,8 +100,17 @@ def validate_config(cfg: ObfuscationConfig) -> None:
             "true wiring is hidden in the bundle")
 
 
+# a 32-bit word's top byte -> the letter of its top 5 bits, unless >= 26
+_LETTER = bytes(ord("a") + (x >> 3) for x in range(208)) + bytes(48)
+_REJECT = bytes(range(208, 256))
+
+
 class NameGenerator:
-    """Emits unique random names matching [A-Z][a-z]{5}."""
+    """Emits unique random names matching [A-Z][a-z]{5}.
+
+    It draws the stream of six ``rng.choice`` calls over 26 letters a name:
+    a 32-bit word's top 5 bits, redrawn while >= 26; one ``getrandbits``
+    reads the k words that the k letters still missing need at least."""
 
     def __init__(self, seed: int):
         self._rng = random.Random(seed)
@@ -109,9 +118,12 @@ class NameGenerator:
 
     def fresh(self) -> str:
         while True:
-            name = (self._rng.choice(string.ascii_uppercase)
-                    + "".join(self._rng.choice(string.ascii_lowercase)
-                              for _ in range(5)))
+            got = b""
+            while len(got) < 6:
+                k = 6 - len(got)  # the first word drawn is the lowest
+                words = self._rng.getrandbits(32 * k).to_bytes(4 * k, "little")
+                got += words[3::4].translate(_LETTER, _REJECT)
+            name = got.decode().capitalize()
             if name not in self._used:
                 self._used.add(name)
                 return name
@@ -242,9 +254,9 @@ def obfuscate_shapes(graph: ModelGraph, strategy: ShapeStrategy,
             tensors.append(t)
         elif strategy is ShapeStrategy.RANDOM:
             shape = tuple(rng.randint(1, 64) for _ in t.shape)
-            tensors.append(replace(t, shape=shape))
+            tensors.append(Tensor(t.name, t.dtype, shape, t.buffer_index))
         else:
-            tensors.append(replace(t, shape=largest))
+            tensors.append(Tensor(t.name, t.dtype, largest, t.buffer_index))
     return replace(graph, tensors=tuple(tensors))
 
 
@@ -282,7 +294,8 @@ def inject_shortcuts(graph: ModelGraph, n1: int, rng: random.Random,
             break
         else:
             warnings.warn("no free shortcut pair found after 100 draws; skipped")
-    operators = tuple(replace(op, inputs=tuple(ins))
+    operators = tuple(OperatorEntry(op.opcode_index, tuple(ins), op.outputs,
+                                    op.options_kind, op.options)
                       for op, ins in zip(graph.operators, inputs))
     return replace(graph, operators=operators)
 
@@ -293,50 +306,50 @@ def inject_extra_layers(graph: ModelGraph, n2: int, rng: random.Random,
     """Insert n2 decoy operators whose outputs feed later ops' declared inputs.
 
     A decoy reads some earlier operator's output and produces a small
-    zero-filled tensor at runtime; the consumer ignores it.  Decoys are
-    inserted right after their producer so stored order stays topological.
+    zero-filled tensor at runtime; the consumer ignores it.  Each decoy goes
+    right after its producer, ahead of older ones, so stored order stays
+    topological; the layout, and the plan's indices, are made at the end.
     """
-    if len(graph.operators) < 2:
+    n = len(graph.operators)
+    if n < 2:
         if n2 > 0:
             warnings.warn("graph has fewer than 2 operators; no extra layers injected")
         return graph
     opcodes = list(graph.opcodes)
     tensors = list(graph.tensors)
-    operators = [[op.opcode_index, list(op.inputs), list(op.outputs),
-                  op.options_kind, op.options] for op in graph.operators]
-    # positions of the original (non-decoy) operators in the growing list
-    real_pos = list(range(len(operators)))
-
-    for _ in range(n2):
-        ai, bi = sorted(rng.sample(range(len(real_pos)), 2))
-        r1, r2 = real_pos[ai], real_pos[bi]
+    decoys: list[list[tuple]] = [[] for _ in range(n)]  # per producer, oldest first
+    extra: list[list[int]] = [[] for _ in range(n)]  # decoy tensors each op reads
+    shapes = []
+    for d in range(n2):
+        a, b = sorted(rng.sample(range(n), 2))
         op_name = names.fresh()
         tensor_name = names.fresh()
         shape = (rng.randint(1, 8), rng.randint(1, 8))
         tensors.append(Tensor(tensor_name, DType.F32, shape, 0))
-        t_idx = len(tensors) - 1
         opcodes.append(OperatorCode(CUSTOM_SENTINEL, op_name))
         options = rng.randbytes(rng.randint(8, 24))
-        decoy = [len(opcodes) - 1, [operators[r1][2][0]], [t_idx],
-                 OptionsKind.CUSTOM, options]
-        insert_pos = r1 + 1
-        operators.insert(insert_pos, decoy)
-        real_pos = [p + 1 if p >= insert_pos else p for p in real_pos]
-        plan.injected_shortcuts = [
-            (i + 1 if i >= insert_pos else i, j + 1 if j >= insert_pos else j)
-            for i, j in plan.injected_shortcuts]
-        plan.injected_layers = [
-            (i + 1 if i >= insert_pos else i, s)
-            for i, s in plan.injected_layers]
-        operators[real_pos[bi]][1].append(t_idx)
-        plan.injected_layers.append((insert_pos, shape))
+        decoys[a].append((d, OperatorEntry(
+            len(opcodes) - 1, (graph.operators[a].outputs[0],),
+            (len(tensors) - 1,), OptionsKind.CUSTOM, options)))
+        extra[b].append(len(tensors) - 1)
+        shapes.append(shape)
         plan.records[op_name] = BundleRecord(
             DECOY_SENTINEL, encode_decoy_shape(shape), (), ())
 
-    frozen = tuple(OperatorEntry(oc, tuple(ins), tuple(outs), kind, opts)
-                   for oc, ins, outs, kind, opts in operators)
+    pos, decoy_pos, operators = [], [0] * n2, []
+    for op, ins, after in zip(graph.operators, extra, decoys):
+        pos.append(len(operators))
+        operators.append(OperatorEntry(op.opcode_index, op.inputs + tuple(ins),
+                                       op.outputs, op.options_kind, op.options)
+                         if ins else op)
+        for d, decoy in reversed(after):
+            decoy_pos[d] = len(operators)
+            operators.append(decoy)
+    plan.injected_shortcuts = [(pos[i], pos[j]) for i, j in plan.injected_shortcuts]
+    plan.injected_layers = ([(pos[i], s) for i, s in plan.injected_layers]
+                            + list(zip(decoy_pos, shapes)))
     return replace(graph, opcodes=tuple(opcodes), tensors=tuple(tensors),
-                   operators=frozen)
+                   operators=tuple(operators))
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +360,7 @@ def obfuscate(graph: ModelGraph, config: ObfuscationConfig) \
         -> tuple[ModelGraph, KernelBundle, ObfuscationPlan]:
     """Apply the enabled passes in canonical order; fully deterministic."""
     validate_config(config)
-    _raise_for_violations(validate(graph))
+    _raise_for_violations(_violations(graph, validate))
 
     master = random.Random(config.seed)
     stage_seed = {s: master.getrandbits(64) for s in STRATEGY_ORDER}
@@ -373,7 +386,7 @@ def obfuscate(graph: ModelGraph, config: ObfuscationConfig) \
                                 random.Random(stage_seed[Strategy.EXTRA_LAYER]),
                                 plan, names)
 
-    bad = validate(g)
+    bad = _violations(g, validate)
     if bad:
         raise InvariantViolation("obfuscation produced an invalid graph: "
                                  + "; ".join(bad))
@@ -401,7 +414,7 @@ def reconstruct(graph: ModelGraph, plan: ObfuscationPlan) -> ModelGraph:
     else:
         rebuilt = replace(graph, tensors=_restore_shapes(graph.tensors,
                                                          plan.shapes))
-    bad = validate(rebuilt)
+    bad = _violations(rebuilt, validate)
     if bad:
         raise PlanMismatch("reconstruction produced an invalid graph: "
                            + "; ".join(bad))

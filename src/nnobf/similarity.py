@@ -30,6 +30,7 @@ over the union of all labels.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -102,6 +103,7 @@ def _mix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
+@functools.lru_cache(maxsize=1024)
 def quantization_offset(seed: int, t: int, label: int) -> float:
     """Deterministic offset in [0, 1) for one grid coordinate."""
     h = _mix64(_mix64(_mix64(seed & _M64) ^ ((t + 0x1F123BB5) & _M64))

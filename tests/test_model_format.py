@@ -392,3 +392,75 @@ def test_fixture_counts_match_declared_stats():
         assert len(g.tensors) == stats["tensors"]
         assert sum(1 for t in g.tensors if t.buffer_index != 0) == stats["constants"]
         assert len(g.opcodes) == stats["opcodes"]
+
+
+# -- validation memo ------------------------------------------------------------
+
+@pytest.fixture
+def counted_validate(monkeypatch):
+    """Count the real ``validate``'s calls per graph object, at both names
+    it is called through."""
+    from collections import Counter
+
+    from nnobf import obfuscator
+    seen = Counter()
+    real = model_format.validate
+
+    def counting(graph):
+        seen[id(graph)] += 1
+        return real(graph)
+
+    monkeypatch.setattr(model_format, "validate", counting)
+    monkeypatch.setattr(obfuscator, "validate", counting)
+    return seen
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_each_graph_is_validated_once(name, counted_validate):
+    from nnobf.obfuscator import ObfuscationConfig, obfuscate, reconstruct
+    original = build_fixture(name, 4)
+    config = ObfuscationConfig(seed=2, n_shortcuts=5, n_extra_layers=5)
+    public, _, plan = obfuscate(original, config)
+    blob = serialize_model(public)
+    shipped = parse_model(blob)
+    assert serialize_model(shipped) == blob
+    dump_json(shipped)
+    rebuilt = reconstruct(shipped, plan)
+    serialize_model(rebuilt)
+    dump_json(rebuilt)
+    again, _, _ = obfuscate(original, config)  # the original is not checked again
+    assert again == public
+    graphs = (original, public, shipped, rebuilt, again)  # all alive: ids distinct
+    assert counted_validate == {id(g): 1 for g in graphs}
+
+
+def test_invalid_graph_raises_on_every_call(counted_validate):
+    from nnobf.obfuscator import ObfuscationConfig, obfuscate
+    g = ModelGraph(
+        opcodes=(), buffers=(b"",),
+        tensors=(Tensor("t", DType.F32, (2,)),),
+        operators=(), graph_inputs=(), graph_outputs=(5,))
+    for _ in range(3):
+        for call in (serialize_model, dump_json,
+                     lambda graph: obfuscate(graph, ObfuscationConfig(seed=0))):
+            with pytest.raises(IndexOutOfRange):
+                call(g)
+    assert counted_validate == {id(g): 9}
+    assert not g._validated
+
+
+def test_validation_mark_dies_with_its_graph(counted_validate):
+    import gc
+    import weakref
+    from dataclasses import replace
+    g = build_fixture("mlp", 4)
+    serialize_model(g)
+    assert g._validated
+    twin = replace(g)  # an equal graph is another object, checked afresh
+    assert twin == g and not twin._validated
+    serialize_model(twin)
+    assert counted_validate == {id(g): 1, id(twin): 1}
+    ref = weakref.ref(g)
+    del g
+    gc.collect()
+    assert ref() is None  # nothing in the package keeps a checked graph alive

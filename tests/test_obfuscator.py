@@ -2,13 +2,19 @@ import base64
 import json
 import random
 import re
+import string
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from nnobf.bundle import load_bundle, serialize_bundle
+from nnobf.bundle import (
+    BundleRecord,
+    encode_decoy_shape,
+    load_bundle,
+    serialize_bundle,
+)
 from nnobf.errors import (
     CycleDetected,
     IndexOutOfRange,
@@ -23,16 +29,19 @@ from nnobf.model_format import (
     BUILTIN_NAMES,
     BuiltinOp,
     CUSTOM_SENTINEL,
+    DECOY_SENTINEL,
     DType,
     ModelGraph,
     OperatorCode,
     OperatorEntry,
+    OptionsKind,
     Tensor,
     dump_json,
     serialize_model,
     validate,
 )
 from nnobf.obfuscator import (
+    ALL_STRATEGIES,
     NameGenerator,
     ObfuscationConfig,
     ObfuscationPlan,
@@ -152,6 +161,29 @@ def test_name_generator_never_repeats():
     names = [gen.fresh() for _ in range(2000)]
     assert len(set(names)) == 2000
     assert all(NAME_RE.match(n) for n in names)
+
+
+def choice_names(seed, count):
+    """``count`` names as ``NameGenerator`` first drew them, six
+    ``random.choice`` calls a name; and the next 32-bit word after them."""
+    rng, names = random.Random(seed), []
+    while len(names) < count:
+        name = (rng.choice(string.ascii_uppercase)
+                + "".join(rng.choice(string.ascii_lowercase) for _ in range(5)))
+        if name not in names:
+            names.append(name)
+    return names, rng.getrandbits(32)
+
+
+def test_name_generator_draws_the_choice_stream():
+    # choice over 26 letters rejects a word whose top 5 bits are >= 26
+    first_rejected = [s for s in range(200)
+                      if random.Random(s).getrandbits(32) >> 27 >= 26]
+    assert first_rejected
+    for seed in (*range(200), 2**64 - 1):
+        gen = NameGenerator(seed)
+        names = [gen.fresh() for _ in range(300)]
+        assert (names, gen._rng.getrandbits(32)) == choice_names(seed, 300)
 
 
 def test_rename_scales_one_opcode_per_operator():
@@ -383,6 +415,69 @@ def test_extra_layers_shape_and_wiring(lenet):
     want, _ = run(lenet, None, [x])
     got, _ = run(public, bundle, [x])
     assert np.array_equal(want[0], got[0])
+
+
+def insert_and_shift_inject_extra_layers(graph, n2, rng, plan, names):
+    """The extra-layer pass as first written: each decoy is inserted into the
+    operator list, and every operator index after it is shifted, in the
+    list and in both injection logs."""
+    if len(graph.operators) < 2:
+        if n2 > 0:
+            warnings.warn("graph has fewer than 2 operators; no extra layers injected")
+        return graph
+    opcodes = list(graph.opcodes)
+    tensors = list(graph.tensors)
+    operators = [[op.opcode_index, list(op.inputs), list(op.outputs),
+                  op.options_kind, op.options] for op in graph.operators]
+    real_pos = list(range(len(operators)))
+    for _ in range(n2):
+        ai, bi = sorted(rng.sample(range(len(real_pos)), 2))
+        r1 = real_pos[ai]
+        op_name = names.fresh()
+        tensor_name = names.fresh()
+        shape = (rng.randint(1, 8), rng.randint(1, 8))
+        tensors.append(Tensor(tensor_name, DType.F32, shape, 0))
+        t_idx = len(tensors) - 1
+        opcodes.append(OperatorCode(CUSTOM_SENTINEL, op_name))
+        options = rng.randbytes(rng.randint(8, 24))
+        insert_pos = r1 + 1
+        operators.insert(insert_pos, [len(opcodes) - 1, [operators[r1][2][0]],
+                                      [t_idx], OptionsKind.CUSTOM, options])
+        real_pos = [p + 1 if p >= insert_pos else p for p in real_pos]
+        plan.injected_shortcuts = [
+            (i + 1 if i >= insert_pos else i, j + 1 if j >= insert_pos else j)
+            for i, j in plan.injected_shortcuts]
+        plan.injected_layers = [(i + 1 if i >= insert_pos else i, s)
+                                for i, s in plan.injected_layers]
+        operators[real_pos[bi]][1].append(t_idx)
+        plan.injected_layers.append((insert_pos, shape))
+        plan.records[op_name] = BundleRecord(
+            DECOY_SENTINEL, encode_decoy_shape(shape), (), ())
+    frozen = tuple(OperatorEntry(oc, tuple(ins), tuple(outs), kind, opts)
+                   for oc, ins, outs, kind, opts in operators)
+    return replace(graph, opcodes=tuple(opcodes), tensors=tuple(tensors),
+                   operators=frozen)
+
+
+@pytest.mark.parametrize("name", ["relu_chain", *FIXTURE_NAMES])
+def test_extra_layers_match_insert_and_shift_loop(name):
+    graph = relu_chain(60) if name == "relu_chain" else build_fixture(name, 0)
+    # the graph and plan as obfuscate() hands them to the extra-layer pass
+    pre = ALL_STRATEGIES - {Strategy.EXTRA_LAYER}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # saturated shortcuts
+        graph, _, before = obfuscate(graph, ObfuscationConfig(
+            seed=1, n_shortcuts=20, strategies=pre))
+    assert before.injected_shortcuts
+    for n2 in (1, 30, 300):
+        got = []
+        for inject in (inject_extra_layers, insert_and_shift_inject_extra_layers):
+            plan = ObfuscationPlan(before.config, dict(before.records),
+                                   list(before.injected_shortcuts))
+            out = inject(graph, n2, random.Random(n2), plan, NameGenerator(n2))
+            got.append((out, plan.injected_shortcuts, plan.injected_layers,
+                        list(plan.records.items())))
+        assert got[0] == got[1]
 
 
 def test_extra_layer_zero_is_identity(lenet):
