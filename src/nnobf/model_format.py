@@ -280,7 +280,7 @@ def validate(graph: ModelGraph) -> list[str]:
     n_t = len(graph.tensors)
 
     # per opcode: custom?, and the options length a known builtin requires
-    codes: list[tuple[bool, int | None]] = []
+    codes: list[tuple[bool, BuiltinOp | None]] = []
     for i, oc in enumerate(graph.opcodes):
         custom = oc.builtin_code == CUSTOM_SENTINEL
         if custom != bool(oc.custom_name):

@@ -1,5 +1,9 @@
+import gc
 import json
 import struct
+import weakref
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +16,7 @@ from nnobf.errors import (
     TruncatedSection,
     UnknownFixture,
 )
-from nnobf import model_format
+from nnobf import model_format, obfuscator
 from nnobf.fixtures import FIXTURE_NAMES, FIXTURE_STATS, build_fixture
 from nnobf.model_format import (
     Activation,
@@ -36,6 +40,7 @@ from nnobf.model_format import (
     serialize_model,
     validate,
 )
+from nnobf.obfuscator import ObfuscationConfig, obfuscate, reconstruct
 
 
 def one_tensor_graph():
@@ -394,15 +399,12 @@ def test_fixture_counts_match_declared_stats():
         assert len(g.opcodes) == stats["opcodes"]
 
 
-# -- validation memo ------------------------------------------------------------
+# -- validation mark ------------------------------------------------------------
 
 @pytest.fixture
 def counted_validate(monkeypatch):
     """Count the real ``validate``'s calls per graph object, at both names
     it is called through."""
-    from collections import Counter
-
-    from nnobf import obfuscator
     seen = Counter()
     real = model_format.validate
 
@@ -417,7 +419,6 @@ def counted_validate(monkeypatch):
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_each_graph_is_validated_once(name, counted_validate):
-    from nnobf.obfuscator import ObfuscationConfig, obfuscate, reconstruct
     original = build_fixture(name, 4)
     config = ObfuscationConfig(seed=2, n_shortcuts=5, n_extra_layers=5)
     public, _, plan = obfuscate(original, config)
@@ -435,7 +436,6 @@ def test_each_graph_is_validated_once(name, counted_validate):
 
 
 def test_invalid_graph_raises_on_every_call(counted_validate):
-    from nnobf.obfuscator import ObfuscationConfig, obfuscate
     g = ModelGraph(
         opcodes=(), buffers=(b"",),
         tensors=(Tensor("t", DType.F32, (2,)),),
@@ -450,9 +450,6 @@ def test_invalid_graph_raises_on_every_call(counted_validate):
 
 
 def test_validation_mark_dies_with_its_graph(counted_validate):
-    import gc
-    import weakref
-    from dataclasses import replace
     g = build_fixture("mlp", 4)
     serialize_model(g)
     assert g._validated
