@@ -16,7 +16,7 @@ from __future__ import annotations
 import gc
 import statistics
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -29,18 +29,21 @@ from .obfuscator import (
     ObfuscationConfig,
     ShapeStrategy,
     Strategy,
-    STRATEGY_ORDER,
     emit_bundle,
     obfuscate,
 )
 
+_CHUNK = 256   # inputs per run() in compare_graphs
+_WARMUP = 10   # untimed inferences per model before timing
+
 
 @dataclass
 class BenchRecord:
-    model_id: str
+    """One CSV row; the field names are the header."""
+    model: str
     n1: int
     n2: int
-    shape_strategy: str
+    shape: str
     strategies: str
     latency_s_per_1000: float
     peak_bytes: int
@@ -50,18 +53,14 @@ class BenchRecord:
     extra_layers: int   # achieved, which may fall short of n2
 
 
-CSV_HEADER = ("model,n1,n2,shape,strategies,latency_s_per_1000,"
-              "peak_bytes,model_file_bytes,bundle_bytes,shortcuts,extra_layers")
-
-
 def record_to_csv(r: BenchRecord) -> str:
-    return (f"{r.model_id},{r.n1},{r.n2},{r.shape_strategy},{r.strategies},"
-            f"{r.latency_s_per_1000:.6f},{r.peak_bytes},"
-            f"{r.model_file_bytes},{r.bundle_bytes},{r.shortcuts},{r.extra_layers}")
+    return ",".join(f"{v:.6f}" if isinstance(v, float) else str(v)
+                    for v in astuple(r))
 
 
 def records_to_csv(records: list[BenchRecord]) -> str:
-    return "\n".join([CSV_HEADER] + [record_to_csv(r) for r in records]) + "\n"
+    header = ",".join(f.name for f in fields(BenchRecord))
+    return "\n".join([header] + [record_to_csv(r) for r in records]) + "\n"
 
 
 def batched_random_inputs(graph: ModelGraph, n: int, seed: int) \
@@ -78,12 +77,12 @@ def batched_random_inputs(graph: ModelGraph, n: int, seed: int) \
 
 def compare_graphs(original: ModelGraph, original_bundle: KernelBundle | None,
                    obfuscated: ModelGraph, bundle: KernelBundle | None,
-                   n: int = 1000, seed: int = 0, chunk: int = 256) -> float:
+                   n: int = 1000, seed: int = 0) -> float:
     """Max over n random inputs of the L2 distance between output vectors."""
     inputs = batched_random_inputs(original, n, seed)
     worst = 0.0
-    for lo in range(0, n, chunk):
-        hi = min(n, lo + chunk)
+    for lo in range(0, n, _CHUNK):
+        hi = min(n, lo + _CHUNK)
         part = [a[lo:hi] for a in inputs]
         y1, _ = run(original, original_bundle, part)
         y2, _ = run(obfuscated, bundle, part)
@@ -106,8 +105,7 @@ def compare_outputs(original_path: str | Path, obfuscated_path: str | Path,
 
 
 def _interleaved_seconds(models: list[tuple[ModelGraph, KernelBundle | None]],
-                         n: int, seed: int, reps: int,
-                         warmup: int) -> list[list[float]]:
+                         n: int, seed: int, reps: int) -> list[list[float]]:
     """Per repetition, each model's total seconds over n batch-1 inferences.
 
     The models run alternately on every input, so load bursts and clock drift
@@ -116,7 +114,7 @@ def _interleaved_seconds(models: list[tuple[ModelGraph, KernelBundle | None]],
     """
     batched = batched_random_inputs(models[0][0], n, seed)
     single = [[a[k:k + 1] for a in batched] for k in range(n)]
-    for inp in single[:warmup]:
+    for inp in single[:_WARMUP]:
         for graph, bundle in models:
             run(graph, bundle, inp)
     clock = time.perf_counter
@@ -137,17 +135,15 @@ def _interleaved_seconds(models: list[tuple[ModelGraph, KernelBundle | None]],
 
 
 def measure_latency(graph: ModelGraph, bundle: KernelBundle | None,
-                    n: int = 1000, seed: int = 0, reps: int = 3,
-                    warmup: int = 10) -> float:
+                    n: int = 1000, seed: int = 0, reps: int = 3) -> float:
     """Median wall-clock seconds per 1000 single-input inferences."""
-    totals = _interleaved_seconds([(graph, bundle)], n, seed, reps, warmup)
+    totals = _interleaved_seconds([(graph, bundle)], n, seed, reps)
     return statistics.median(rep[0] for rep in totals) / n * 1000.0
 
 
 def latency_overhead(baseline: ModelGraph, base_bundle: KernelBundle | None,
                      variant: ModelGraph, variant_bundle: KernelBundle | None,
-                     n: int = 300, seed: int = 0, reps: int = 3,
-                     warmup: int = 10) -> float:
+                     n: int = 300, seed: int = 0, reps: int = 3) -> float:
     """Relative latency of variant over baseline, noise-cancelled.
 
     Both models are timed alternately on every single inference.  Returns
@@ -155,7 +151,7 @@ def latency_overhead(baseline: ModelGraph, base_bundle: KernelBundle | None,
     """
     totals = _interleaved_seconds([(baseline, base_bundle),
                                    (variant, variant_bundle)],
-                                  n, seed, reps, warmup)
+                                  n, seed, reps)
     return statistics.median(v / b for b, v in totals) - 1.0
 
 
@@ -191,7 +187,7 @@ def bench(model_path: str | Path, bundle_path: str | Path | None,
                                    shape_strategy=shape_strategy,
                                    strategies=ALL_STRATEGIES)
         public, bundle, plan = obfuscate(graph, config)
-        strategies = "+".join(s.value for s in STRATEGY_ORDER
+        strategies = "+".join(s.value for s in Strategy
                               if s in config.strategies)
         records.append(BenchRecord(
             model_id, n1, n2, shape_strategy.value, strategies,

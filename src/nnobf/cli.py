@@ -145,78 +145,71 @@ def _cmd_build_fixture(args) -> int:
     return 0
 
 
+_SEED = dict(type=int, default=0)
+_SHAPE = dict(choices=sorted(s.value for s in ShapeStrategy), default="align")
+
+# subcommand -> (help, handler, {flags: add_argument keywords} in help order)
+_COMMANDS = {
+    "obfuscate": ("obfuscate a model into a directory", _cmd_obfuscate, {
+        "model": {},
+        "-o --output": dict(required=True, help="output directory"),
+        "--seed": _SEED,
+        "--n1": dict(type=int, default=0, help="shortcut count"),
+        "--n2": dict(type=int, default=0, help="extra layer count"),
+        "--shape": _SHAPE,
+        "--strategies": dict(default="all",
+                             help="comma list of rename,encapsulate,shape,"
+                                  "shortcut,extra_layer, or 'all'/'none'")}),
+    "run": ("execute a model on NNT1 tensor files", _cmd_run, {
+        "model": {},
+        "--bundle": dict(help="kernel bundle for obfuscated models"),
+        "--input": dict(action="append", required=True,
+                        help="NNT1 input file (repeat per graph input)"),
+        "-o --output": dict(help="NNT1 output path")}),
+    "compare": ("max L2 output distance on random inputs", _cmd_compare, {
+        "original": {},
+        "obfuscated": {},
+        "--bundle": {},
+        "-n": dict(type=int, default=1000),
+        "--seed": _SEED}),
+    "dump": ("print the JSON view of a model", _cmd_dump, {"model": {}}),
+    "similarity": ("pairwise structure-similarity CSV", _cmd_similarity, {
+        "models": dict(nargs="+"),
+        "--seed": _SEED}),
+    "attack": ("replay parsing attacks per strategy subset", _cmd_attack, {
+        "models": dict(nargs="+"),
+        "--zoo": dict(help="directory of candidate original .nnm1 files"),
+        "--seed": _SEED}),
+    "bench": ("latency/memory/size sweep as CSV", _cmd_bench, {
+        "model": {},
+        "--bundle": {},
+        "--configs": dict(nargs="*", default=[],
+                          help="obfuscation settings as 'n1,n2' pairs"),
+        "--original": dict(action="store_true",
+                           help="include an un-obfuscated baseline row"),
+        "-n": dict(type=int, default=1000, help="inferences per timing run"),
+        "--reps": dict(type=int, default=3),
+        "--seed": _SEED,
+        "--shape": _SHAPE,
+        "-o --output": dict(help="CSV path (default stdout)")}),
+    "build-fixture": ("write a built-in fixture model", _cmd_build_fixture, {
+        "name": dict(choices=FIXTURE_NAMES),
+        "-o --output": dict(required=True),
+        "--seed": _SEED}),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nnobf",
         description="Obfuscate serialized neural-network models and run, "
                     "compare, analyze, and benchmark the results.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("obfuscate", help="obfuscate a model into a directory")
-    p.add_argument("model")
-    p.add_argument("-o", "--output", required=True, help="output directory")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n1", type=int, default=0, help="shortcut count")
-    p.add_argument("--n2", type=int, default=0, help="extra layer count")
-    p.add_argument("--shape", choices=sorted(s.value for s in ShapeStrategy),
-                   default="align")
-    p.add_argument("--strategies", default="all",
-                   help="comma list of rename,encapsulate,shape,shortcut,"
-                        "extra_layer, or 'all'/'none'")
-    p.set_defaults(func=_cmd_obfuscate)
-
-    p = sub.add_parser("run", help="execute a model on NNT1 tensor files")
-    p.add_argument("model")
-    p.add_argument("--bundle", help="kernel bundle for obfuscated models")
-    p.add_argument("--input", action="append", required=True,
-                   help="NNT1 input file (repeat per graph input)")
-    p.add_argument("-o", "--output", help="NNT1 output path")
-    p.set_defaults(func=_cmd_run)
-
-    p = sub.add_parser("compare", help="max L2 output distance on random inputs")
-    p.add_argument("original")
-    p.add_argument("obfuscated")
-    p.add_argument("--bundle")
-    p.add_argument("-n", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_compare)
-
-    p = sub.add_parser("dump", help="print the JSON view of a model")
-    p.add_argument("model")
-    p.set_defaults(func=_cmd_dump)
-
-    p = sub.add_parser("similarity", help="pairwise structure-similarity CSV")
-    p.add_argument("models", nargs="+")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_similarity)
-
-    p = sub.add_parser("attack", help="replay parsing attacks per strategy subset")
-    p.add_argument("models", nargs="+")
-    p.add_argument("--zoo", help="directory of candidate original .nnm1 files")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_attack)
-
-    p = sub.add_parser("bench", help="latency/memory/size sweep as CSV")
-    p.add_argument("model")
-    p.add_argument("--bundle")
-    p.add_argument("--configs", nargs="*", default=[],
-                   help="obfuscation settings as 'n1,n2' pairs")
-    p.add_argument("--original", action="store_true",
-                   help="include an un-obfuscated baseline row")
-    p.add_argument("-n", type=int, default=1000, help="inferences per timing run")
-    p.add_argument("--reps", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--shape", choices=sorted(s.value for s in ShapeStrategy),
-                   default="align")
-    p.add_argument("-o", "--output", help="CSV path (default stdout)")
-    p.set_defaults(func=_cmd_bench)
-
-    p = sub.add_parser("build-fixture", help="write a built-in fixture model")
-    p.add_argument("name", choices=FIXTURE_NAMES)
-    p.add_argument("-o", "--output", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_build_fixture)
-
+    for name, (help_, func, arguments) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_)
+        for flags, kw in arguments.items():
+            p.add_argument(*flags.split(), **kw)
+        p.set_defaults(func=func)
     return parser
 
 

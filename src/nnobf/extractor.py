@@ -45,7 +45,6 @@ from .similarity import PKConfig, propagation_kernel, to_labeled_graph
 
 class ConversionStatus(Enum):
     SUCCESS = "success"
-    UNKNOWN_OPERATOR = "unknown_operator"
     MALFORMED = "malformed"
 
 
@@ -56,7 +55,6 @@ class ExtractionReport:
     weight_bytes: int = 0
     shapes_recovered: list[tuple[int, ...]] = field(default_factory=list)
     conversion: ConversionStatus = ConversionStatus.SUCCESS
-    surrogate_rank: float | None = None
 
 
 def parse_in_buffer(data: bytes) -> ExtractionReport:
@@ -239,13 +237,15 @@ def attack_matrix(models: list[tuple[str, ModelGraph]],
                   cfg: PKConfig = PKConfig()) -> list[AttackRow]:
     """Success counts per attack per strategy subset, over the given models."""
     zoo_graphs = [g for _, g in zoo]
-    zoo_bytes = [serialize_model(g) for g in zoo_graphs]
+    # each model's zoo entry; serialization is canonical, so == is byte equality
+    zoo_index = [next((i for i, z in enumerate(zoo_graphs) if z == g), None)
+                 for _, g in models]
     already_custom = {id(g) for _, g in models
                       if any(g.op_kind(op).is_custom for op in g.operators)}
     rows = []
     for label, strategies, n1, n2 in ATTACK_ROWS:
         conv = buf = surr = 0
-        for _, graph in models:
+        for (_, graph), true_index in zip(models, zoo_index):
             if id(graph) in already_custom:
                 # the input is already obfuscated; attack it as shipped
                 public = graph
@@ -259,9 +259,6 @@ def attack_matrix(models: list[tuple[str, ModelGraph]],
                 conv += 1
             if _buffer_parse_succeeds(serialize_model(public)):
                 buf += 1
-            original_bytes = serialize_model(graph)
-            true_index = next((i for i, zb in enumerate(zoo_bytes)
-                               if zb == original_bytes), None)
             if true_index is not None:
                 ranked = find_surrogate(public, zoo_graphs, cfg)
                 if surrogate_rank(ranked, true_index) == 1.0:

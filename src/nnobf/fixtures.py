@@ -50,20 +50,12 @@ class GraphBuilder:
     """Assembles a ModelGraph, deferring constants to the table suffix."""
 
     def __init__(self):
-        self._opcodes: list[OperatorCode] = []
-        self._opcode_index: dict[tuple[int, str], int] = {}
+        self._opcodes: dict[BuiltinOp, int] = {}  # in first-use order
         self._activations: list[Tensor] = []
         self._constants: list[tuple[Tensor, bytes]] = []
         self._operators: list[tuple[int, list[int], list[int], bytes]] = []
         self.graph_inputs: list[int] = []
         self.graph_outputs: list[int] = []
-
-    def _opcode(self, code: BuiltinOp) -> int:
-        key = (int(code), "")
-        if key not in self._opcode_index:
-            self._opcode_index[key] = len(self._opcodes)
-            self._opcodes.append(OperatorCode(int(code)))
-        return self._opcode_index[key]
 
     def activation(self, name: str, shape: tuple[int, ...],
                    dtype: DType = DType.F32) -> int:
@@ -86,7 +78,8 @@ class GraphBuilder:
            out_shape: tuple[int, ...], options=None) -> int:
         out = self.activation(out_name, out_shape)
         raw = encode_options(code, options) if options is not None else b""
-        self._operators.append((self._opcode(code), list(inputs), [out], raw))
+        opcode = self._opcodes.setdefault(code, len(self._opcodes))
+        self._operators.append((opcode, list(inputs), [out], raw))
         return out
 
     def finish(self) -> ModelGraph:
@@ -105,7 +98,8 @@ class GraphBuilder:
             OperatorEntry(opcode, tuple(resolve(i) for i in inputs),
                           tuple(outputs), OptionsKind.BUILTIN, raw)
             for opcode, inputs, outputs, raw in self._operators)
-        return ModelGraph(tuple(self._opcodes), tuple(buffers), tuple(tensors),
+        opcodes = tuple(OperatorCode(int(code)) for code in self._opcodes)
+        return ModelGraph(opcodes, tuple(buffers), tuple(tensors),
                           operators, tuple(self.graph_inputs),
                           tuple(self.graph_outputs))
 

@@ -61,9 +61,6 @@ from .model_format import (
 )
 
 
-_KIND_OF = {int(k): k for k in BuiltinOp}
-
-
 @functools.lru_cache(maxsize=64)
 def _decoy_output(raw: bytes) -> tuple[tuple, int]:
     """The ``output_shapes`` entry and float32 byte size of the output a
@@ -128,7 +125,7 @@ def resolve(graph: ModelGraph, records: dict[str, BundleRecord] | None) \
                     f"{rec.true_input_positions} exceed the operator's "
                     f"{len(op.inputs)} inputs") from None
             weights = rec.weights
-        kind = _KIND_OF.get(code)
+        kind = BuiltinOp._value2member_map_.get(code)
         if kind is None:
             raise InvariantViolation(f"operator {s}: unknown builtin {code}")
         if decoy_outs and not decoy_outs.isdisjoint(ins):

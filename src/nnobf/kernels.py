@@ -91,8 +91,15 @@ def _require_f32(*arrays: np.ndarray) -> None:
             raise UnsupportedDtype(f"kernel requires float32, got {a.dtype}")
 
 
-def _apply_activation(acc: np.ndarray, act: Activation) -> np.ndarray:
-    """Fused activation, written into ``acc``, which the kernel owns."""
+def _bias_activation(acc: np.ndarray, bias: np.ndarray | None,
+                     act: Activation, name: str) -> np.ndarray:
+    """Bias over the last axis, then the fused activation, written into
+    ``acc``, which the kernel owns."""
+    if bias is not None:
+        _require_f32(bias)
+        co = acc.shape[-1]
+        _require(bias.shape == (co,), f"{name} bias shape {bias.shape} != ({co},)")
+        acc += bias
     if act is Activation.RELU:
         np.maximum(acc, _ZERO, out=acc)
     elif act is Activation.RELU6:
@@ -106,26 +113,6 @@ def _out_extent(size: int, k: int, stride: int, padding: Padding) -> int:
         _require(size >= k, f"window {k} larger than input extent {size}")
         return (size - k) // stride + 1
     return (size - 1) // stride + 1
-
-
-def _pad_spatial(x: np.ndarray, padding: Padding, kh: int, kw: int, sh: int,
-                 sw: int, oh: int, ow: int, fill: float) -> np.ndarray:
-    """``x`` itself for VALID; for SAME, ``x`` bordered with ``fill``,
-    zero-offset: top/left pads are floor((k-1)/2)."""
-    if padding is Padding.VALID:
-        return x
-    n, h, w, c = x.shape
-    pt, pl = (kh - 1) // 2, (kw - 1) // 2
-    pb = max(0, (oh - 1) * sh + kh - pt - h)
-    pr = max(0, (ow - 1) * sw + kw - pl - w)
-    xp = np.full((n, pt + h + pb, pl + w + pr, c), fill, np.float32)
-    xp[:, pt:pt + h, pl:pl + w] = x
-    return xp
-
-
-def _tap(xp: np.ndarray, ky: int, kx: int, oh: int, ow: int,
-         sh: int, sw: int) -> np.ndarray:
-    return xp[:, ky:ky + (oh - 1) * sh + 1:sh, kx:kx + (ow - 1) * sw + 1:sw]
 
 
 def _tap_blocks(ci: int, co: int, size: int, fixed: int, images: int) -> int:
@@ -217,7 +204,6 @@ def _conv(x: np.ndarray, w: np.ndarray, bias: np.ndarray | None,
     """Conv2D (``w`` of rank 4) or DepthwiseConv2D (rank 3) past rank checks."""
     _, h, wd, ci = x.shape
     kh, kw, wci = w.shape[:3]
-    co = w.shape[-1]
     _require(wci == ci, f"{name} channels: input {ci} vs weight {wci}")
     oh = _out_extent(h, kh, opts.stride_h, opts.padding)
     ow = _out_extent(wd, kw, opts.stride_w, opts.padding)
@@ -226,11 +212,7 @@ def _conv(x: np.ndarray, w: np.ndarray, bias: np.ndarray | None,
         acc = _chunked_taps(x, w, opts, oh, ow)
     finally:
         np.setbufsize(bufsize)
-    if bias is not None:
-        _require_f32(bias)
-        _require(bias.shape == (co,), f"{name} bias shape {bias.shape} != ({co},)")
-        acc += bias
-    return _apply_activation(acc, opts.activation)
+    return _bias_activation(acc, bias, opts.activation, name)
 
 
 def conv2d(x: np.ndarray, w: np.ndarray, bias: np.ndarray | None,
@@ -295,49 +277,47 @@ def dense(x: np.ndarray, w: np.ndarray, bias: np.ndarray | None,
     else:
         for i in range(fin):
             accT += w[i, :, None] * x[:, i]
-    acc = accT.T
-    if bias is not None:
-        _require_f32(bias)
-        _require(bias.shape == (fout,), f"Dense bias shape {bias.shape} != ({fout},)")
-        acc += bias
-    return _apply_activation(acc, opts.activation)
+    return _bias_activation(accT.T, bias, opts.activation, "Dense")
 
 
-def max_pool2d(x: np.ndarray, opts: PoolOptions) -> np.ndarray:
+def _windows(x: np.ndarray, opts: PoolOptions, name: str, fill: float):
+    """The window taps of a pool over ``x``, each ``(n, oh, ow, c)``, in
+    (wy, wx) order.  SAME borders ``x`` with ``fill``, zero-offset: top/left
+    pads are floor((k-1)/2)."""
     _require_f32(x)
-    _require(x.ndim == 4, f"MaxPool2D input must be NHWC, got rank {x.ndim}")
+    _require(x.ndim == 4, f"{name} input must be NHWC, got rank {x.ndim}")
     n, h, w, c = x.shape
     fh, fw, sh, sw = opts.filter_h, opts.filter_w, opts.stride_h, opts.stride_w
     oh = _out_extent(h, fh, sh, opts.padding)
     ow = _out_extent(w, fw, sw, opts.padding)
-    xp = _pad_spatial(x, opts.padding, fh, fw, sh, sw, oh, ow, -np.inf)
-    out = _tap(xp, 0, 0, oh, ow, sh, sw).copy()
-    for wy in range(fh):
-        for wx in range(fw):
-            if wy == 0 and wx == 0:
-                continue
-            np.maximum(out, _tap(xp, wy, wx, oh, ow, sh, sw), out=out)
+    if opts.padding is Padding.SAME:
+        pt, pl = (fh - 1) // 2, (fw - 1) // 2
+        pb = max(0, (oh - 1) * sh + fh - pt - h)
+        pr = max(0, (ow - 1) * sw + fw - pl - w)
+        xp = np.full((n, pt + h + pb, pl + w + pr, c), fill, np.float32)
+        xp[:, pt:pt + h, pl:pl + w] = x
+        x = xp
+    return (x[:, wy:wy + (oh - 1) * sh + 1:sh, wx:wx + (ow - 1) * sw + 1:sw]
+            for wy in range(fh) for wx in range(fw))
+
+
+def max_pool2d(x: np.ndarray, opts: PoolOptions) -> np.ndarray:
+    taps = _windows(x, opts, "MaxPool2D", -np.inf)
+    out = next(taps).copy()
+    for tap in taps:
+        np.maximum(out, tap, out=out)
     return out
 
 
 def avg_pool2d(x: np.ndarray, opts: PoolOptions) -> np.ndarray:
-    _require_f32(x)
-    _require(x.ndim == 4, f"AvgPool2D input must be NHWC, got rank {x.ndim}")
-    n, h, w, c = x.shape
-    fh, fw, sh, sw = opts.filter_h, opts.filter_w, opts.stride_h, opts.stride_w
-    oh = _out_extent(h, fh, sh, opts.padding)
-    ow = _out_extent(w, fw, sw, opts.padding)
-    xp = _pad_spatial(x, opts.padding, fh, fw, sh, sw, oh, ow, 0.0)
-    acc = np.zeros((n, oh, ow, c), np.float32)
-    for wy in range(fh):
-        for wx in range(fw):
-            acc += _tap(xp, wy, wx, oh, ow, sh, sw)
+    taps = _windows(x, opts, "AvgPool2D", 0.0)
+    acc = next(taps) + _ZERO  # a zeroed accumulator plus the first tap
+    for tap in taps:
+        acc += tap
     if opts.padding is Padding.VALID:  # every window lies inside the input
-        return acc / np.float32(fh * fw)
-    onesp = _pad_spatial(np.ones((1, h, w, 1), np.float32), opts.padding,
-                         fh, fw, sh, sw, oh, ow, 0.0)
-    return acc / sum(_tap(onesp, wy, wx, oh, ow, sh, sw)
-                     for wy in range(fh) for wx in range(fw))
+        return acc / np.float32(opts.filter_h * opts.filter_w)
+    ones = np.ones((1, *x.shape[1:3], 1), np.float32)
+    return acc / sum(_windows(ones, opts, "AvgPool2D", 0.0))
 
 
 def relu(x: np.ndarray) -> np.ndarray:

@@ -66,9 +66,7 @@ class Strategy(Enum):
     EXTRA_LAYER = "extra_layer"
 
 
-STRATEGY_ORDER = (Strategy.RENAME, Strategy.ENCAPSULATE, Strategy.SHAPE,
-                  Strategy.SHORTCUT, Strategy.EXTRA_LAYER)
-ALL_STRATEGIES = frozenset(STRATEGY_ORDER)
+ALL_STRATEGIES = frozenset(Strategy)
 
 
 class ShapeStrategy(Enum):
@@ -86,8 +84,10 @@ class ObfuscationConfig:
 
 
 def validate_config(cfg: ObfuscationConfig) -> None:
-    if cfg.n_shortcuts < 0 or cfg.n_extra_layers < 0:
-        raise InvariantViolation("shortcut/extra-layer counts must be >= 0")
+    if type(cfg.seed) is not int:  # type(): bool is an int subclass
+        raise InvariantViolation(f"seed must be an int, got {cfg.seed!r:.40}")
+    if any(type(n) is not int or n < 0 for n in (cfg.n_shortcuts, cfg.n_extra_layers)):
+        raise InvariantViolation("shortcut/extra-layer counts must be ints >= 0")
     s = cfg.strategies
     if Strategy.ENCAPSULATE in s and Strategy.RENAME not in s:
         raise InvariantViolation(
@@ -363,7 +363,7 @@ def obfuscate(graph: ModelGraph, config: ObfuscationConfig) \
     _raise_for_violations(_violations(graph, validate))
 
     master = random.Random(config.seed)
-    stage_seed = {s: master.getrandbits(64) for s in STRATEGY_ORDER}
+    stage_seed = {s: master.getrandbits(64) for s in Strategy}
     names = NameGenerator(master.getrandbits(64))
     plan = ObfuscationPlan(config)
 
@@ -490,7 +490,7 @@ def plan_to_json(plan: ObfuscationPlan) -> str:
             "n_shortcuts": plan.config.n_shortcuts,
             "n_extra_layers": plan.config.n_extra_layers,
             "shape_strategy": plan.config.shape_strategy.value,
-            "strategies": [s.value for s in STRATEGY_ORDER
+            "strategies": [s.value for s in Strategy
                            if s in plan.config.strategies],
         },
         "shapes": [list(s) for s in plan.shapes],
@@ -522,6 +522,7 @@ def _plan_from_doc(doc) -> ObfuscationPlan:
         n_extra_layers=cfg["n_extra_layers"],
         shape_strategy=ShapeStrategy(cfg["shape_strategy"]),
         strategies=frozenset(Strategy(s) for s in cfg["strategies"]))
+    validate_config(config)
     # pop, so the base64 text is freed before load_bundle copies the weights;
     # validate=True: the default silently drops non-alphabet bytes
     blob = base64.b64decode(doc.pop("bundle"), validate=True)

@@ -1,3 +1,4 @@
+import argparse
 import json
 from dataclasses import replace
 
@@ -11,7 +12,7 @@ from nnobf.bench import (
     compare_outputs,
     records_to_csv,
 )
-from nnobf.cli import cli_dispatch
+from nnobf.cli import build_parser, cli_dispatch
 from nnobf.errors import BadMagic, InvariantViolation
 from nnobf.fixtures import build_fixture
 from nnobf.interpreter import run
@@ -230,6 +231,71 @@ def test_cli_usage_errors(tmp_path, capsys):
     assert cli_dispatch([]) == 2
     assert cli_dispatch(["obfuscate"]) == 2  # missing required args
     capsys.readouterr()
+
+
+# subcommand -> (handler, minimal argv and its namespace, argv setting every
+# option and its namespace); the namespaces omit ``command`` and ``func``
+_CLI_PARSES = {
+    "obfuscate": ("_cmd_obfuscate",
+                  ["m", "-o", "d"],
+                  dict(model="m", output="d", seed=0, n1=0, n2=0,
+                       shape="align", strategies="all"),
+                  ["m", "--output", "d", "--seed", "-3", "--n1", "4", "--n2",
+                   "5", "--shape", "random", "--strategies", "rename,shape"],
+                  dict(model="m", output="d", seed=-3, n1=4, n2=5,
+                       shape="random", strategies="rename,shape")),
+    "run": ("_cmd_run",
+            ["m", "--input", "a"],
+            dict(model="m", bundle=None, input=["a"], output=None),
+            ["m", "--bundle", "b", "--input", "a", "--input", "c", "-o", "y"],
+            dict(model="m", bundle="b", input=["a", "c"], output="y")),
+    "compare": ("_cmd_compare",
+                ["a", "b"],
+                dict(original="a", obfuscated="b", bundle=None, n=1000, seed=0),
+                ["a", "b", "--bundle", "c", "-n", "8", "--seed", "2"],
+                dict(original="a", obfuscated="b", bundle="c", n=8, seed=2)),
+    "dump": ("_cmd_dump", ["m"], dict(model="m"), ["m"], dict(model="m")),
+    "similarity": ("_cmd_similarity",
+                   ["a"], dict(models=["a"], seed=0),
+                   ["a", "b", "--seed", "3"], dict(models=["a", "b"], seed=3)),
+    "attack": ("_cmd_attack",
+               ["a"], dict(models=["a"], zoo=None, seed=0),
+               ["a", "b", "--zoo", "z", "--seed", "4"],
+               dict(models=["a", "b"], zoo="z", seed=4)),
+    "bench": ("_cmd_bench",
+              ["m"],
+              dict(model="m", bundle=None, configs=[], original=False, n=1000,
+                   reps=3, seed=0, shape="align", output=None),
+              ["m", "--bundle", "b", "--configs", "1,2", "3,4", "--original",
+               "-n", "9", "--reps", "2", "--seed", "5", "--shape", "random",
+               "-o", "x.csv"],
+              dict(model="m", bundle="b", configs=["1,2", "3,4"], original=True,
+                   n=9, reps=2, seed=5, shape="random", output="x.csv")),
+    "build-fixture": ("_cmd_build_fixture",
+                      ["mlp", "-o", "f"], dict(name="mlp", output="f", seed=0),
+                      ["pool_net", "--output", "f", "--seed", "6"],
+                      dict(name="pool_net", output="f", seed=6)),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_CLI_PARSES))
+def test_cli_parses_every_option(command, capsys):
+    handler, minimal, minimal_ns, full, full_ns = _CLI_PARSES[command]
+    parser = build_parser()
+    for argv, want in ((minimal, minimal_ns), (full, full_ns)):
+        args = vars(parser.parse_args([command, *argv]))
+        assert args.pop("command") == command
+        assert args.pop("func").__name__ == handler
+        assert args == want
+    assert cli_dispatch([command, "--help"]) == 0
+    assert capsys.readouterr().out.startswith(f"usage: nnobf {command}")
+
+
+def test_cli_parses_every_subcommand():
+    parser = build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert sorted(sub.choices) == sorted(_CLI_PARSES)
 
 
 def test_cli_operational_error_is_exit_1(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -540,6 +542,29 @@ def test_execute_builtin_rejects_input_counts_outside_arity(kind):
         message = rf"^{kind.name} expects {lo}\.\.\S+ inputs, got {n}$"
         with pytest.raises(ShapeMismatch, match=message):
             execute_builtin(kind, [np.ones((1, 2, 2, 1), F)] * n, None)
+
+
+# kernel name -> (call with a bias, its weights, the expected bias length)
+_BIASED = {
+    "Conv2D": (conv2d, np.ones((3, 3, 2, 4), F),
+               ConvOptions(1, 1, Padding.SAME, Activation.RELU), 4),
+    "DepthwiseConv2D": (depthwise_conv2d, np.ones((3, 3, 2), F),
+                        ConvOptions(1, 1, Padding.VALID, Activation.NONE), 2),
+    "Dense": (dense, np.ones((72, 5), F), DenseOptions(Activation.RELU6), 5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BIASED))
+@pytest.mark.parametrize("bias_shape", [(3,), (1, 4), (0,), (6,)])
+def test_wrong_bias_shape_names_the_kernel(name, bias_shape):
+    kernel, w, opts, co = _BIASED[name]
+    x = np.ones((2, 6, 6, 2), F)
+    if name == "Dense":
+        x = x.reshape(2, -1)
+    kernel(x, w, np.ones(co, F), opts)  # the right shape passes
+    message = re.escape(f"{name} bias shape {bias_shape} != ({co},)")
+    with pytest.raises(ShapeMismatch, match=f"^{message}$"):
+        kernel(x, w, np.ones(bias_shape, F), opts)
 
 
 def test_add_shape_mismatch():

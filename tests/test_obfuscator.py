@@ -590,6 +590,11 @@ def test_plan_json_round_trip(lenet):
     assert loaded.shapes == plan.shapes
 
 
+def test_plan_json_keeps_a_negative_seed(lenet):
+    _, _, plan = obfuscate(lenet, ObfuscationConfig(seed=-3))
+    assert plan_from_json(plan_to_json(plan)).config.seed == -3
+
+
 def test_plan_json_carries_warning_banner(lenet):
     _, _, plan = obfuscate(lenet, ObfuscationConfig(seed=5))
     doc = json.loads(plan_to_json(plan))
@@ -645,6 +650,14 @@ def _layer_bad_index_and_shape(doc):
     doc["injected_layers"].append([1.5, [0, -2]])
 
 
+def _config_set(key, value):
+    """Set a config field to a value ``obfuscate`` never writes."""
+    def apply(doc):
+        doc["config"][key] = value
+    apply.__name__ = f"_config_{key}_{value!r}"
+    return apply
+
+
 def _on_bundle(corrupt):
     """Apply a byte-level bundle corruption to the plan's embedded blob."""
     def apply(doc):
@@ -659,6 +672,9 @@ def _on_bundle(corrupt):
     [_drop_config_seed, _bad_strategy, _bad_base64, _bundle_not_string,
      _drop_shapes, _shape_not_list, _zero_dim, _bool_dim, _float_dim,
      _shortcut_is_string, _layer_bad_index_and_shape]
+    + [_config_set("seed", v) for v in ("x", True, 1.5)]
+    + [_config_set("n_shortcuts", -5), _config_set("n_extra_layers", "lots"),
+       _config_set("strategies", ["encapsulate"])]
     + [_on_bundle(c) for c in BUNDLE_CORRUPTIONS],
     ids=lambda f: f.__name__)
 def test_malformed_plan_doc_raises(lenet, corrupt):
