@@ -7,6 +7,7 @@ build-fixture.  Exit codes: 0 success, 1 operational error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from pathlib import Path
 
@@ -120,11 +121,15 @@ def _cmd_attack(args) -> int:
     return 0
 
 
+def _counts_pair(text: str) -> str:
+    if not re.fullmatch(r"[0-9]+,[0-9]+", text):
+        raise argparse.ArgumentTypeError(
+            f"expected an 'n1,n2' pair of counts, got {text!r}")
+    return text
+
+
 def _cmd_bench(args) -> int:
-    configs = []
-    for pair in args.configs:
-        n1, n2 = pair.split(",")
-        configs.append((int(n1), int(n2)))
+    configs = [tuple(map(int, pair.split(","))) for pair in args.configs]
     records = run_bench(args.model, args.bundle, configs, n=args.n,
                         seed=args.seed,
                         shape_strategy=ShapeStrategy(args.shape),
@@ -183,7 +188,7 @@ _COMMANDS = {
     "bench": ("latency/memory/size sweep as CSV", _cmd_bench, {
         "model": {},
         "--bundle": {},
-        "--configs": dict(nargs="*", default=[],
+        "--configs": dict(nargs="*", default=[], type=_counts_pair,
                           help="obfuscation settings as 'n1,n2' pairs"),
         "--original": dict(action="store_true",
                            help="include an un-obfuscated baseline row"),

@@ -233,8 +233,7 @@ def _convert_succeeds(graph: ModelGraph) -> bool:
 
 def attack_matrix(models: list[tuple[str, ModelGraph]],
                   zoo: list[tuple[str, ModelGraph]],
-                  seed: int = 0,
-                  cfg: PKConfig = PKConfig()) -> list[AttackRow]:
+                  seed: int = 0) -> list[AttackRow]:
     """Success counts per attack per strategy subset, over the given models."""
     zoo_graphs = [g for _, g in zoo]
     # each model's zoo entry; serialization is canonical, so == is byte equality
@@ -260,7 +259,7 @@ def attack_matrix(models: list[tuple[str, ModelGraph]],
             if _buffer_parse_succeeds(serialize_model(public)):
                 buf += 1
             if true_index is not None:
-                ranked = find_surrogate(public, zoo_graphs, cfg)
+                ranked = find_surrogate(public, zoo_graphs)
                 if surrogate_rank(ranked, true_index) == 1.0:
                     surr += 1
         rows.append(AttackRow(label, conv, buf, surr, len(models)))

@@ -15,16 +15,16 @@ every graph input is treated as a batch dimension and may differ from the
 declared size.
 
 The first run of a ``(graph, bundle)`` pair compiles it: :func:`resolve`,
-the one resolver of bundle records (``reconstruct`` uses it too), then the
-real kernel steps with decoded options, the last-read table and the static
-byte count.  A missing bundle, an unknown custom name, a bad true input
-position or decoy record, or a true input or graph output that is a decoy's
-output raises there, before any kernel runs, and nothing is kept.  The
-program lives as long as both objects (graphs and bundles are immutable) and
-holds neither; later runs only check their inputs, decode the constants
-(per call, so none outlives the run) and execute the steps.  Nothing in a
-program depends on the batch size.  An activation is dropped after its last
-true read; graph outputs and constants are kept.
+the one walk over the operators (``reconstruct`` uses it too), then decoded
+options, the last-read table, the constants as read-only views of the
+graph's buffers, and the static byte count.  A missing bundle, an unknown
+custom name, a bad true input position or decoy record, or a true input or
+graph output that is a decoy's output raises there, before any kernel runs,
+and nothing is kept.  The program lives as long as both objects (graphs and
+bundles are immutable) and holds neither; later runs only check their inputs
+and execute the steps.  Nothing in a program depends on the batch size.  An
+activation is dropped after its last true read; graph outputs and constants
+are kept.
 ``trace.peak_live_bytes`` is the all-live proxy (``bench.peak_bytes_single``
 reads it at batch 1): the sum of every graph input, constant (model- or
 bundle-resident) and operator output, decoys included.
@@ -90,15 +90,16 @@ def _check_inputs(graph: ModelGraph, inputs: list[np.ndarray]) -> None:
 
 
 def resolve(graph: ModelGraph, records: dict[str, BundleRecord] | None) \
-        -> list[tuple]:
+        -> tuple[list[tuple], dict[int, tuple[int, bytes]]]:
     """Resolve every operator through ``records`` (a bundle's, or None).
 
-    Returns one ``(kind, raw_options, true_inputs, weights)`` per operator,
-    ``kind`` being the real ``BuiltinOp``, or None for a decoy layer (its
-    options encode its shape).  A true input or graph output that is a
-    decoy's output, like an unknown code, raises ``InvariantViolation``.
+    Returns the real steps ``(s, output, kind, raw_options, true_inputs,
+    weights)``, ``kind`` being the real ``BuiltinOp``, and a map from each
+    decoy layer's output to its ``(s, raw_options)`` (the options encode its
+    shape).  A true input or graph output that is a decoy's output, like an
+    unknown code, raises ``InvariantViolation``.
     """
-    resolved, decoy_outs = [], set()
+    steps, decoys = [], {}
     for s, op in enumerate(graph.operators):
         opcode = graph.opcodes[op.opcode_index]
         if opcode.builtin_code != CUSTOM_SENTINEL:
@@ -114,8 +115,7 @@ def resolve(graph: ModelGraph, records: dict[str, BundleRecord] | None) \
                     f"bundle has no record for {opcode.custom_name!r}")
             code, raw = rec.real_builtin_code, rec.real_options
             if code == DECOY_SENTINEL:  # reads nothing, never reaches a kernel
-                resolved.append((None, raw, (), ()))
-                decoy_outs.add(op.outputs[0])
+                decoys[op.outputs[0]] = (s, raw)
                 continue
             try:
                 ins = [op.inputs[p] for p in rec.true_input_positions]
@@ -128,39 +128,12 @@ def resolve(graph: ModelGraph, records: dict[str, BundleRecord] | None) \
         kind = BuiltinOp._value2member_map_.get(code)
         if kind is None:
             raise InvariantViolation(f"operator {s}: unknown builtin {code}")
-        if decoy_outs and not decoy_outs.isdisjoint(ins):
+        if decoys and not decoys.keys().isdisjoint(ins):
             raise InvariantViolation(f"operator {s}: a true input is a decoy's output")
-        resolved.append((kind, raw, ins, weights))
-    if decoy_outs and not decoy_outs.isdisjoint(graph.graph_outputs):
+        steps.append((s, op.outputs[0], kind, raw, ins, weights))
+    if decoys and not decoys.keys().isdisjoint(graph.graph_outputs):
         raise InvariantViolation("a graph output is a decoy's output")
-    return resolved
-
-
-def _compile(graph: ModelGraph, bundle: KernelBundle | None,
-             consts: dict[int, np.ndarray]) -> tuple:
-    """``run``'s program for ``(graph, bundle)``, whose constants are
-    ``consts``: the real steps ``(s, output, kind, true_inputs, weights,
-    options)``, the last-read table (``last[t]`` is the step that truly reads
-    t last: -1 if none, the operator count if t is a constant or graph
-    output), every decoy's output shape, the bundle's weight bytes (live for
-    the whole run) and the decoy output bytes (never live)."""
-    n_ops, ops = len(graph.operators), graph.operators
-    shapes, steps, last = [()] * n_ops, [], [-1] * len(graph.tensors)
-    weight_bytes = decoy_bytes = 0
-    if bundle is not None:
-        weight_bytes = sum(w.nbytes for rec in bundle.records.values()
-                           for w in rec.weights)
-    for s, (kind, raw, ins, weights) in enumerate(resolve(graph, bundle and bundle.records)):
-        if kind is None:
-            shapes[s], n = _decoy_output(raw)
-            decoy_bytes += n
-            continue
-        steps.append((s, ops[s].outputs[0], kind, ins, weights, decode_options(kind, raw)))
-        for t in ins:
-            last[t] = s
-    for t in (*consts, *graph.graph_outputs):
-        last[t] = n_ops
-    return steps, last, shapes, weight_bytes, decoy_bytes
+    return steps, decoys
 
 
 # (id(graph), id(bundle)) -> (program, weak references to graph and bundle);
@@ -170,19 +143,41 @@ def _compile(graph: ModelGraph, bundle: KernelBundle | None,
 _programs: dict[tuple[int, int], tuple] = {}
 
 
-def _program(graph: ModelGraph, bundle: KernelBundle | None,
-             consts: dict[int, np.ndarray]) -> tuple:
+def _program(graph: ModelGraph, bundle: KernelBundle | None) -> tuple:
+    """``run``'s program for ``(graph, bundle)``, compiled once: the real steps
+    ``(s, output, kind, true_inputs, weights, options)``, the last-read table
+    (``last[t]``: the step that truly reads t last, -1 if none, the operator
+    count for a constant or graph output), the decoy output shapes, the
+    constants, the static live bytes and the decoy output bytes (never live)."""
     key = (id(graph), id(bundle))
     entry = _programs.get(key)
-    if entry is None:
-        program = _compile(graph, bundle, consts)  # raises before anything is kept
+    if entry is not None:
+        return entry[0]
+    resolved, decoys = resolve(graph, bundle and bundle.records)
+    n_ops = len(graph.operators)
+    shapes, last, decoy_bytes = [()] * n_ops, [-1] * len(graph.tensors), 0
+    for s, raw in decoys.values():
+        shapes[s], n = _decoy_output(raw)
+        decoy_bytes += n
+    steps = []
+    for s, o, kind, raw, ins, weights in resolved:
+        steps.append((s, o, kind, ins, weights, decode_options(kind, raw)))
+        for t in ins:
+            last[t] = s
+    consts = materialize_constants(graph)  # views of the buffers, not the graph
+    for t in (*consts, *graph.graph_outputs):
+        last[t] = n_ops
+    live = sum(a.nbytes for a in consts.values())
+    if bundle is not None:
+        live += sum(w.nbytes for rec in bundle.records.values() for w in rec.weights)
+    program = steps, last, shapes, consts, live, decoy_bytes
 
-        def drop(_ref):
-            _programs.pop(key, None)
+    def drop(_ref):
+        _programs.pop(key, None)
 
-        refs = tuple(weakref.ref(o, drop) for o in (graph, bundle) if o is not None)
-        _programs[key] = entry = (program, refs)
-    return entry[0]
+    refs = tuple(weakref.ref(o, drop) for o in (graph, bundle) if o is not None)
+    _programs[key] = (program, refs)
+    return program
 
 
 def run(graph: ModelGraph, bundle: KernelBundle | None,
@@ -195,12 +190,11 @@ def run(graph: ModelGraph, bundle: KernelBundle | None,
     runs nothing); shapes and both memory figures are always recorded.
     """
     _check_inputs(graph, inputs)
-    values = {t: np.ascontiguousarray(a) for t, a in zip(graph.graph_inputs, inputs)}
-    consts = materialize_constants(graph)
-    values.update(consts)
-    steps, last, shapes, live, decoy_bytes = _program(graph, bundle, consts)
+    steps, last, shapes, consts, live, decoy_bytes = _program(graph, bundle)
     last, shapes = last[:], shapes[:]
+    values = {t: np.ascontiguousarray(a) for t, a in zip(graph.graph_inputs, inputs)}
     live += sum(a.nbytes for a in values.values())
+    values.update(consts)
     total = live + decoy_bytes
     clock = time.perf_counter if op_timing else None
     seconds = [0.0] * len(shapes) if clock else []

@@ -143,12 +143,19 @@ class ConcatOptions:
     axis: int = -1
 
 
+def _at_least_1(v: int) -> int:
+    """A stride or filter size: 0 would divide by zero or leave no window."""
+    if v < 1:
+        raise ValueError(f"stride or filter size {v} is below 1")
+    return v
+
+
 # One row per builtin kind: its display name (dump_json, the extraction
 # report), the little-endian struct layout of its options, the options class
-# (None for kinds without options) and the type each unpacked field is coerced
-# to, in field order.
-_CONV = ("<HHBB", ConvOptions, (int, int, Padding, Activation))
-_POOL = ("<HHHHB", PoolOptions, (int, int, int, int, Padding))
+# (None for kinds without options) and the coercer of each unpacked field, in
+# field order: a type, or a check that raises ValueError.
+_CONV = ("<HHBB", ConvOptions, (_at_least_1, _at_least_1, Padding, Activation))
+_POOL = ("<HHHHB", PoolOptions, (_at_least_1,) * 4 + (Padding,))
 _NO_OPTIONS = ("<", None, ())
 _KINDS = {
     BuiltinOp.CONV_2D: ("Conv2D", *_CONV),
@@ -165,7 +172,6 @@ _KINDS = {
     BuiltinOp.FLATTEN: ("Flatten", *_NO_OPTIONS),
 }
 BUILTIN_NAMES = {kind: row[0] for kind, row in _KINDS.items()}
-OPTIONS_LENGTH = {kind: struct.calcsize(row[1]) for kind, row in _KINDS.items()}
 
 
 def encode_options(kind: BuiltinOp, opts) -> bytes:
@@ -181,12 +187,12 @@ def decode_options(kind: BuiltinOp, raw: bytes):
     """Inverse of :func:`encode_options`; zero-length kinds return ``None``.
 
     Memoized on ``(kind, raw)``: results are frozen dataclasses, so callers
-    may share them.  A blob of the wrong length or with an out-of-range enum
-    byte raises :class:`MalformedOptions` on every call, since errors are
-    never cached.
+    may share them.  A blob of the wrong length, with an out-of-range enum
+    byte or with a stride or filter size below 1 raises
+    :class:`MalformedOptions` on every call, since errors are never cached.
     """
     name, fmt, cls, types = _KINDS[kind]
-    want = OPTIONS_LENGTH[kind]
+    want = struct.calcsize(fmt)
     if len(raw) != want:
         raise MalformedOptions(f"{name} options: expected {want} bytes, "
                                f"got {len(raw)}")
@@ -194,7 +200,7 @@ def decode_options(kind: BuiltinOp, raw: bytes):
         return None
     try:
         return cls(*(t(v) for t, v in zip(types, struct.unpack(fmt, raw))))
-    except ValueError as e:  # an enum byte out of range
+    except ValueError as e:  # an enum byte out of range, or a size below 1
         raise MalformedOptions(f"{name} options: {e}") from e
 
 
@@ -279,7 +285,7 @@ def validate(graph: ModelGraph) -> list[str]:
     v: list[str] = []
     n_t = len(graph.tensors)
 
-    # per opcode: custom?, and the options length a known builtin requires
+    # per opcode: custom?, and its builtin kind if known (to decode options)
     codes: list[tuple[bool, BuiltinOp | None]] = []
     for i, oc in enumerate(graph.opcodes):
         custom = oc.builtin_code == CUSTOM_SENTINEL
@@ -326,9 +332,11 @@ def validate(graph: ModelGraph) -> list[str]:
                     v.append(f"operators[{i}]: custom opcode requires CUSTOM options")
             elif op.options_kind is not OptionsKind.BUILTIN:
                 v.append(f"operators[{i}]: builtin opcode requires BUILTIN options")
-            elif kind is not None and len(op.options) != OPTIONS_LENGTH[kind]:
-                v.append(f"operators[{i}].options: expected {OPTIONS_LENGTH[kind]} "
-                         f"bytes for {BUILTIN_NAMES[kind]}, got {len(op.options)}")
+            elif kind is not None:
+                try:
+                    decode_options(kind, op.options)
+                except MalformedOptions as e:
+                    v.append(f"operators[{i}].options: {e}")
         # constants must trail activations so custom-dispatch reassembly stays
         # positional
         seen_const, follows = False, None

@@ -144,12 +144,8 @@ class ObfuscationPlan:
     shapes: list[tuple[int, ...]] = field(default_factory=list)
 
 
-def bundle_from_plan(plan: ObfuscationPlan) -> KernelBundle:
-    return KernelBundle(plan.records)
-
-
 def emit_bundle(plan: ObfuscationPlan) -> bytes:
-    return serialize_bundle(bundle_from_plan(plan))
+    return serialize_bundle(KernelBundle(plan.records))
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +386,7 @@ def obfuscate(graph: ModelGraph, config: ObfuscationConfig) \
     if bad:
         raise InvariantViolation("obfuscation produced an invalid graph: "
                                  + "; ".join(bad))
-    return g, bundle_from_plan(plan), plan
+    return g, KernelBundle(plan.records), plan
 
 
 # ---------------------------------------------------------------------------
@@ -424,11 +420,10 @@ def reconstruct(graph: ModelGraph, plan: ObfuscationPlan) -> ModelGraph:
 def _unwrap(graph: ModelGraph, plan: ObfuscationPlan) -> ModelGraph:
     """Drop the decoys and give each operator its real kind and weights."""
     try:
-        resolved = interpreter.resolve(graph, plan.records)
+        steps, decoys = interpreter.resolve(graph, plan.records)
     except NnobfError as e:
         raise PlanMismatch(f"plan does not fit the graph: {e}") from e
 
-    decoys = {op.outputs[0] for op, r in zip(graph.operators, resolved) if r[0] is None}
     kept = [i for i in range(len(graph.tensors)) if i not in decoys]
     remap = {i: k for k, i in enumerate(kept)}
     tensors = list(_restore_shapes([graph.tensors[i] for i in kept], plan.shapes))
@@ -436,9 +431,7 @@ def _unwrap(graph: ModelGraph, plan: ObfuscationPlan) -> ModelGraph:
     # keep existing buffers: without encapsulation, constants still live here
     buffers: list[bytes] = list(graph.buffers)
     operators: list[OperatorEntry] = []
-    for op, (kind, raw, ins, weights) in zip(graph.operators, resolved):
-        if kind is None:
-            continue
+    for s, _, kind, raw, ins, weights in steps:
         inputs = [remap[t] for t in ins]
         for w in weights:
             buffers.append(np.ascontiguousarray(w).tobytes())
@@ -447,7 +440,8 @@ def _unwrap(graph: ModelGraph, plan: ObfuscationPlan) -> ModelGraph:
             inputs.append(len(tensors) - 1)
         operators.append(OperatorEntry(
             opcode_index.setdefault(kind, len(opcode_index)), tuple(inputs),
-            tuple(remap[t] for t in op.outputs), OptionsKind.BUILTIN, raw))
+            tuple(remap[t] for t in graph.operators[s].outputs),
+            OptionsKind.BUILTIN, raw))
 
     opcodes = tuple(OperatorCode(int(kind)) for kind in opcode_index)
     return ModelGraph(opcodes, tuple(buffers), tuple(tensors), tuple(operators),

@@ -233,6 +233,13 @@ def test_cli_usage_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("pair", ["1", "a,b", "1,2,3"])
+def test_cli_bench_malformed_configs_are_usage_errors(pair, capsys):
+    assert cli_dispatch(["bench", "m.nnm1", "--configs", "1,1", pair]) == 2
+    err = capsys.readouterr().err
+    assert "argument --configs" in err and "'n1,n2'" in err and repr(pair) in err
+
+
 # subcommand -> (handler, minimal argv and its namespace, argv setting every
 # option and its namespace); the namespaces omit ``command`` and ``func``
 _CLI_PARSES = {

@@ -465,3 +465,16 @@ def test_op_timing_on_a_warm_program(lenet):
     assert len(trace.op_seconds) == len(public.operators) and any(decoy)
     assert [t > 0 for t in trace.op_seconds] == [not d for d in decoy]
     assert run(public, bundle, x)[1].op_seconds == []
+
+
+def test_constants_are_bound_once(lenet, monkeypatch):
+    calls = []
+    materialize = interpreter.materialize_constants
+    monkeypatch.setattr(interpreter, "materialize_constants",
+                        lambda graph: calls.append(graph) or materialize(graph))
+    x = [rand_input(lenet)]
+    for _ in range(2):
+        run(lenet, None, x)
+    assert len(calls) == 1
+    run(dataclasses.replace(lenet), None, x)  # an equal graph compiles afresh
+    assert len(calls) == 2

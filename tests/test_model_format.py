@@ -13,10 +13,12 @@ from nnobf.errors import (
     IndexOutOfRange,
     InvariantViolation,
     MalformedOptions,
+    PlanMismatch,
     TruncatedSection,
     UnknownFixture,
 )
-from nnobf import model_format, obfuscator
+from nnobf import interpreter, model_format, obfuscator
+from nnobf.bundle import KernelBundle
 from nnobf.fixtures import FIXTURE_NAMES, FIXTURE_STATS, build_fixture
 from nnobf.model_format import (
     Activation,
@@ -461,3 +463,67 @@ def test_validation_mark_dies_with_its_graph(counted_validate):
     del g
     gc.collect()
     assert ref() is None  # nothing in the package keeps a checked graph alive
+
+
+# -- builtin options a kernel cannot run ---------------------------------------
+
+# (kind, field, value): every stride and filter size at 0, and a padding byte
+# past the enum
+BAD_FIELDS = [(k, f, 0) for k in (BuiltinOp.CONV_2D, BuiltinOp.DEPTHWISE_CONV_2D)
+              for f in ("stride_w", "stride_h")] \
+    + [(k, f, 0) for k in (BuiltinOp.MAX_POOL_2D, BuiltinOp.AVG_POOL_2D)
+       for f in ("filter_w", "filter_h", "stride_w", "stride_h")] \
+    + [(BuiltinOp.CONV_2D, "padding", 9)]
+
+
+def bad_options(kind, name, value):
+    """A fixture whose first ``kind`` operator has ``name`` set to ``value``:
+    (the clean fixture, the bad graph, that operator's index, its bytes)."""
+    for fixture in ("lenet", "depthwise_net"):
+        g = build_fixture(fixture, 7)
+        for i, op in enumerate(g.operators):
+            if g.op_kind(op).builtin_code == kind:
+                opts = replace(decode_options(kind, op.options), **{name: value})
+                raw = encode_options(kind, opts)
+                ops = g.operators[:i] + (replace(op, options=raw),) + g.operators[i + 1:]
+                return g, replace(g, operators=ops), i, raw
+    raise AssertionError(f"no fixture has a {kind.name}")
+
+
+def ids(case):
+    return f"{case[0].name}-{case[1]}={case[2]}"
+
+
+@pytest.mark.parametrize("case", BAD_FIELDS, ids=ids)
+def test_undecodable_builtin_options_are_a_violation(case):
+    _, g, i, _ = bad_options(*case)
+    bad = validate(g)
+    assert len(bad) == 1 and bad[0].startswith(f"operators[{i}].options: ")
+    with pytest.raises(InvariantViolation):
+        serialize_model(g)
+
+
+@pytest.mark.parametrize("case", BAD_FIELDS, ids=ids)
+def test_undecodable_options_raise_before_any_kernel(case, monkeypatch):
+    clean, g, i, raw = bad_options(*case)
+    public, bundle, _ = obfuscate(clean, ObfuscationConfig(seed=5))
+    name = public.op_kind(public.operators[i]).custom_name
+    records = {**bundle.records,
+               name: replace(bundle.records[name], real_options=raw)}
+    x = np.zeros((1, *clean.tensors[clean.graph_inputs[0]].shape[1:]), np.float32)
+    calls = []
+    monkeypatch.setattr(interpreter, "execute_builtin", lambda *a: calls.append(a))
+    for model, kb in ((g, None), (public, KernelBundle(records))):
+        with pytest.raises(MalformedOptions):
+            interpreter.run(model, kb, [x])
+    assert calls == []
+
+
+@pytest.mark.parametrize("case", BAD_FIELDS, ids=ids)
+def test_reconstruct_rejects_undecodable_options(case):
+    clean, _, i, raw = bad_options(*case)
+    public, _, plan = obfuscate(clean, ObfuscationConfig(seed=5))
+    name = public.op_kind(public.operators[i]).custom_name
+    plan.records[name] = replace(plan.records[name], real_options=raw)
+    with pytest.raises(PlanMismatch, match="options"):
+        reconstruct(public, plan)
