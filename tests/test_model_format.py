@@ -490,11 +490,11 @@ def bad_options(kind, name, value):
     raise AssertionError(f"no fixture has a {kind.name}")
 
 
-def ids(case):
+def case_id(case):
     return f"{case[0].name}-{case[1]}={case[2]}"
 
 
-@pytest.mark.parametrize("case", BAD_FIELDS, ids=ids)
+@pytest.mark.parametrize("case", BAD_FIELDS, ids=case_id)
 def test_undecodable_builtin_options_are_a_violation(case):
     _, g, i, _ = bad_options(*case)
     bad = validate(g)
@@ -503,7 +503,7 @@ def test_undecodable_builtin_options_are_a_violation(case):
         serialize_model(g)
 
 
-@pytest.mark.parametrize("case", BAD_FIELDS, ids=ids)
+@pytest.mark.parametrize("case", BAD_FIELDS, ids=case_id)
 def test_undecodable_options_raise_before_any_kernel(case, monkeypatch):
     clean, g, i, raw = bad_options(*case)
     public, bundle, _ = obfuscate(clean, ObfuscationConfig(seed=5))
@@ -519,7 +519,7 @@ def test_undecodable_options_raise_before_any_kernel(case, monkeypatch):
     assert calls == []
 
 
-@pytest.mark.parametrize("case", BAD_FIELDS, ids=ids)
+@pytest.mark.parametrize("case", BAD_FIELDS, ids=case_id)
 def test_reconstruct_rejects_undecodable_options(case):
     clean, _, i, raw = bad_options(*case)
     public, _, plan = obfuscate(clean, ObfuscationConfig(seed=5))
