@@ -96,11 +96,13 @@ def resolve(graph: ModelGraph, records: dict[str, BundleRecord] | None) \
     Returns the real steps ``(s, output, kind, raw_options, true_inputs,
     weights)``, ``kind`` being the real ``BuiltinOp``, and a map from each
     decoy layer's output to its ``(s, raw_options)`` (the options encode its
-    shape).  A true input or graph output that is a decoy's output, like an
-    unknown code, raises ``InvariantViolation``.
+    shape).  An operator without one output, an unknown code, and a true input
+    or graph output that is a decoy's output raise ``InvariantViolation``.
     """
     steps, decoys = [], {}
     for s, op in enumerate(graph.operators):
+        if len(op.outputs) != 1:
+            raise InvariantViolation(f"operator {s}: {len(op.outputs)} outputs, not one")
         opcode = graph.opcodes[op.opcode_index]
         if opcode.builtin_code != CUSTOM_SENTINEL:
             code, raw, ins, weights = opcode.builtin_code, op.options, op.inputs, ()

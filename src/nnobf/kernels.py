@@ -32,8 +32,8 @@ positions)`` accumulator, on short rows ``rc`` channels at a time summed as
 in Dense.  Every stride-1 position is summed, and a strided convolution keeps
 every ``sh``-th row and ``sw``-th column: each kept element has the products
 and order it would have alone.  A block over a single output element keeps
-``rc = 1``, as Dense does.  The step loop only slices views built once per
-call.  An empty output, or one with no products to sum, is zeros.
+``rc = 1``, as Dense does.  An empty output, or one with no products to
+sum, is zeros.
 
 NumPy 2.4 runs a broadcast product through iterator buffers when its rows
 are under a third of the ufunc buffer (8,192 elements by default): 1-3 ns
@@ -41,10 +41,11 @@ and 8 bytes per element, against 0.2-0.4 ns unbuffered.  So convolutions run
 with a 128-element buffer (``np.setbufsize``, restored on exit).  On rows
 under 2,048 floats, stage, accumulator and product rows may take 35 KiB per
 image: the widest block that fits wins, and a shape where not even one
-channel fits steps one channel at a time.  Every fixture's batch-1 run stays
-under 49 KiB (per operator: ``tools/op_peaks.py``): branchy's third Conv2D
-takes 35 KiB on top of 13 KiB live, a 16 KiB Dense block 34 KiB on top of
-10 KiB.
+channel fits steps one channel at a time.  Each (tap, block) or (tile,
+block) step runs on views bound once per geometry (see ``_planned``), so
+scratch is held between calls: every fixture's batch-1 run peaks under
+25 KiB, while plans hold 589 KiB over all five at batch 1 and 15.8 MiB at
+batch 256 (``tools/op_peaks.py``).
 
 Kernels never consult declared tensor shapes; everything is derived from the
 actual input arrays.  The leading axis is treated as batch throughout.
@@ -52,7 +53,10 @@ actual input arrays.  The leading axis is treated as batch throughout.
 
 from __future__ import annotations
 
+import itertools
 import math
+import threading
+from collections import OrderedDict
 
 import numpy as np
 
@@ -78,6 +82,11 @@ _CONV_CHUNK_BYTES = 512 * 1024
 _CONV_WORK_BYTES = 35 * 1024
 _LONG_ROW = 2048
 _TAP_BUFSIZE = 128
+# Kernel plans by geometry, least recently used first, and their bytes.
+_PLAN_CACHE_BYTES = 32 * 1024 * 1024
+_plans: OrderedDict[tuple, tuple | None] = OrderedDict()
+_plans_held = 0
+_plans_lock = threading.Lock()
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -125,50 +134,63 @@ def _tap_blocks(ci: int, co: int, size: int, fixed: int, images: int) -> int:
     return max(1, min(top, (_CONV_WORK_BYTES * images - fixed) // (4 * co * size) - 1))
 
 
-def _add_taps(acc: np.ndarray, xf: np.ndarray, w: np.ndarray, dy: int, dx: int,
-              prod: np.ndarray, rc: int) -> None:
-    """Add tap ``(ky, kx)``'s products, of ``xf`` shifted ``ky * dy + kx * dx``
-    on, into ``acc`` in (ky, kx, cin) order, with ``prod`` as scratch."""
-    co, size = acc.shape
-    kh, kw = w.shape[:2]
-    # Views of the weights and of the stage at every tap: wv[ky, kx, c] is (co, 1)
-    # and xv[ky, kx, c] (1, size); depthwise is one block, (co, 1) by (co, size).
-    if w.ndim == 3:
-        ci, rows, wv = 1, co, w[:, :, None, :, None]
-    else:
-        ci, rows, wv = w.shape[2], 1, w[..., None]
-    xv = np.ndarray((kh, kw, ci, rows, size), np.float32, xf, 0,
-                    (4 * dy, 4 * dx, xf.strides[0], xf.strides[0], 4))
-    t = prod[:acc.size].reshape(co, size)
-    blocks = []  # (c0, c1, sum buffer, product rows); one channel adds t
-    for c0 in range(0, ci, rc):
-        r = min(rc, ci - c0)
-        blk = prod[:(r + 1) * acc.size].reshape(r + 1, co, size) if r > 1 else None
-        blocks.append((c0, c0 + r, blk, t[None] if blk is None else blk[1:]))
-    for ky in range(kh):
-        for kx in range(kw):
-            wk, xk = wv[ky, kx], xv[ky, kx]
-            for c0, c1, blk, body in blocks:
-                np.multiply(wk[c0:c1], xk[c0:c1], out=body)
-                if blk is None:
-                    np.add(acc, t, out=acc)
-                else:
-                    blk[0] = acc
-                    np.add.reduce(blk, axis=0, out=acc)
+def _planned(key: tuple, build, w: np.ndarray, xs: np.ndarray, dst: np.ndarray) -> None:
+    """Run the plan for ``key``, ``build()`` if none is cached: copy ``w`` and
+    ``xs`` in, zero the accumulator, run the steps under the plan's ufunc
+    buffer (0: leave it) and iteration order, copy the kept sums to
+    ``dst``.  A plan ``(bytes, weights, input, acc, steps, kept, order,
+    bufsize)`` holds no caller array; a step multiplies two views into
+    ``body``, then sums ``blk`` (``tile`` of ``acc`` in row 0, then ``body``)
+    into ``tile``, or adds ``body`` to it if ``blk`` is None.  The plan is out
+    of the cache while it runs, so no two calls share scratch; the cache keeps
+    ``_PLAN_CACHE_BYTES``, least recently used out first, and a larger plan
+    serves one call."""
+    global _plans_held
+    with _plans_lock:  # None keeps its place: reinserting would resize the dict
+        plan = _plans.get(key)
+        if plan is not None:
+            _plans[key] = None
+            _plans.move_to_end(key)
+            _plans_held -= plan[0]
+    plan = plan or build()
+    _, wbuf, xin, acc, steps, kept, order, bufsize = plan
+    wbuf[...] = w
+    xin[...] = xs
+    acc.fill(0.0)
+    bufsize = np.setbufsize(bufsize) if bufsize else 0
+    try:
+        for wv, xv, body, blk, tile in steps:
+            np.multiply(wv, xv, out=body, order=order)
+            if blk is None:
+                np.add(tile, body, out=tile)
+            else:
+                blk[0] = tile
+                np.add.reduce(blk, axis=0, out=tile)
+    finally:
+        if bufsize:
+            np.setbufsize(bufsize)
+    dst[...] = kept
+    if plan[0] > _PLAN_CACHE_BYTES:
+        return
+    with _plans_lock:  # replacing another call's plan of the same geometry
+        _plans_held += plan[0] - (_plans.get(key) or (0,))[0]
+        _plans[key] = plan
+        while _plans_held > _PLAN_CACHE_BYTES:
+            _plans_held -= (_plans.popitem(last=False)[1] or (0,))[0]
 
 
-def _chunked_taps(x: np.ndarray, w: np.ndarray, opts: ConvOptions, oh: int,
-                  ow: int) -> np.ndarray:
-    """Tap sums, ``(n, oh, ow, cout)``, ``nb`` images per chunk: every stride-1
-    position of the chunk is summed and every ``sh``-th row and ``sw``-th
-    column kept.  The output is allocated once the last chunk's scratch is
-    released."""
+def _conv(x: np.ndarray, w: np.ndarray, bias: np.ndarray | None,
+          opts: ConvOptions, name: str) -> np.ndarray:
+    """Conv2D (``w`` of rank 4) or DepthwiseConv2D (rank 3) past rank checks,
+    ``nb`` images per chunk, each on the plan of its geometry."""
     n, h, wd, ci = x.shape
-    kh, kw = w.shape[:2]
-    co = w.shape[-1]
-    if not n * oh * ow * w.size:  # no output, or no products to sum
-        return np.zeros((n, oh, ow, co), np.float32)
+    (kh, kw, wci), co = w.shape[:3], w.shape[-1]
+    _require(wci == ci, f"{name} channels: input {ci} vs weight {wci}")
     sh, sw = opts.stride_h, opts.stride_w
+    oh, ow = _out_extent(h, kh, sh, opts.padding), _out_extent(wd, kw, sw, opts.padding)
+    if not n * oh * ow * w.size:  # no output, or no products to sum
+        return _bias_activation(np.zeros((n, oh, ow, co), np.float32), bias,
+                                opts.activation, name)
     hp, wp = (oh - 1) * sh + kh, (ow - 1) * sw + kw  # the rows and columns read
     pt, pl = ((kh - 1) // 2, (kw - 1) // 2) if opts.padding is Padding.SAME else (0, 0)
     hh, ww = min(h, hp - pt), min(wd, wp - pl)  # input rows and columns read
@@ -176,43 +198,38 @@ def _chunked_taps(x: np.ndarray, w: np.ndarray, opts: ConvOptions, oh: int,
     nb = min(n, max(1, _CONV_CHUNK_BYTES // (4 * co * span)))
     rc = _tap_blocks(1 if w.ndim == 3 else ci, co, sites * nb,
                      4 * (ci * span + co * sites) * nb, nb)
-    stagef = np.zeros(ci * span * nb, np.float32)
-    accf = np.empty(co * sites * nb, np.float32)
-    prod = np.empty((rc + (rc > 1)) * co * sites * nb, np.float32)
-    out = None
+
+    def build() -> tuple:
+        """The plan of a chunk of ``b`` images: per tap in (ky, kx) order, a
+        step per block of ``rc`` channels, on a stage whose border stays zero."""
+        size = sites * b
+        stage = np.zeros((ci, hp, wp, b), np.float32)
+        acc = np.empty((co, size), np.float32)
+        prod = np.empty((rc + (rc > 1)) * co * size, np.float32)
+        wbuf = np.empty(w.shape, np.float32)
+        # Views of the weights and of the stage at every tap: wv[ky, kx, c] is (co, 1)
+        # and xv[ky, kx, c] (1, size); depthwise is one block, (co, 1) by (co, size).
+        cb, rows, wv = ((1, co, wbuf[:, :, None, :, None]) if w.ndim == 3
+                        else (ci, 1, wbuf[..., None]))
+        xv = np.ndarray((kh, kw, cb, rows, size), np.float32, stage, 0,
+                        (4 * wp * b, 4 * b, stage.strides[0], stage.strides[0], 4))
+        p, steps = prod.reshape(-1, co, size), []  # one channel adds its product row
+        for ky, kx, c0 in itertools.product(range(kh), range(kw), range(0, cb, rc)):
+            r = min(rc, cb - c0)
+            body, blk, tile = ((p[1:r + 1], p[:r + 1], acc) if r > 1
+                               else (p[:1], None, acc[None]))
+            steps.append((wv[ky, kx, c0:c0 + r], xv[ky, kx, c0:c0 + r], body, blk, tile))
+        kept = np.ndarray((b, oh, ow, co), np.float32, acc, 0,
+                          (4, 4 * sh * wp * b, 4 * sw * b, 4 * size))
+        return (sum(a.nbytes for a in (stage, acc, prod, wbuf)), wbuf,
+                stage[:, pt:pt + hh, pl:pl + ww], acc, steps, kept, "K", _TAP_BUFSIZE)
+
+    out = np.empty((n, oh, ow, co), np.float32)
     for b0 in range(0, n, nb):
         b = min(nb, n - b0)
-        stage = stagef[:ci * span * b].reshape(ci, hp, wp, b)
-        if b < nb:  # the short last chunk re-lays the stage: zero its border
-            stage.fill(0.0)
-        stage[:, pt:pt + hh, pl:pl + ww] = x[b0:b0 + b, :hh, :ww].transpose(3, 1, 2, 0)
-        size = sites * b
-        acc = accf[:co * size].reshape(co, size)
-        acc.fill(0.0)
-        _add_taps(acc, stage.reshape(ci, span * b), w, wp * b, b, prod, rc)
-        if b0 + b == n:
-            del stagef, stage, prod
-        if out is None:
-            out = np.empty((n, oh, ow, co), np.float32)
-        out[b0:b0 + b] = np.ndarray((b, oh, ow, co), np.float32, accf, 0,
-                                    (4, 4 * sh * wp * b, 4 * sw * b, 4 * size))
-    return out
-
-
-def _conv(x: np.ndarray, w: np.ndarray, bias: np.ndarray | None,
-          opts: ConvOptions, name: str) -> np.ndarray:
-    """Conv2D (``w`` of rank 4) or DepthwiseConv2D (rank 3) past rank checks."""
-    _, h, wd, ci = x.shape
-    kh, kw, wci = w.shape[:3]
-    _require(wci == ci, f"{name} channels: input {ci} vs weight {wci}")
-    oh = _out_extent(h, kh, opts.stride_h, opts.padding)
-    ow = _out_extent(wd, kw, opts.stride_w, opts.padding)
-    bufsize = np.setbufsize(_TAP_BUFSIZE)
-    try:
-        acc = _chunked_taps(x, w, opts, oh, ow)
-    finally:
-        np.setbufsize(bufsize)
-    return _bias_activation(acc, bias, opts.activation, name)
+        _planned((b, x.shape[1:], w.shape, sh, sw, opts.padding, rc, nb), build, w,
+                 x[b0:b0 + b, :hh, :ww].transpose(3, 1, 2, 0), out[b0:b0 + b])
+    return _bias_activation(out, bias, opts.activation, name)
 
 
 def conv2d(x: np.ndarray, w: np.ndarray, bias: np.ndarray | None,
@@ -245,6 +262,23 @@ def _dense_block_rows(n: int, fout: int) -> tuple[int, int]:
     return (ft, r) if r >= 3 else (0, 0)
 
 
+def _dense_plan(n: int, fin: int, fout: int, ft: int, rows: int) -> tuple:
+    """The plan of the blocked Dense path: a step per column tile and block
+    of ``rows`` features, in order; rows under 8 floats loop over columns."""
+    wbuf = np.empty((fin, fout), np.float32)
+    xT = np.empty((fin, n), np.float32)
+    accT = np.empty((fout, n), np.float32)
+    buf = np.empty((rows + 1, ft, n), np.float32)
+    steps = []
+    for o0, i0 in itertools.product(range(0, fout, ft), range(0, fin, rows)):
+        tile, i1 = accT[o0:o0 + ft], min(i0 + rows, fin)
+        blk = buf[:i1 - i0 + 1, :len(tile)]
+        steps.append((wbuf[i0:i1, None, o0:o0 + ft], xT[i0:i1, :, None],
+                      blk[1:].transpose(0, 2, 1), blk, tile))
+    return (sum(a.nbytes for a in (wbuf, xT, accT, buf)), wbuf, xT, accT, steps, accT,
+            "C" if n < 8 else "K", _TAP_BUFSIZE if 3 * n >= _TAP_BUFSIZE else 0)
+
+
 def dense(x: np.ndarray, w: np.ndarray, bias: np.ndarray | None,
           opts: DenseOptions) -> np.ndarray:
     _require_f32(x, w)
@@ -255,26 +289,12 @@ def dense(x: np.ndarray, w: np.ndarray, bias: np.ndarray | None,
     _require(win == fin, f"Dense features: input {fin} vs weight {win}")
     ft, rows = _dense_block_rows(n, fout)
     rows = min(rows, fin)
-    accT = np.zeros((fout, n), np.float32)
     if rows:
-        xT = np.ascontiguousarray(x.T)
-        buf = np.empty((rows + 1, ft, n), np.float32)
-        order = "C" if n < 8 else "K"  # rows under 8 floats: loop over columns
-        bufsize = np.setbufsize(_TAP_BUFSIZE) if 3 * n >= _TAP_BUFSIZE else 0
-        try:
-            for o0 in range(0, fout, ft):
-                tile = accT[o0:o0 + ft]
-                for i0 in range(0, fin, rows):
-                    i1 = min(i0 + rows, fin)
-                    blk = buf[:i1 - i0 + 1, :len(tile)]
-                    np.multiply(w[i0:i1, None, o0:o0 + ft], xT[i0:i1, :, None],
-                                out=blk[1:].transpose(0, 2, 1), order=order)
-                    blk[0] = tile
-                    np.add.reduce(blk, axis=0, out=tile)
-        finally:
-            if bufsize:
-                np.setbufsize(bufsize)
+        accT = np.empty((fout, n), np.float32)
+        _planned((n, fin, fout, ft, rows), lambda: _dense_plan(n, fin, fout, ft, rows),
+                 w, x.T, accT)
     else:
+        accT = np.zeros((fout, n), np.float32)
         for i in range(fin):
             accT += w[i, :, None] * x[:, i]
     return _bias_activation(accT.T, bias, opts.activation, "Dense")

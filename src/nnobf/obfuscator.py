@@ -397,8 +397,10 @@ def reconstruct(graph: ModelGraph, plan: ObfuscationPlan) -> ModelGraph:
     """Invert the obfuscation using the private plan.
 
     Declared activation shapes come from ``plan.shapes``; no model runs.
-    Records or shapes that do not fit the graph raise ``PlanMismatch``.
+    An invalid graph, or a plan that does not fit it, raises ``PlanMismatch``.
     """
+    if bad := _violations(graph, validate):
+        raise PlanMismatch("the graph to reconstruct is invalid: " + "; ".join(bad))
     renamed = Strategy.RENAME in plan.config.strategies
     for i, op in enumerate(graph.operators):
         if graph.opcodes[op.opcode_index].is_custom != renamed:

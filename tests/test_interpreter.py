@@ -361,6 +361,37 @@ def test_resolution_errors_raise_before_any_kernel(lenet, monkeypatch, fault):
     assert calls == []
 
 
+def without_one_output(public, s, outputs):
+    """``public`` with operator ``s`` declaring ``outputs``; never validated."""
+    ops = list(public.operators)
+    ops[s] = dataclasses.replace(ops[s], outputs=outputs)
+    return dataclasses.replace(public, operators=tuple(ops))
+
+
+@pytest.mark.parametrize("outputs", [(), "two"])
+def test_operator_without_one_output_raises_before_any_kernel(outputs, monkeypatch):
+    # operator 3 of lenet (seed 5) obfuscated, a true operator, a decoy
+    # layer and a builtin operator each declare no output or two; with
+    # none, resolve used to index past the end
+    g = build_fixture("lenet", 5)
+    public, bundle, _ = obfuscate(g, ObfuscationConfig(seed=1, n_shortcuts=20,
+                                                       n_extra_layers=20))
+    true_op = next(s for s, op in enumerate(public.operators) if not bundle.records[
+        public.opcodes[op.opcode_index].custom_name].is_decoy)
+    decoy = public.operators.index(decoy_op(public, bundle))
+    calls = []
+    monkeypatch.setattr(interpreter, "execute_builtin",
+                        lambda *a: calls.append(a[0]) or execute_builtin(*a))
+    for graph, kb, s in ((public, bundle, 3), (public, bundle, true_op),
+                         (public, bundle, decoy), (g, None, 0)):
+        declared = graph.operators[s].outputs
+        bad = without_one_output(graph, s, declared * 2 if outputs else ())
+        with pytest.raises(InvariantViolation, match=f"operator {s}: "):
+            run(bad, kb, [rand_input(g)])
+        assert (id(bad), id(kb)) not in interpreter._programs
+    assert calls == []
+
+
 def test_liveness_peak_relu():
     _, trace = run(relu_graph(), None, [np.ones(4, F)])
     assert trace.peak_live_bytes == trace.peak_live_bytes_liveness == 32

@@ -1,10 +1,15 @@
+import gc
 import re
+import sys
+import threading
+import weakref
+from collections import OrderedDict
 
 import numpy as np
 import pytest
 
 import naive_kernels as ref
-from nnobf import kernels
+from nnobf import interpreter, kernels
 from nnobf.errors import ShapeMismatch, UnsupportedDtype
 from nnobf.fixtures import FIXTURE_NAMES, build_fixture
 from nnobf.kernels import (
@@ -33,6 +38,7 @@ from nnobf.model_format import (
     decode_options,
     materialize_constants,
 )
+from nnobf.obfuscator import ObfuscationConfig, obfuscate
 
 F = np.float32
 
@@ -454,6 +460,160 @@ def test_chunked_path_restores_numpy_bufsize():
         assert np.getbufsize() == 4096
     finally:
         np.setbufsize(old)
+
+
+# -- kernel plans --------------------------------------------------------------
+
+WEIGHTED = {BuiltinOp.CONV_2D: (conv2d, ref.conv2d_ref),
+            BuiltinOp.DEPTHWISE_CONV_2D: (depthwise_conv2d, ref.depthwise_conv2d_ref),
+            BuiltinOp.DENSE: (dense, ref.dense_ref)}
+
+
+def call(kernel, x, weights, opts):
+    """``kernel`` on ``x`` with a ``[w]`` or ``[w, bias]`` list."""
+    return kernel(x, weights[0], weights[1] if len(weights) > 1 else None, opts)
+
+
+@pytest.fixture
+def fresh_plans(monkeypatch):
+    """An empty plan cache for one test; the shared one comes back after."""
+    monkeypatch.setattr(kernels, "_plans", OrderedDict())
+    monkeypatch.setattr(kernels, "_plans_held", 0)
+
+
+def lenet_weight_sets():
+    """Per weighted lenet kernel: kind, batch-1 input shape, options, and the
+    weights of lenet seed 0 and of an obfuscated lenet seed 5's bundle, one
+    geometry with two weight sets."""
+    g = build_fixture("lenet", 0)
+    consts = materialize_constants(g)
+    public, bundle, _ = obfuscate(build_fixture("lenet", 5), ObfuscationConfig(seed=1))
+    for (_, _, kind, raw, ins, _), (_, _, _, _, _, weights) in zip(
+            interpreter.resolve(g, None)[0], interpreter.resolve(public, bundle.records)[0]):
+        if kind in WEIGHTED:
+            original = [consts[t] for t in ins[1:]]
+            assert [w.shape for w in weights] == [w.shape for w in original]
+            yield (kind, g.tensors[ins[0]].shape, decode_options(kind, raw),
+                   original, list(weights))
+
+
+def test_plans_take_each_calls_weights(fresh_plans):
+    # the original's weights, the bundle's and random ones, alternated on
+    # one geometry's plan, each give the oracle's bytes
+    rng = runi(111)
+    kinds = []
+    for kind, shape, opts, original, shipped in lenet_weight_sets():
+        kernel, oracle = WEIGHTED[kind]
+        kinds.append(kind)
+        x = rand(rng, (1, *shape[1:]))
+        sets = [original, shipped, [rand(rng, w.shape) for w in original]]
+        want = [call(oracle, x, ws, opts).tobytes() for ws in sets]
+        for k in range(7):
+            assert call(kernel, x, sets[k % 3], opts).tobytes() == want[k % 3], (kind, k)
+    assert kinds == [BuiltinOp.CONV_2D, BuiltinOp.CONV_2D, BuiltinOp.DENSE]
+    assert len(kernels._plans) == 3
+
+
+@pytest.mark.parametrize("depthwise", [False, True], ids=["conv2d", "depthwise"])
+def test_same_conv_plan_border_stays_zero(depthwise, fresh_plans, monkeypatch):
+    # ones, then random input, on one plan: the second call gives the
+    # bytes of a call on a fresh plan, and the oracle's
+    kernel, oracle = ((depthwise_conv2d, ref.depthwise_conv2d_ref) if depthwise
+                      else (conv2d, ref.conv2d_ref))
+    rng = runi(112)
+    wt = rand(rng, (3, 3, 2) if depthwise else (3, 3, 2, 4))
+    x = rand(rng, (1, 6, 7, 2))
+    for s in (1, 2):
+        opts = ConvOptions(s, s, Padding.SAME, Activation.NONE)
+        kernel(np.ones_like(x), wt, None, opts)
+        got = kernel(x, wt, None, opts).tobytes()
+        with monkeypatch.context() as m:
+            m.setattr(kernels, "_plans", OrderedDict())
+            assert kernel(x, wt, None, opts).tobytes() == got
+        assert got == oracle(x, wt, None, opts).tobytes()
+
+
+@pytest.mark.parametrize("depthwise", [False, True], ids=["conv2d", "depthwise"])
+def test_chunk_plans_repeat_bit_identical(depthwise, fresh_plans, monkeypatch):
+    # batch 7 in 2-image chunks: three full chunks and a 1-image one, each
+    # on the plan of its image count; a second call reuses both plans
+    kernel, oracle = ((depthwise_conv2d, ref.depthwise_conv2d_ref) if depthwise
+                      else (conv2d, ref.conv2d_ref))
+    rng = runi(113)
+    x, wt = chunked_conv_case(rng, depthwise, 7, 3, Padding.SAME)
+    monkeypatch.setattr(kernels, "_CONV_CHUNK_BYTES",
+                        two_image_chunk_bytes(x, wt, Padding.SAME))
+    opts = ConvOptions(1, 1, Padding.SAME, Activation.RELU)
+    want = oracle(x, wt, None, opts).tobytes()
+    assert kernel(x, wt, None, opts).tobytes() == want
+    assert sorted(key[0] for key in kernels._plans) == [1, 2]
+    assert kernel(x, wt, None, opts).tobytes() == want
+    assert len(kernels._plans) == 2
+
+
+def test_threads_never_share_a_plan():
+    # 4 threads x 300 calls of lenet's second Conv2D, each thread on its
+    # own input: a plan shared while in use mixes one call's stage or
+    # accumulator into another's output
+    _, shape, opts, weights, _ = list(lenet_weight_sets())[1]
+    rng = runi(114)
+    xs = [rand(rng, (1, *shape[1:])) for _ in range(4)]
+    want = [call(conv2d, x, weights, opts).tobytes() for x in xs]
+    wrong = [0] * 4
+
+    def work(i):
+        for _ in range(300):
+            wrong[i] += call(conv2d, xs[i], weights, opts).tobytes() != want[i]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == [0] * 4
+
+
+def test_plans_hold_no_caller_arrays():
+    rng = runi(115)
+    cases = [(conv2d, (2, 6, 6, 3), (3, 3, 3, 4), ConvOptions(1, 1, Padding.SAME, Activation.NONE)),
+             (depthwise_conv2d, (1, 6, 6, 3), (3, 3, 3),
+              ConvOptions(2, 2, Padding.VALID, Activation.NONE)),
+             (dense, (3, 40), (40, 16), DenseOptions(Activation.NONE))]
+    for kernel, xs, ws, opts in cases:
+        x, w = rand(rng, xs), rand(rng, ws)
+        refs = weakref.ref(x), weakref.ref(w)
+        kernel(x, w, None, opts)
+        del x, w
+        gc.collect()
+        assert all(r() is None for r in refs), kernel
+
+
+def test_plan_cache_stays_under_its_cap(fresh_plans, monkeypatch):
+    # 40 Dense and 40 Conv2D geometries through a 64 KiB cache: held bytes
+    # stay the sum of the cached plans and within the cap, the least
+    # recently used plans go first, and a plan over the cap is not kept
+    cap = 64 * 1024
+    monkeypatch.setattr(kernels, "_PLAN_CACHE_BYTES", cap)
+    rng = runi(116)
+    opts = ConvOptions(1, 1, Padding.SAME, Activation.NONE)
+    calls = ([(dense, (1, fin), (fin, 32), DenseOptions(Activation.NONE))
+              for fin in range(8, 48)]
+             + [(conv2d, (1, h, 5, 2), (3, 3, 2, 4), opts) for h in range(3, 43)])
+    for kernel, xs, ws, o in calls:
+        kernel(rand(rng, xs), rand(rng, ws), None, o)
+        held = sum(plan[0] for plan in kernels._plans.values())
+        assert kernels._plans_held == held <= cap
+    kept = list(kernels._plans)
+    assert 1 < len(kept) < len(calls)
+    assert kept[-1][1] == (42, 5, 2)  # the last geometry, most recently used
+    dense(rand(rng, (1, 256)), rand(rng, (256, 80)), None, DenseOptions(Activation.NONE))
+    assert list(kernels._plans) == kept
 
 
 @pytest.mark.parametrize("kernel,oracle", [(max_pool2d, ref.max_pool2d_ref),

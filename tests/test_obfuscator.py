@@ -748,6 +748,19 @@ def test_reconstruct_runs_no_inference(all_fixtures, monkeypatch):
         assert _normalized_dump(reconstruct(public, plan)) == _normalized_dump(g)
 
 
+@pytest.mark.parametrize("renamed", [True, False])
+def test_reconstruct_rejects_an_operator_without_one_output(renamed):
+    # operator 3 of lenet (seed 5) declaring no output used to raise a bare
+    # IndexError from the operator walk
+    strategies = ALL_STRATEGIES if renamed else frozenset({Strategy.SHAPE})
+    public, _, plan = obfuscate(build_fixture("lenet", 5), ObfuscationConfig(
+        seed=1, n_shortcuts=20, n_extra_layers=20, strategies=strategies))
+    ops = list(public.operators)
+    ops[3] = replace(ops[3], outputs=())
+    with pytest.raises(PlanMismatch, match=r"invalid: operators\[3\]\.outputs"):
+        reconstruct(replace(public, operators=tuple(ops)), plan)
+
+
 @pytest.mark.parametrize("change", [-1, 1])
 def test_reconstruct_rejects_a_wrong_shape_count(lenet, change):
     public, _, plan = obfuscate(

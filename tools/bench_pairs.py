@@ -15,7 +15,8 @@ metric's ``BENCHMARK.json`` bound; per workload, the failed operations; the
 commit (``+uncommitted`` when the working tree differs from it) and
 ``src_lines`` to the line count of the side's ``src/`` Python files; and, as
 ``claim``, every metric on which the change won at least nine pairs in ten
-and moved its median by more than the parent's interquartile range.
+and moved its median by more than the parent's interquartile range (by
+more than the metric's bound, relative, when that range is 0).
 
 A metric is ``unresolved`` when the parent's interquartile range, relative
 to its median, is wider than the metric's bound, unless every change run is
@@ -92,13 +93,16 @@ def summarize(runs: dict[str, list[dict]], spec: dict) -> dict:
 
 def gains(workloads: dict) -> list[str]:
     """Metrics the change won on at least 90% of the pairs, with a median
-    gap wider than the parent's interquartile range."""
+    gap wider than the parent's interquartile range.  Where that range is 0,
+    the relative change must exceed the metric's bound instead: against no
+    spread, any nonzero gap would count."""
     found = []
     for workload, w in workloads.items():
         for name, e in w["metrics"].items():
             p, c = e["parent"], e["change"]
             gap, spread = abs(c["median"] - p["median"]), p["q3"] - p["q1"]
-            if e["change_won_pairs"] >= math.ceil(0.9 * w["pairs"]) and gap > spread:
+            wide = gap > spread if spread else abs(e["rel_change"]) > e["bound"]
+            if e["change_won_pairs"] >= math.ceil(0.9 * w["pairs"]) and wide:
                 found.append(
                     f"{workload} {name}: parent median {p['median']:.4g} "
                     f"[q1 {p['q1']:.4g}, q3 {p['q3']:.4g}] -> change {c['median']:.4g} "
