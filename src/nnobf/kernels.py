@@ -213,12 +213,13 @@ def _conv(x: np.ndarray, w: np.ndarray, bias: np.ndarray | None,
                         else (ci, 1, wbuf[..., None]))
         xv = np.ndarray((kh, kw, cb, rows, size), np.float32, stage, 0,
                         (4 * wp * b, 4 * b, stage.strides[0], stage.strides[0], 4))
-        p, steps = prod.reshape(-1, co, size), []  # one channel adds its product row
-        for ky, kx, c0 in itertools.product(range(kh), range(kw), range(0, cb, rc)):
+        p, sums = prod.reshape(-1, co, size), []  # one channel adds its product row
+        for c0 in range(0, cb, rc):
             r = min(rc, cb - c0)
-            body, blk, tile = ((p[1:r + 1], p[:r + 1], acc) if r > 1
-                               else (p[:1], None, acc[None]))
-            steps.append((wv[ky, kx, c0:c0 + r], xv[ky, kx, c0:c0 + r], body, blk, tile))
+            sums.append((c0, c0 + r, *((p[1:r + 1], p[:r + 1], acc) if r > 1
+                                       else (p[:1], None, acc[None]))))
+        steps = [(wv[ky, kx, c0:c1], xv[ky, kx, c0:c1], *s)
+                 for ky, kx, (c0, c1, *s) in itertools.product(range(kh), range(kw), sums)]
         kept = np.ndarray((b, oh, ow, co), np.float32, acc, 0,
                           (4, 4 * sh * wp * b, 4 * sw * b, 4 * size))
         return (sum(a.nbytes for a in (stage, acc, prod, wbuf)), wbuf,
