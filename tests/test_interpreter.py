@@ -371,8 +371,8 @@ def without_one_output(public, s, outputs):
 @pytest.mark.parametrize("outputs", [(), "two"])
 def test_operator_without_one_output_raises_before_any_kernel(outputs, monkeypatch):
     # operator 3 of lenet (seed 5) obfuscated, a true operator, a decoy
-    # layer and a builtin operator each declare no output or two; with
-    # none, resolve used to index past the end
+    # layer and a builtin operator each declare no output or two: resolve
+    # names the operator instead of indexing past an empty output list
     g = build_fixture("lenet", 5)
     public, bundle, _ = obfuscate(g, ObfuscationConfig(seed=1, n_shortcuts=20,
                                                        n_extra_layers=20))

@@ -750,8 +750,8 @@ def test_reconstruct_runs_no_inference(all_fixtures, monkeypatch):
 
 @pytest.mark.parametrize("renamed", [True, False])
 def test_reconstruct_rejects_an_operator_without_one_output(renamed):
-    # operator 3 of lenet (seed 5) declaring no output used to raise a bare
-    # IndexError from the operator walk
+    # operator 3 of lenet (seed 5) declaring no output: the input graph is
+    # checked before the operator walk could index its empty output list
     strategies = ALL_STRATEGIES if renamed else frozenset({Strategy.SHAPE})
     public, _, plan = obfuscate(build_fixture("lenet", 5), ObfuscationConfig(
         seed=1, n_shortcuts=20, n_extra_layers=20, strategies=strategies))
