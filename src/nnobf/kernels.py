@@ -26,26 +26,30 @@ Every convolution, Conv2D or DepthwiseConv2D at any stride, takes one
 channel-major path.  It stages ``b`` images image-minor in a zeroed
 ``(cin, hp, wp, b)`` buffer: stride-1 position ``(i, y, x)`` sits at
 ``(y * wp + x) * b + i`` and tap ``(ky, kx)`` reads the same image
-``(ky * wp + kx) * b`` further on.  Per tap in (ky, kx, cin) order, weight
-column times shifted channel goes into a zeroed, contiguous ``(cout,
-positions)`` accumulator, on short rows ``rc`` channels at a time summed as
-in Dense.  Every stride-1 position is summed, and a strided convolution keeps
-every ``sh``-th row and ``sw``-th column: each kept element has the products
-and order it would have alone.  A block over a single output element keeps
-``rc = 1``, as Dense does.  An empty output, or one with no products to
-sum, is zeros.
+``(ky * wp + kx) * b`` further on.  In (ky, kx, cin) order, weight column
+times shifted channel is summed into a zeroed, contiguous ``(cout,
+positions)`` accumulator, ``rc`` (ky, kx, cin) rows at a time as in Dense.
+A block is whole ky rows, else a run of kx taps in one ky row, else a run of
+channels in one tap; its products are written through one view and reduced
+in one call, and a one-row block adds its product to the accumulator.  Every
+stride-1 position is summed, and a strided convolution keeps every ``sh``-th
+row and ``sw``-th column: each kept element has the products and order it
+would have alone.  A block over a single output element keeps ``rc = 1``, as
+Dense does.  An empty output, or one with no products to sum, is zeros.
 
 NumPy 2.4 runs a broadcast product through iterator buffers when its rows
 are under a third of the ufunc buffer (8,192 elements by default): 1-3 ns
 and 8 bytes per element, against 0.2-0.4 ns unbuffered.  So convolutions run
-with a 128-element buffer (``np.setbufsize``, restored on exit).  On rows
-under 2,048 floats, stage, accumulator and product rows may take 35 KiB per
-image: the widest block that fits wins, and a shape where not even one
-channel fits steps one channel at a time.  Each (tap, block) or (tile,
-block) step runs on views bound once per geometry (see ``_planned``), so
-scratch is held between calls: every fixture's batch-1 run peaks under
-25 KiB, while plans hold 589 KiB over all five at batch 1 and 15.8 MiB at
-batch 256 (``tools/op_peaks.py``).
+with a 128-element buffer (``np.setbufsize``, restored on exit).  A block
+takes as many rows as fit 512 KiB with the accumulator's copy, so each
+fixture convolution takes one to three steps at batch 1.  Rows of 16 Ki
+floats or more take one row a step: there the copy into a block costs more
+than the calls it saves (3-row blocks of 128 KiB rows ran 1.16 times as
+long as one-row steps, 7-row blocks of 64 KiB rows 0.86 times).  Every
+convolution block and Dense (tile, block) step runs on views bound once per
+geometry (see ``_planned``), so scratch is held between calls: every
+fixture's batch-1 run peaks under 25 KiB, while plans hold 2.0 MiB over all
+five at batch 1 and 17.1 MiB at batch 256 (``tools/op_peaks.py``).
 
 Kernels never consult declared tensor shapes; everything is derived from the
 actual input arrays.  The leading axis is treated as batch throughout.
@@ -75,12 +79,11 @@ _ZERO = np.float32(0.0)
 _SIX = np.float32(6.0)
 # Blocked Dense path's block bytes per batch row, at most _CONV_CHUNK_BYTES.
 _DENSE_BLOCK_BYTES = 16 * 1024
-# Accumulator bytes per chunk of the convolution path.
+# Accumulator bytes per chunk of the convolution path, and block bytes with the
+# accumulator's copy on (co, positions) rows under _LONG_ROW floats; its ufunc
+# buffer in elements (see the docstring).
 _CONV_CHUNK_BYTES = 512 * 1024
-# Its work budget per staged image on rows shorter than _LONG_ROW floats, and
-# its ufunc buffer in elements (see the docstring).
-_CONV_WORK_BYTES = 35 * 1024
-_LONG_ROW = 2048
+_LONG_ROW = 16 * 1024
 _TAP_BUFSIZE = 128
 # Kernel plans by geometry, least recently used first, and their bytes.
 _PLAN_CACHE_BYTES = 32 * 1024 * 1024
@@ -122,16 +125,6 @@ def _out_extent(size: int, k: int, stride: int, padding: Padding) -> int:
         _require(size >= k, f"window {k} larger than input extent {size}")
         return (size - k) // stride + 1
     return (size - 1) // stride + 1
-
-
-def _tap_blocks(ci: int, co: int, size: int, fixed: int, images: int) -> int:
-    """Channels per block (plus the accumulator's copy if > 1) for ``co``
-    outputs over ``size``-position rows, ``images`` images and ``fixed`` stage
-    and accumulator bytes; 1 when not even one channel fits the budget."""
-    if size >= _LONG_ROW:
-        return 1
-    top = ci if co * size > 1 else 1  # NumPy reduces a lone axis pairwise
-    return max(1, min(top, (_CONV_WORK_BYTES * images - fixed) // (4 * co * size) - 1))
 
 
 def _planned(key: tuple, build, w: np.ndarray, xs: np.ndarray, dst: np.ndarray) -> None:
@@ -196,30 +189,33 @@ def _conv(x: np.ndarray, w: np.ndarray, bias: np.ndarray | None,
     hh, ww = min(h, hp - pt), min(wd, wp - pl)  # input rows and columns read
     span, sites = hp * wp, (oh - 1) * sh * wp + (ow - 1) * sw + 1  # to the last output
     nb = min(n, max(1, _CONV_CHUNK_BYTES // (4 * co * span)))
-    rc = _tap_blocks(1 if w.ndim == 3 else ci, co, sites * nb,
-                     4 * (ci * span + co * sites) * nb, nb)
+    cb = 1 if w.ndim == 3 else ci
 
     def build() -> tuple:
-        """The plan of a chunk of ``b`` images: per tap in (ky, kx) order, a
-        step per block of ``rc`` channels, on a stage whose border stays zero."""
+        """The plan of a chunk of ``b`` images: a step per block of ``rc``
+        (ky, kx, c) rows in that order, on a stage whose border stays zero.  A
+        block is whole ky rows, else kx taps of one ky row, else channels of
+        one tap; a one-row block adds its product to the accumulator."""
         size = sites * b
         stage = np.zeros((ci, hp, wp, b), np.float32)
         acc = np.empty((co, size), np.float32)
         prod = np.empty((rc + (rc > 1)) * co * size, np.float32)
         wbuf = np.empty(w.shape, np.float32)
         # Views of the weights and of the stage at every tap: wv[ky, kx, c] is (co, 1)
-        # and xv[ky, kx, c] (1, size); depthwise is one block, (co, 1) by (co, size).
-        cb, rows, wv = ((1, co, wbuf[:, :, None, :, None]) if w.ndim == 3
-                        else (ci, 1, wbuf[..., None]))
+        # and xv[ky, kx, c] (1, size); a depthwise tap is one row, (co, 1) by (co, size).
+        rows, wv = ((co, wbuf[:, :, None, :, None]) if w.ndim == 3
+                    else (1, wbuf[..., None]))
         xv = np.ndarray((kh, kw, cb, rows, size), np.float32, stage, 0,
                         (4 * wp * b, 4 * b, stage.strides[0], stage.strides[0], 4))
-        p, sums = prod.reshape(-1, co, size), []  # one channel adds its product row
-        for c0 in range(0, cb, rc):
-            r = min(rc, cb - c0)
-            sums.append((c0, c0 + r, *((p[1:r + 1], p[:r + 1], acc) if r > 1
-                                       else (p[:1], None, acc[None]))))
-        steps = [(wv[ky, kx, c0:c1], xv[ky, kx, c0:c1], *s)
-                 for ky, kx, (c0, c1, *s) in itertools.product(range(kh), range(kw), sums)]
+        g, t, c = ((rc // (kw * cb), kw, cb) if rc >= kw * cb else
+                   (1, rc // cb, cb) if rc >= cb else (1, 1, rc))
+        p, steps = prod.reshape(-1, co, size), []
+        for ky, kx, c0 in itertools.product(range(0, kh, g), range(0, kw, t), range(0, cb, c)):
+            at = np.s_[ky:ky + g, kx:kx + t, c0:c0 + c]
+            r = wv[at].size // co  # the block's rows, written through one view
+            body = p[r > 1:r + (r > 1)].reshape(*wv[at].shape[:3], co, size)
+            steps.append((wv[at], xv[at], body, *((p[:r + 1], acc) if r > 1
+                                                  else (None, acc.reshape(body.shape)))))
         kept = np.ndarray((b, oh, ow, co), np.float32, acc, 0,
                           (4, 4 * sh * wp * b, 4 * sw * b, 4 * size))
         return (sum(a.nbytes for a in (stage, acc, prod, wbuf)), wbuf,
@@ -228,7 +224,10 @@ def _conv(x: np.ndarray, w: np.ndarray, bias: np.ndarray | None,
     out = np.empty((n, oh, ow, co), np.float32)
     for b0 in range(0, n, nb):
         b = min(nb, n - b0)
-        _planned((b, x.shape[1:], w.shape, sh, sw, opts.padding, rc, nb), build, w,
+        row = co * sites * b  # floats per product row; NumPy sums a lone one pairwise
+        rc = (max(1, min(kh * kw * cb, _CONV_CHUNK_BYTES // (4 * row) - 1))
+              if 1 < row < _LONG_ROW else 1)
+        _planned((b, x.shape[1:], w.shape, sh, sw, opts.padding, rc), build, w,
                  x[b0:b0 + b, :hh, :ww].transpose(3, 1, 2, 0), out[b0:b0 + b])
     return _bias_activation(out, bias, opts.activation, name)
 

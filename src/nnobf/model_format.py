@@ -257,11 +257,6 @@ class ModelGraph:
         return self.opcodes[op.opcode_index]
 
 
-def empty_graph() -> ModelGraph:
-    return ModelGraph(opcodes=(), buffers=(b"",), tensors=(), operators=(),
-                      graph_inputs=(), graph_outputs=())
-
-
 def tensor_byte_size(t: Tensor) -> int:
     return math.prod(t.shape) * NP_DTYPE[t.dtype].itemsize
 

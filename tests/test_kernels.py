@@ -375,30 +375,37 @@ def test_fixture_convs_equal_stacked_batch_1_rows():
     assert kinds == {conv2d, depthwise_conv2d}
 
 
-# per-image work budgets from 64 B up by a factor of 1.25, fine enough that
-# every case below takes plain steps over budget and within it, and channel
-# blocks with a partial last block, at some rung
-BUDGET_LADDER = sorted({int(64 * 1.25 ** e) for e in range(29)})
+def conv_blocks():
+    """Per cached convolution plan, the (ky rows, kx taps, channels) extent of
+    each step's block, in step order."""
+    return [[step[0].shape[:3] for step in plan[4]] for plan in kernels._plans.values()
+            if plan[4][0][0].ndim == 5]
+
+
+def block_kind(extent):
+    """Which of the four block shapes a ``(ky rows, kx taps, channels)``
+    extent is."""
+    g, t, c = extent
+    return "ky rows" if g > 1 else "kx taps" if t > 1 else "channels" if c > 1 else "one row"
+
+
+# chunk bytes from 64 B up by a factor of 1.25, fine enough that every case
+# below takes one-row steps and blocks of every shape, partial last blocks
+# included, at some rung
+CHUNK_LADDER = sorted({int(64 * 1.25 ** e) for e in range(44)})
 
 
 @pytest.mark.parametrize("pad", [Padding.VALID, Padding.SAME], ids=["valid", "same"])
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("n", [1, 2, 3, 7])
 def test_channel_blocks_match_oracle_bytes(n, k, pad, monkeypatch):
-    # every (cin, cout) runs at every rung of the budget ladder; batch 7
-    # runs chunks of 3, 3 and 1 images.  Bias on/off and the activations
-    # cycle over the (cin, cout) combinations, so each case sees all six.
+    # every (cin, cout) runs at every rung of the chunk ladder, on a plan
+    # cache of its own; batch 7 runs chunks of one to seven images.  Bias
+    # on/off and the activations cycle over the (cin, cout) combinations, so
+    # each case sees all six.
     rng = runi(110)
     h, w = (2, 3) if pad is Padding.SAME else (k + 1, k + 2)
-    chosen = set()
-    blocks = kernels._tap_blocks
-
-    def spy(ci, co, *rest):
-        rc = blocks(ci, co, *rest)
-        chosen.add((ci, rc))
-        return rc
-
-    monkeypatch.setattr(kernels, "_tap_blocks", spy)
+    blocks = []
     variants = [(b, act) for b in (False, True) for act in Activation]
     combos = [(ci, co) for ci in (1, 3, 8) for co in (1, 4, 16)]
     for i, (ci, co) in enumerate(combos):
@@ -411,18 +418,52 @@ def test_channel_blocks_match_oracle_bytes(n, k, pad, monkeypatch):
         b = rand(rng, (co,)) if with_bias else None
         opts = ConvOptions(1, 1, pad, act)
         want = ref.conv2d_ref(x, wt, b, opts).tobytes()
-        monkeypatch.setattr(kernels, "_CONV_CHUNK_BYTES",
-                            3 * 4 * co * (k + 1) * (k + 2))  # staged image
-        for budget in BUDGET_LADDER:
-            monkeypatch.setattr(kernels, "_CONV_WORK_BYTES", budget)
-            assert conv2d(x, wt, b, opts).tobytes() == want, (ci, co, budget)
-    assert any(rc > 1 for _, rc in chosen)
-    assert any(rc > 1 and ci % rc for ci, rc in chosen)  # partial block
-    assert any(rc == 1 for _, rc in chosen)
+        with monkeypatch.context() as m:
+            m.setattr(kernels, "_plans", OrderedDict())
+            m.setattr(kernels, "_plans_held", 0)
+            for chunk in CHUNK_LADDER:
+                m.setattr(kernels, "_CONV_CHUNK_BYTES", chunk)
+                assert conv2d(x, wt, b, opts).tobytes() == want, (ci, co, chunk)
+            blocks += conv_blocks()
+    kinds = {block_kind(steps[0]) for steps in blocks}
+    partial = {block_kind(steps[0]) for steps in blocks if len(set(steps)) > 1}
+    assert kinds == {"one row", "channels"} | ({"kx taps", "ky rows"} if k > 1 else set())
+    assert partial == {"channels"} | ({"kx taps", "ky rows"} if k > 2 else set())
+
+
+@pytest.mark.parametrize("pad", [Padding.VALID, Padding.SAME], ids=["valid", "same"])
+@pytest.mark.parametrize("s", [1, 2])
+@pytest.mark.parametrize("n", [1, 7])
+@pytest.mark.parametrize("depthwise", [False, True], ids=["conv2d", "depthwise"])
+def test_every_block_shape_matches_oracle_bytes(depthwise, n, s, pad, fresh_plans,
+                                                monkeypatch):
+    # 3 x 3 taps over 3 channels at every rung of the chunk ladder: one-row
+    # steps, channel runs (Conv2D only: a depthwise tap is one row), kx runs
+    # and whole ky rows, each with a partial last block; batch 7 also runs
+    # short last chunks.  The input is >= +0.0 and the last output channel's
+    # weights are -0.0, so that channel sums only -0.0 products: +0.0 from
+    # the zeroed accumulator, -0.0 had the sum started at its first product.
+    kernel, oracle = ((depthwise_conv2d, ref.depthwise_conv2d_ref) if depthwise
+                      else (conv2d, ref.conv2d_ref))
+    rng = runi(117)
+    x = np.abs(rand(rng, (n, 7, 8, 3)))
+    wt = rand(rng, (3, 3, 3) if depthwise else (3, 3, 3, 3))
+    wt[..., -1] = -0.0
+    opts = ConvOptions(s, s, pad, Activation.NONE)
+    want = oracle(x, wt, None, opts).tobytes()
+    for chunk in CHUNK_LADDER:
+        monkeypatch.setattr(kernels, "_CONV_CHUNK_BYTES", chunk)
+        assert kernel(x, wt, None, opts).tobytes() == want, chunk
+    blocks = conv_blocks()
+    kinds = {"one row", "kx taps", "ky rows"} | (set() if depthwise else {"channels"})
+    assert {block_kind(steps[0]) for steps in blocks} == kinds
+    assert {block_kind(steps[0]) for steps in blocks if len(set(steps)) > 1} == kinds - {
+        "one row"}
+    assert n == 1 or any(1 < key[0] < n for key in kernels._plans)  # short last chunks
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
-def test_single_output_element_sums_in_tap_order(k):
+def test_single_output_element_sums_in_tap_order(k, fresh_plans):
     # one image, one output channel, a 1 x 1 output: a channel block would
     # reduce one lone axis, which NumPy sums pairwise.  Per tap, seven 1.0
     # products then 1e8 sum to 1e8 + 8 in order but to 1e8 pairwise.
@@ -432,10 +473,31 @@ def test_single_output_element_sums_in_tap_order(k):
     wt = np.ones((k, k, 8, 1), F)
     wt[-1, -1, 0] = -0.0
     opts = ConvOptions(1, 1, Padding.VALID, Activation.NONE)
-    assert kernels._tap_blocks(8, 1, 1, 0, 1) == 1
     for xi in (x, -x, np.full_like(x, -0.0)):
         want = ref.conv2d_ref(xi, wt, None, opts)
         assert conv2d(xi, wt, None, opts).tobytes() == want.tobytes()
+    assert conv_blocks() == [[(1, 1, 1)] * (k * k * 8)]
+
+
+@pytest.mark.parametrize("depthwise", [False, True], ids=["conv2d", "depthwise"])
+def test_single_output_element_sums_across_taps_in_order(depthwise, fresh_plans):
+    # one output element over 4 x 4 taps of one channel, 1.0 but for 1e8 at
+    # tap 1: in order the later 1.0s are lost against 1e8, pairwise they are
+    # not, so a block across taps, which NumPy would reduce as one lone axis,
+    # gives other bytes.  The last tap's weight is -0.0.
+    kernel, oracle = ((depthwise_conv2d, ref.depthwise_conv2d_ref) if depthwise
+                      else (conv2d, ref.conv2d_ref))
+    x = np.ones((1, 4, 4, 1), F)
+    x[0, 0, 1] = 1e8
+    wt = np.ones((4, 4, 1) if depthwise else (4, 4, 1, 1), F)
+    wt[-1, -1] = -0.0
+    opts = ConvOptions(1, 1, Padding.VALID, Activation.NONE)
+    products = np.concatenate([np.zeros(1, F), (x[0] * wt.reshape(4, 4, 1)).ravel()])
+    assert np.add.reduce(products) != oracle(x, wt, None, opts).item()
+    for xi in (x, -x, np.full_like(x, -0.0)):
+        want = oracle(xi, wt, None, opts)
+        assert kernel(xi, wt, None, opts).tobytes() == want.tobytes()
+    assert conv_blocks() == [[(1, 1, 1)] * 16]
 
 
 def test_conv2d_on_an_empty_batch():
@@ -604,14 +666,14 @@ def test_plan_cache_stays_under_its_cap(fresh_plans, monkeypatch):
     opts = ConvOptions(1, 1, Padding.SAME, Activation.NONE)
     calls = ([(dense, (1, fin), (fin, 32), DenseOptions(Activation.NONE))
               for fin in range(8, 48)]
-             + [(conv2d, (1, h, 5, 2), (3, 3, 2, 4), opts) for h in range(3, 43)])
+             + [(conv2d, (1, h, 3, 1), (3, 3, 1, 2), opts) for h in range(3, 43)])
     for kernel, xs, ws, o in calls:
         kernel(rand(rng, xs), rand(rng, ws), None, o)
         held = sum(plan[0] for plan in kernels._plans.values())
         assert kernels._plans_held == held <= cap
     kept = list(kernels._plans)
     assert 1 < len(kept) < len(calls)
-    assert kept[-1][1] == (42, 5, 2)  # the last geometry, most recently used
+    assert kept[-1][1] == (42, 3, 1)  # the last geometry, most recently used
     dense(rand(rng, (1, 256)), rand(rng, (256, 80)), None, DenseOptions(Activation.NONE))
     assert list(kernels._plans) == kept
 

@@ -35,7 +35,6 @@ from nnobf.model_format import (
     Tensor,
     decode_options,
     dump_json,
-    empty_graph,
     encode_options,
     options_to_dict,
     parse_model,
@@ -43,6 +42,11 @@ from nnobf.model_format import (
     validate,
 )
 from nnobf.obfuscator import ObfuscationConfig, obfuscate, reconstruct
+
+
+def empty_graph():
+    return ModelGraph(opcodes=(), buffers=(b"",), tensors=(), operators=(),
+                      graph_inputs=(), graph_outputs=())
 
 
 def one_tensor_graph():

@@ -20,7 +20,8 @@ memory a compiled program keeps while its graph and bundle live: the growth,
 after ``gc.collect()``, left by a first run of fresh copies of both.  The
 warm-up run compiles the program before the measured one, so ``run peak``
 (like ``peak_alloc_kib``) leaves it out.  ``plans`` is the scratch held by
-the kernel plan cache after the runs so far, with its plan count: plans are
+the kernel plan cache after the runs so far, with its plan count and their
+total step count (a step is one multiply and one add or reduce): plans are
 keyed by geometry and shared by every model, so a model whose kernel shapes
 were all seen before adds none.  The warm-up run builds them too, so this is
 memory moved out of ``run peak``, not saved.  Standard library plus nnobf.
@@ -73,9 +74,10 @@ def program_bytes(graph, bundle, x) -> int:
         tracemalloc.stop()
 
 
-def plan_bytes() -> tuple[int, int]:
-    """Scratch bytes and count of the kernel plans cached now."""
-    return sum(plan[0] for plan in kernels._plans.values()), len(kernels._plans)
+def plan_bytes() -> tuple[int, int, int]:
+    """Scratch bytes, count and total steps of the kernel plans cached now."""
+    plans = kernels._plans.values()
+    return sum(p[0] for p in plans), len(plans), sum(len(p[4]) for p in plans)
 
 
 def op_rows(graph, bundle, x) -> list[tuple[str, list[tuple], int, int]]:
@@ -123,10 +125,10 @@ def main(argv: list[str] | None = None) -> int:
         for label, model, kb in (("obfuscated", public, bundle), ("original", g, None)):
             peak = measured(lambda: interpreter.run(model, kb, x))
             held = program_bytes(model, kb, x)
-            scratch, plans = plan_bytes()
+            scratch, plans, steps = plan_bytes()
             print(f"{name} {label} batch {args.batch}: run peak {peak / 1024:.1f} KiB, "
                   f"program {held / 1024:.1f} KiB, plans {scratch / 1024:.1f} KiB "
-                  f"in {plans}")
+                  f"in {plans}, {steps} steps")
             print(f"  {'kernel':<18} {'live KiB':>9} {'in-call KiB':>12}  inputs")
             for kind, shapes, live, call in op_rows(model, kb, x):
                 print(f"  {kind:<18} {live / 1024:>9.1f} {call / 1024:>12.1f}  "
