@@ -189,7 +189,10 @@ def _conv(x: np.ndarray, w: np.ndarray, bias: np.ndarray | None,
     hh, ww = min(h, hp - pt), min(wd, wp - pl)  # input rows and columns read
     span, sites = hp * wp, (oh - 1) * sh * wp + (ow - 1) * sw + 1  # to the last output
     nb = min(n, max(1, _CONV_CHUNK_BYTES // (4 * co * span)))
-    cb = 1 if w.ndim == 3 else ci
+    cb, row = 1 if w.ndim == 3 else ci, co * sites * nb  # floats per product row
+    # (a 1-image chunk of one output element would be a lone row: NumPy sums it pairwise)
+    rc = (max(1, min(kh * kw * cb, _CONV_CHUNK_BYTES // (4 * row) - 1))
+          if co * sites > 1 and row < _LONG_ROW else 1)
 
     def build() -> tuple:
         """The plan of a chunk of ``b`` images: a step per block of ``rc``
@@ -224,9 +227,6 @@ def _conv(x: np.ndarray, w: np.ndarray, bias: np.ndarray | None,
     out = np.empty((n, oh, ow, co), np.float32)
     for b0 in range(0, n, nb):
         b = min(nb, n - b0)
-        row = co * sites * b  # floats per product row; NumPy sums a lone one pairwise
-        rc = (max(1, min(kh * kw * cb, _CONV_CHUNK_BYTES // (4 * row) - 1))
-              if 1 < row < _LONG_ROW else 1)
         _planned((b, x.shape[1:], w.shape, sh, sw, opts.padding, rc), build, w,
                  x[b0:b0 + b, :hh, :ww].transpose(3, 1, 2, 0), out[b0:b0 + b])
     return _bias_activation(out, bias, opts.activation, name)

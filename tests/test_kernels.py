@@ -479,25 +479,29 @@ def test_single_output_element_sums_in_tap_order(k, fresh_plans):
     assert conv_blocks() == [[(1, 1, 1)] * (k * k * 8)]
 
 
+@pytest.mark.parametrize("n", [1, 3])
 @pytest.mark.parametrize("depthwise", [False, True], ids=["conv2d", "depthwise"])
-def test_single_output_element_sums_across_taps_in_order(depthwise, fresh_plans):
-    # one output element over 4 x 4 taps of one channel, 1.0 but for 1e8 at
-    # tap 1: in order the later 1.0s are lost against 1e8, pairwise they are
-    # not, so a block across taps, which NumPy would reduce as one lone axis,
-    # gives other bytes.  The last tap's weight is -0.0.
+def test_single_output_element_sums_across_taps_in_order(depthwise, n, fresh_plans,
+                                                         monkeypatch):
+    # one output element per image over 4 x 4 taps of one channel, 1.0 but
+    # for 1e8 at tap 1: in order the later 1.0s are lost against 1e8,
+    # pairwise they are not, so a block across taps, which NumPy would
+    # reduce as one lone axis, gives other bytes.  The last tap's weight is
+    # -0.0.  Batch 3 runs chunks of 2 images and 1, a lone row again.
     kernel, oracle = ((depthwise_conv2d, ref.depthwise_conv2d_ref) if depthwise
                       else (conv2d, ref.conv2d_ref))
-    x = np.ones((1, 4, 4, 1), F)
-    x[0, 0, 1] = 1e8
+    x = np.ones((n, 4, 4, 1), F)
+    x[:, 0, 1] = 1e8
     wt = np.ones((4, 4, 1) if depthwise else (4, 4, 1, 1), F)
     wt[-1, -1] = -0.0
     opts = ConvOptions(1, 1, Padding.VALID, Activation.NONE)
+    monkeypatch.setattr(kernels, "_CONV_CHUNK_BYTES", 160)  # 2.5 staged images
     products = np.concatenate([np.zeros(1, F), (x[0] * wt.reshape(4, 4, 1)).ravel()])
-    assert np.add.reduce(products) != oracle(x, wt, None, opts).item()
+    assert np.add.reduce(products) != oracle(x, wt, None, opts)[0].item()
     for xi in (x, -x, np.full_like(x, -0.0)):
         want = oracle(xi, wt, None, opts)
         assert kernel(xi, wt, None, opts).tobytes() == want.tobytes()
-    assert conv_blocks() == [[(1, 1, 1)] * 16]
+    assert conv_blocks() == [[(1, 1, 1)] * 16] * min(n, 2)
 
 
 def test_conv2d_on_an_empty_batch():
