@@ -34,22 +34,24 @@ channels in one tap; its products are written through one view and reduced
 in one call, and a one-row block adds its product to the accumulator.  Every
 stride-1 position is summed, and a strided convolution keeps every ``sh``-th
 row and ``sw``-th column: each kept element has the products and order it
-would have alone.  A block over a single output element keeps ``rc = 1``, as
-Dense does.  An empty output, or one with no products to sum, is zeros.
+would have alone.  One output element per image keeps ``rc = 1``, as Dense
+does for one output element.  An empty output, or one with no products to
+sum, is zeros.
 
 NumPy 2.4 runs a broadcast product through iterator buffers when its rows
 are under a third of the ufunc buffer (8,192 elements by default): 1-3 ns
 and 8 bytes per element, against 0.2-0.4 ns unbuffered.  So convolutions run
 with a 128-element buffer (``np.setbufsize``, restored on exit).  A block
-takes as many rows as fit 512 KiB with the accumulator's copy, so each
-fixture convolution takes one to three steps at batch 1.  Rows of 16 Ki
-floats or more take one row a step: there the copy into a block costs more
-than the calls it saves (3-row blocks of 128 KiB rows ran 1.16 times as
-long as one-row steps, 7-row blocks of 64 KiB rows 0.86 times).  Every
-convolution block and Dense (tile, block) step runs on views bound once per
-geometry (see ``_planned``), so scratch is held between calls: every
-fixture's batch-1 run peaks under 25 KiB, while plans hold 2.0 MiB over all
-five at batch 1 and 17.1 MiB at batch 256 (``tools/op_peaks.py``).
+takes as many rows of a full chunk as fit 512 KiB with the accumulator's
+copy, and a short last chunk keeps that count, so each fixture convolution
+takes one to three steps at batch 1.  Rows of 16 Ki floats or more take one
+row a step: there the copy into a block costs more than the calls it saves
+(3-row blocks of 128 KiB rows ran 1.16 times as long as one-row steps,
+7-row blocks of 64 KiB rows 0.86 times).  Every convolution block and Dense
+(tile, block) step runs on views bound once per geometry (see
+``_planned``), so scratch is held between calls: every fixture's batch-1
+run peaks under 25 KiB, while plans hold 2.0 MiB over all five at batch 1
+and 15.8 MiB at batch 256 (``tools/op_peaks.py``).
 
 Kernels never consult declared tensor shapes; everything is derived from the
 actual input arrays.  The leading axis is treated as batch throughout.
@@ -190,7 +192,7 @@ def _conv(x: np.ndarray, w: np.ndarray, bias: np.ndarray | None,
     span, sites = hp * wp, (oh - 1) * sh * wp + (ow - 1) * sw + 1  # to the last output
     nb = min(n, max(1, _CONV_CHUNK_BYTES // (4 * co * span)))
     cb, row = 1 if w.ndim == 3 else ci, co * sites * nb  # floats per product row
-    # (a 1-image chunk of one output element would be a lone row: NumPy sums it pairwise)
+    # one output element per image: a 1-image chunk is a lone row, summed pairwise
     rc = (max(1, min(kh * kw * cb, _CONV_CHUNK_BYTES // (4 * row) - 1))
           if co * sites > 1 and row < _LONG_ROW else 1)
 
