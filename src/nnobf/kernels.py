@@ -44,14 +44,12 @@ and 8 bytes per element, against 0.2-0.4 ns unbuffered.  So convolutions run
 with a 128-element buffer (``np.setbufsize``, restored on exit).  A block
 takes as many rows of a full chunk as fit 512 KiB with the accumulator's
 copy, and a short last chunk keeps that count, so each fixture convolution
-takes one to three steps at batch 1.  Rows of 16 Ki floats or more take one
-row a step: there the copy into a block costs more than the calls it saves
-(3-row blocks of 128 KiB rows ran 1.16 times as long as one-row steps,
-7-row blocks of 64 KiB rows 0.86 times).  Every convolution block and Dense
-(tile, block) step runs on views bound once per geometry (see
-``_planned``), so scratch is held between calls: every fixture's batch-1
-run peaks under 25 KiB, while plans hold 2.0 MiB over all five at batch 1
-and 15.8 MiB at batch 256 (``tools/op_peaks.py``).
+takes one to three steps at batch 1.  At batch 256 a full chunk's rows are
+322-447 KiB, so the same bound leaves one row a step.  Every convolution
+block and Dense (tile, block) step runs on views bound once per geometry
+(see ``_planned``), so scratch is held between calls: every fixture's
+batch-1 run peaks under 25 KiB, while plans hold 2.0 MiB over all five at
+batch 1 and 15.8 MiB at batch 256 (``tools/op_peaks.py``).
 
 Kernels never consult declared tensor shapes; everything is derived from the
 actual input arrays.  The leading axis is treated as batch throughout.
@@ -82,10 +80,8 @@ _SIX = np.float32(6.0)
 # Blocked Dense path's block bytes per batch row, at most _CONV_CHUNK_BYTES.
 _DENSE_BLOCK_BYTES = 16 * 1024
 # Accumulator bytes per chunk of the convolution path, and block bytes with the
-# accumulator's copy on (co, positions) rows under _LONG_ROW floats; its ufunc
-# buffer in elements (see the docstring).
+# accumulator's copy; its ufunc buffer in elements (see the docstring).
 _CONV_CHUNK_BYTES = 512 * 1024
-_LONG_ROW = 16 * 1024
 _TAP_BUFSIZE = 128
 # Kernel plans by geometry, least recently used first, and their bytes.
 _PLAN_CACHE_BYTES = 32 * 1024 * 1024
@@ -193,8 +189,7 @@ def _conv(x: np.ndarray, w: np.ndarray, bias: np.ndarray | None,
     nb = min(n, max(1, _CONV_CHUNK_BYTES // (4 * co * span)))
     cb, row = 1 if w.ndim == 3 else ci, co * sites * nb  # floats per product row
     # one output element per image: a 1-image chunk is a lone row, summed pairwise
-    rc = (max(1, min(kh * kw * cb, _CONV_CHUNK_BYTES // (4 * row) - 1))
-          if co * sites > 1 and row < _LONG_ROW else 1)
+    rc = max(1, min(kh * kw * cb, _CONV_CHUNK_BYTES // (4 * row) - 1)) if co * sites > 1 else 1
 
     def build() -> tuple:
         """The plan of a chunk of ``b`` images: a step per block of ``rc``

@@ -14,6 +14,13 @@ def lenet():
 
 
 @pytest.fixture
+def empty_graph():
+    from nnobf.model_format import ModelGraph
+    return ModelGraph(opcodes=(), buffers=(b"",), tensors=(), operators=(),
+                      graph_inputs=(), graph_outputs=())
+
+
+@pytest.fixture
 def all_fixtures():
     from nnobf.fixtures import FIXTURE_NAMES, build_fixture
     return {name: build_fixture(name, 7) for name in FIXTURE_NAMES}

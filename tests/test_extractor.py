@@ -19,7 +19,6 @@ from nnobf.extractor import (
 )
 from nnobf.fixtures import FIXTURE_NAMES, FIXTURE_STATS, build_fixture
 from nnobf.model_format import (
-    ModelGraph,
     serialize_model,
     tensor_byte_size,
 )
@@ -85,9 +84,8 @@ def test_convert_fails_after_rename_alone(lenet):
     assert NAME_RE.match(err.value.custom_name)
 
 
-def test_convert_empty_graph():
-    assert convert(ModelGraph(opcodes=(), buffers=(b"",), tensors=(), operators=(),
-                              graph_inputs=(), graph_outputs=())) == []
+def test_convert_empty_graph(empty_graph):
+    assert convert(empty_graph) == []
 
 
 def test_convert_keeps_attrs(lenet):

@@ -44,11 +44,6 @@ from nnobf.model_format import (
 from nnobf.obfuscator import ObfuscationConfig, obfuscate, reconstruct
 
 
-def empty_graph():
-    return ModelGraph(opcodes=(), buffers=(b"",), tensors=(), operators=(),
-                      graph_inputs=(), graph_outputs=())
-
-
 def one_tensor_graph():
     return ModelGraph(
         opcodes=(), buffers=(b"",),
@@ -180,8 +175,8 @@ def test_dump_names_conv_layers(lenet):
     assert conv_ops[0]["builtin_options"]["stride_w"] == 1
 
 
-def test_dump_empty_graph():
-    doc = json.loads(dump_json(empty_graph()))
+def test_dump_empty_graph(empty_graph):
+    doc = json.loads(dump_json(empty_graph))
     assert doc == {"operator_codes": [], "tensors": [], "operators": []}
 
 
