@@ -89,18 +89,19 @@ def encode_decoy_shape(shape: tuple[int, ...]) -> bytes:
     return struct.pack("<B", len(shape)) + struct.pack(f"<{len(shape)}I", *shape)
 
 
-def decode_decoy_shape(raw: bytes, what: str = "decoy") -> tuple[int, ...]:
-    """The shape decoy options encode; :class:`InvariantViolation` if they do
-    not encode one or it has more than 65,536 elements.  ``run`` decodes
-    through here too, so bundles built in process meet the same rules."""
+def decode_decoy_shape(raw: bytes, record: str | None = None) -> tuple[int, ...]:
+    """The shape decoy options encode; :class:`InvariantViolation`, naming the
+    bundle ``record`` if given, if they do not encode one or it has more than
+    65,536 elements.  ``run`` decodes through here too, so bundles built in
+    process meet the same rules."""
     if not raw or len(raw) != 1 + 4 * raw[0]:
-        raise InvariantViolation(
-            f"{what}: {len(raw)} option bytes do not encode a shape")
-    shape = struct.unpack(f"<{raw[0]}I", raw[1:])
-    if math.prod(shape) > _MAX_DECOY_ELEMENTS:
-        raise InvariantViolation(
-            f"{what}: shape {shape} exceeds {_MAX_DECOY_ELEMENTS} elements")
-    return shape
+        problem = f"{len(raw)} option bytes do not encode a shape"
+    elif math.prod(shape := struct.unpack(f"<{raw[0]}I", raw[1:])) > _MAX_DECOY_ELEMENTS:
+        problem = f"shape {shape} exceeds {_MAX_DECOY_ELEMENTS} elements"
+    else:
+        return shape
+    what = "decoy" if record is None else f"decoy record {record!r}"
+    raise InvariantViolation(f"{what}: {problem}")
 
 
 @dataclass(frozen=True)
@@ -117,7 +118,7 @@ class KernelBundle:
 
 def _record(name, code, options, positions, weights) -> tuple[str, BundleRecord]:
     if code == DECOY_SENTINEL:
-        decode_decoy_shape(options, f"decoy record {name!r}")
+        decode_decoy_shape(options, name)
     elif code not in BuiltinOp._value2member_map_:
         raise InvariantViolation(f"record {name!r}: unknown builtin {code}")
     return name, BundleRecord(code, options, positions, weights)

@@ -121,11 +121,14 @@ def _cmd_attack(args) -> int:
     return 0
 
 
-def _counts_pair(text: str) -> str:
-    if not re.fullmatch(r"[0-9]+,[0-9]+", text):
-        raise argparse.ArgumentTypeError(
-            f"expected an 'n1,n2' pair of counts, got {text!r}")
-    return text
+def _typed(pattern: str, expected: str, convert=str):
+    """An argparse type: ``convert(text)`` of a ``text`` that fully matches
+    ``pattern``, else a usage error saying what was ``expected``."""
+    def check(text: str):
+        if not re.fullmatch(pattern, text):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return convert(text)
+    return check
 
 
 def _cmd_bench(args) -> int:
@@ -151,6 +154,10 @@ def _cmd_build_fixture(args) -> int:
 
 
 _SEED = dict(type=int, default=0)
+_COUNT = _typed("[0-9]*[1-9][0-9]*", "a positive count", int)
+_STRATEGY = "|".join(s.value for s in Strategy)
+_STRATEGIES = _typed(f"all|none|(({_STRATEGY})(,({_STRATEGY}))*)?",
+                     f"'all', 'none' or a comma list of {_STRATEGY.replace('|', ',')}")
 _SHAPE = dict(choices=sorted(s.value for s in ShapeStrategy), default="align")
 
 # subcommand -> (help, handler, {flags: add_argument keywords} in help order)
@@ -162,7 +169,7 @@ _COMMANDS = {
         "--n1": dict(type=int, default=0, help="shortcut count"),
         "--n2": dict(type=int, default=0, help="extra layer count"),
         "--shape": _SHAPE,
-        "--strategies": dict(default="all",
+        "--strategies": dict(default="all", type=_STRATEGIES,
                              help="comma list of rename,encapsulate,shape,"
                                   "shortcut,extra_layer, or 'all'/'none'")}),
     "run": ("execute a model on NNT1 tensor files", _cmd_run, {
@@ -175,7 +182,7 @@ _COMMANDS = {
         "original": {},
         "obfuscated": {},
         "--bundle": {},
-        "-n": dict(type=int, default=1000),
+        "-n": dict(type=_COUNT, default=1000),
         "--seed": _SEED}),
     "dump": ("print the JSON view of a model", _cmd_dump, {"model": {}}),
     "similarity": ("pairwise structure-similarity CSV", _cmd_similarity, {
@@ -188,12 +195,13 @@ _COMMANDS = {
     "bench": ("latency/memory/size sweep as CSV", _cmd_bench, {
         "model": {},
         "--bundle": {},
-        "--configs": dict(nargs="*", default=[], type=_counts_pair,
+        "--configs": dict(nargs="*", default=[],
+                          type=_typed("[0-9]+,[0-9]+", "an 'n1,n2' pair of counts"),
                           help="obfuscation settings as 'n1,n2' pairs"),
         "--original": dict(action="store_true",
                            help="include an un-obfuscated baseline row"),
-        "-n": dict(type=int, default=1000, help="inferences per timing run"),
-        "--reps": dict(type=int, default=3),
+        "-n": dict(type=_COUNT, default=1000, help="inferences per timing run"),
+        "--reps": dict(type=_COUNT, default=3),
         "--seed": _SEED,
         "--shape": _SHAPE,
         "-o --output": dict(help="CSV path (default stdout)")}),

@@ -52,11 +52,14 @@ batch-1 run peaks under 25 KiB, while plans hold 2.0 MiB over all five at
 batch 1 and 15.8 MiB at batch 256 (``tools/op_peaks.py``).
 
 Kernels never consult declared tensor shapes; everything is derived from the
-actual input arrays.  The leading axis is treated as batch throughout.
+actual input arrays.  The leading axis is treated as batch throughout.  A
+shape check formats its message only when it fails, and a convolution's
+geometry is memoized by shapes, strides, padding and chunk bytes.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import threading
@@ -90,9 +93,9 @@ _plans_held = 0
 _plans_lock = threading.Lock()
 
 
-def _require(cond: bool, msg: str) -> None:
+def _require(cond: bool, msg: str, *args) -> None:
     if not cond:
-        raise ShapeMismatch(msg)
+        raise ShapeMismatch(msg.format(*args))
 
 
 def _require_f32(*arrays: np.ndarray) -> None:
@@ -108,7 +111,7 @@ def _bias_activation(acc: np.ndarray, bias: np.ndarray | None,
     if bias is not None:
         _require_f32(bias)
         co = acc.shape[-1]
-        _require(bias.shape == (co,), f"{name} bias shape {bias.shape} != ({co},)")
+        _require(bias.shape == (co,), "{} bias shape {} != ({},)", name, bias.shape, co)
         acc += bias
     if act is Activation.RELU:
         np.maximum(acc, _ZERO, out=acc)
@@ -120,7 +123,7 @@ def _bias_activation(acc: np.ndarray, bias: np.ndarray | None,
 
 def _out_extent(size: int, k: int, stride: int, padding: Padding) -> int:
     if padding is Padding.VALID:
-        _require(size >= k, f"window {k} larger than input extent {size}")
+        _require(size >= k, "window {} larger than input extent {}", k, size)
         return (size - k) // stride + 1
     return (size - 1) // stride + 1
 
@@ -174,24 +177,42 @@ def _conv(x: np.ndarray, w: np.ndarray, bias: np.ndarray | None,
           opts: ConvOptions, name: str) -> np.ndarray:
     """Conv2D (``w`` of rank 4) or DepthwiseConv2D (rank 3) past rank checks,
     ``nb`` images per chunk, each on the plan of its geometry."""
-    n, h, wd, ci = x.shape
-    (kh, kw, wci), co = w.shape[:3], w.shape[-1]
-    _require(wci == ci, f"{name} channels: input {ci} vs weight {wci}")
-    sh, sw = opts.stride_h, opts.stride_w
-    oh, ow = _out_extent(h, kh, sh, opts.padding), _out_extent(wd, kw, sw, opts.padding)
-    if not n * oh * ow * w.size:  # no output, or no products to sum
+    n, ci, wci, co = x.shape[0], x.shape[3], w.shape[2], w.shape[-1]
+    _require(wci == ci, "{} channels: input {} vs weight {}", name, ci, wci)
+    sh, sw, pad = opts.stride_h, opts.stride_w, opts.padding
+    oh, ow, nb, hh, ww, rc, build = _conv_geometry(x.shape, w.shape, sh, sw, pad,
+                                                   _CONV_CHUNK_BYTES)
+    if not nb:  # no output, or no products to sum
         return _bias_activation(np.zeros((n, oh, ow, co), np.float32), bias,
                                 opts.activation, name)
+    out = np.empty((n, oh, ow, co), np.float32)
+    for b0 in range(0, n, nb):
+        b = min(nb, n - b0)
+        _planned((b, x.shape[1:], w.shape, sh, sw, pad, rc), functools.partial(build, b), w,
+                 x[b0:b0 + b, :hh, :ww].transpose(3, 1, 2, 0), out[b0:b0 + b])
+    return _bias_activation(out, bias, opts.activation, name)
+
+
+@functools.lru_cache(maxsize=256)
+def _conv_geometry(xshape: tuple, wshape: tuple, sh: int, sw: int, padding: Padding,
+                   chunk_bytes: int) -> tuple:
+    """``(oh, ow, nb, hh, ww, rc, build)``: ``_conv``'s geometry, with ``nb``
+    0 if there is nothing to sum, and ``build(b)`` the plan of ``b`` images.
+    Errors are never cached: a window larger than the input raises each call."""
+    (n, h, wd, ci), (kh, kw), co = xshape, wshape[:2], wshape[-1]
+    oh, ow = _out_extent(h, kh, sh, padding), _out_extent(wd, kw, sw, padding)
+    if not n * oh * ow * math.prod(wshape):
+        return oh, ow, 0, 0, 0, 0, None
     hp, wp = (oh - 1) * sh + kh, (ow - 1) * sw + kw  # the rows and columns read
-    pt, pl = ((kh - 1) // 2, (kw - 1) // 2) if opts.padding is Padding.SAME else (0, 0)
+    pt, pl = ((kh - 1) // 2, (kw - 1) // 2) if padding is Padding.SAME else (0, 0)
     hh, ww = min(h, hp - pt), min(wd, wp - pl)  # input rows and columns read
     span, sites = hp * wp, (oh - 1) * sh * wp + (ow - 1) * sw + 1  # to the last output
-    nb = min(n, max(1, _CONV_CHUNK_BYTES // (4 * co * span)))
-    cb, row = 1 if w.ndim == 3 else ci, co * sites * nb  # floats per product row
+    nb = min(n, max(1, chunk_bytes // (4 * co * span)))
+    cb, row = 1 if len(wshape) == 3 else ci, co * sites * nb  # floats per product row
     # one output element per image: a 1-image chunk is a lone row, summed pairwise
-    rc = max(1, min(kh * kw * cb, _CONV_CHUNK_BYTES // (4 * row) - 1)) if co * sites > 1 else 1
+    rc = max(1, min(kh * kw * cb, chunk_bytes // (4 * row) - 1)) if co * sites > 1 else 1
 
-    def build() -> tuple:
+    def build(b: int) -> tuple:
         """The plan of a chunk of ``b`` images: a step per block of ``rc``
         (ky, kx, c) rows in that order, on a stage whose border stays zero.  A
         block is whole ky rows, else kx taps of one ky row, else channels of
@@ -200,10 +221,10 @@ def _conv(x: np.ndarray, w: np.ndarray, bias: np.ndarray | None,
         stage = np.zeros((ci, hp, wp, b), np.float32)
         acc = np.empty((co, size), np.float32)
         prod = np.empty((rc + (rc > 1)) * co * size, np.float32)
-        wbuf = np.empty(w.shape, np.float32)
+        wbuf = np.empty(wshape, np.float32)
         # Views of the weights and of the stage at every tap: wv[ky, kx, c] is (co, 1)
         # and xv[ky, kx, c] (1, size); a depthwise tap is one row, (co, 1) by (co, size).
-        rows, wv = ((co, wbuf[:, :, None, :, None]) if w.ndim == 3
+        rows, wv = ((co, wbuf[:, :, None, :, None]) if len(wshape) == 3
                     else (1, wbuf[..., None]))
         xv = np.ndarray((kh, kw, cb, rows, size), np.float32, stage, 0,
                         (4 * wp * b, 4 * b, stage.strides[0], stage.strides[0], 4))
@@ -220,28 +241,22 @@ def _conv(x: np.ndarray, w: np.ndarray, bias: np.ndarray | None,
                           (4, 4 * sh * wp * b, 4 * sw * b, 4 * size))
         return (sum(a.nbytes for a in (stage, acc, prod, wbuf)), wbuf,
                 stage[:, pt:pt + hh, pl:pl + ww], acc, steps, kept, "K", _TAP_BUFSIZE)
-
-    out = np.empty((n, oh, ow, co), np.float32)
-    for b0 in range(0, n, nb):
-        b = min(nb, n - b0)
-        _planned((b, x.shape[1:], w.shape, sh, sw, opts.padding, rc), build, w,
-                 x[b0:b0 + b, :hh, :ww].transpose(3, 1, 2, 0), out[b0:b0 + b])
-    return _bias_activation(out, bias, opts.activation, name)
+    return oh, ow, nb, hh, ww, rc, build
 
 
 def conv2d(x: np.ndarray, w: np.ndarray, bias: np.ndarray | None,
            opts: ConvOptions) -> np.ndarray:
     _require_f32(x, w)
-    _require(x.ndim == 4, f"Conv2D input must be NHWC, got rank {x.ndim}")
-    _require(w.ndim == 4, f"Conv2D weight must be (kh, kw, cin, cout), got rank {w.ndim}")
+    _require(x.ndim == 4, "Conv2D input must be NHWC, got rank {}", x.ndim)
+    _require(w.ndim == 4, "Conv2D weight must be (kh, kw, cin, cout), got rank {}", w.ndim)
     return _conv(x, w, bias, opts, "Conv2D")
 
 
 def depthwise_conv2d(x: np.ndarray, w: np.ndarray, bias: np.ndarray | None,
                      opts: ConvOptions) -> np.ndarray:
     _require_f32(x, w)
-    _require(x.ndim == 4, f"DepthwiseConv2D input must be NHWC, got rank {x.ndim}")
-    _require(w.ndim == 3, f"DepthwiseConv2D weight must be (kh, kw, c), got rank {w.ndim}")
+    _require(x.ndim == 4, "DepthwiseConv2D input must be NHWC, got rank {}", x.ndim)
+    _require(w.ndim == 3, "DepthwiseConv2D weight must be (kh, kw, c), got rank {}", w.ndim)
     return _conv(x, w, bias, opts, "DepthwiseConv2D")
 
 
@@ -279,11 +294,11 @@ def _dense_plan(n: int, fin: int, fout: int, ft: int, rows: int) -> tuple:
 def dense(x: np.ndarray, w: np.ndarray, bias: np.ndarray | None,
           opts: DenseOptions) -> np.ndarray:
     _require_f32(x, w)
-    _require(x.ndim == 2, f"Dense input must be (batch, features), got rank {x.ndim}")
-    _require(w.ndim == 2, f"Dense weight must be (in, out), got rank {w.ndim}")
+    _require(x.ndim == 2, "Dense input must be (batch, features), got rank {}", x.ndim)
+    _require(w.ndim == 2, "Dense weight must be (in, out), got rank {}", w.ndim)
     n, fin = x.shape
     win, fout = w.shape
-    _require(win == fin, f"Dense features: input {fin} vs weight {win}")
+    _require(win == fin, "Dense features: input {} vs weight {}", fin, win)
     ft, rows = _dense_block_rows(n, fout)
     rows = min(rows, fin)
     if rows:
@@ -302,7 +317,7 @@ def _windows(x: np.ndarray, opts: PoolOptions, name: str, fill: float):
     (wy, wx) order.  SAME borders ``x`` with ``fill``, zero-offset: top/left
     pads are floor((k-1)/2)."""
     _require_f32(x)
-    _require(x.ndim == 4, f"{name} input must be NHWC, got rank {x.ndim}")
+    _require(x.ndim == 4, "{} input must be NHWC, got rank {}", name, x.ndim)
     n, h, w, c = x.shape
     fh, fw, sh, sw = opts.filter_h, opts.filter_w, opts.stride_h, opts.stride_w
     oh = _out_extent(h, fh, sh, opts.padding)
@@ -349,7 +364,7 @@ def relu6(x: np.ndarray) -> np.ndarray:
 
 def add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     _require_f32(a, b)
-    _require(a.shape == b.shape, f"Add shapes differ: {a.shape} vs {b.shape}")
+    _require(a.shape == b.shape, "Add shapes differ: {} vs {}", a.shape, b.shape)
     return a + b
 
 
@@ -358,14 +373,14 @@ def concat(parts: list[np.ndarray], opts: ConcatOptions) -> np.ndarray:
     _require_f32(*parts)
     rank = parts[0].ndim
     axis = opts.axis if opts.axis >= 0 else opts.axis + rank
-    _require(0 <= axis < rank, f"Concat axis {opts.axis} invalid for rank {rank}")
+    _require(0 <= axis < rank, "Concat axis {} invalid for rank {}", opts.axis, rank)
     base = parts[0].shape
     for p in parts[1:]:
         _require(p.ndim == rank, "Concat ranks differ")
         for d in range(rank):
             if d != axis:
                 _require(p.shape[d] == base[d],
-                         f"Concat shapes differ off-axis: {p.shape} vs {base}")
+                         "Concat shapes differ off-axis: {} vs {}", p.shape, base)
     return np.concatenate(parts, axis=axis)
 
 
@@ -384,20 +399,20 @@ def reshape(x: np.ndarray, shape_spec: np.ndarray) -> np.ndarray:
     _require(shape_spec.ndim == 1, "Reshape shape input must be rank 1")
     dims = [int(d) for d in shape_spec]
     _require(dims.count(-1) <= 1, "Reshape allows at most one -1 wildcard")
-    _require(all(d >= 1 or d == -1 for d in dims), f"Reshape dims invalid: {dims}")
+    _require(all(d >= 1 or d == -1 for d in dims), "Reshape dims invalid: {}", dims)
     total = x.size
     if -1 in dims:
         known = math.prod(d for d in dims if d != -1)
         _require(known > 0 and total % known == 0,
-                 f"Reshape cannot infer -1: {total} elements into {dims}")
+                 "Reshape cannot infer -1: {} elements into {}", total, dims)
         dims[dims.index(-1)] = total // known
     _require(math.prod(dims) == total,
-             f"Reshape size mismatch: {total} elements into {dims}")
+             "Reshape size mismatch: {} elements into {}", total, dims)
     return x.reshape(dims)
 
 
 def flatten(x: np.ndarray) -> np.ndarray:
-    _require(x.ndim >= 2, f"Flatten input must have rank >= 2, got {x.ndim}")
+    _require(x.ndim >= 2, "Flatten input must have rank >= 2, got {}", x.ndim)
     return x.reshape(x.shape[0], -1)
 
 

@@ -240,6 +240,23 @@ def test_cli_bench_malformed_configs_are_usage_errors(pair, capsys):
     assert "argument --configs" in err and "'n1,n2'" in err and repr(pair) in err
 
 
+@pytest.mark.parametrize("argv,option,value", [
+    (["bench", "m.nnm1", "-n", "0", "--configs", "1,1"], "-n", "0"),
+    (["bench", "m.nnm1", "--reps", "0"], "--reps", "0"),
+    (["bench", "m.nnm1", "--reps", "x"], "--reps", "x"),
+    (["compare", "a", "b", "--bundle", "c", "-n", "0"], "-n", "0"),
+    (["compare", "a", "b", "-n", "-2"], "-n", "-2"),
+    (["obfuscate", "m", "-o", "d", "--strategies", "rename,bogus"], "--strategies",
+     "rename,bogus"),
+    (["obfuscate", "m", "-o", "d", "--strategies", "all,rename"], "--strategies",
+     "all,rename"),
+])
+def test_cli_bad_counts_and_strategies_are_usage_errors(argv, option, value, capsys):
+    assert cli_dispatch(argv) == 2
+    err = capsys.readouterr().err
+    assert f"argument {option}: expected " in err and repr(value) in err
+
+
 # subcommand -> (handler, minimal argv and its namespace, argv setting every
 # option and its namespace); the namespaces omit ``command`` and ``func``
 _CLI_PARSES = {

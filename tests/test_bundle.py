@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import struct
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from nnobf.bundle import (
     BundleRecord,
     KernelBundle,
+    decode_decoy_shape,
     encode_decoy_shape,
     load_bundle,
     serialize_bundle,
@@ -160,8 +162,11 @@ def test_weight_golden_bytes():
 @pytest.mark.parametrize("options", [b"", b"\x05\x01", b"\x01" + bytes(5),
                                      encode_decoy_shape((2, 3)) + b"\x00"])
 def test_decoy_options_must_encode_a_shape(options):
-    with pytest.raises(InvariantViolation):
+    problem = f"{len(options)} option bytes do not encode a shape$"
+    with pytest.raises(InvariantViolation, match="^decoy record 'Abcdef': " + problem):
         load_bundle(_one_record_bundle(DECOY_SENTINEL, options))
+    with pytest.raises(InvariantViolation, match="^decoy: " + problem):
+        decode_decoy_shape(options)
 
 
 @pytest.mark.parametrize("code", [0, 13, 0xFFFF])
@@ -174,7 +179,8 @@ def test_unknown_record_code_is_rejected(code):
                                    (2**32 - 1,) * 4])
 def test_oversized_decoy_is_rejected(shape):
     record = BundleRecord(DECOY_SENTINEL, encode_decoy_shape(shape), (), ())
-    with pytest.raises(InvariantViolation, match="exceeds 65536 elements"):
+    message = re.escape(f"decoy record 'Abcdef': shape {shape} exceeds 65536 elements")
+    with pytest.raises(InvariantViolation, match=f"^{message}$"):
         load_bundle(serialize_bundle(KernelBundle({"Abcdef": record})))
     plan = ObfuscationPlan(ObfuscationConfig(seed=3), records={"Abcdef": record})
     with pytest.raises(MalformedPlan, match="exceeds 65536 elements"):

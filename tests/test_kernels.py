@@ -682,6 +682,46 @@ def test_plan_cache_stays_under_its_cap(fresh_plans, monkeypatch):
     assert list(kernels._plans) == kept
 
 
+def plan_layout(plan):
+    """A plan's byte count, order and ufunc buffer, and the shape, strides
+    and offset into its buffer of every array it holds, in plan order."""
+    def layout(a):
+        if a is None:
+            return None
+        root = a
+        while root.base is not None:
+            root = root.base
+        start = a.__array_interface__["data"][0] - root.__array_interface__["data"][0]
+        return a.shape, a.strides, start
+
+    nbytes, wbuf, xin, acc, steps, kept, order, bufsize = plan
+    return (nbytes, order, bufsize, [layout(a) for a in (wbuf, xin, acc, kept)],
+            [[layout(a) for a in step] for step in steps])
+
+
+@pytest.mark.parametrize("chunk", [None, 4096], ids=["default", "patched"])
+def test_conv_geometry_memo_equals_a_fresh_computation(chunk, fresh_plans, monkeypatch):
+    # every fixture convolution at batch 1, 7 and 256: the memoized geometry
+    # is what an uncached computation gives, its plans are laid out alike,
+    # and the kernel ran on the plans of the current chunk bytes
+    if chunk:
+        monkeypatch.setattr(kernels, "_CONV_CHUNK_BYTES", chunk)
+    rng = runi(117)
+    for name, shape, wt, opts in FIXTURE_CONVS:
+        kernel = depthwise_conv2d if wt.ndim == 3 else conv2d
+        for n in (1, 7, 256):
+            x = rand(rng, (n, *shape[1:]))
+            kernel(x, wt, None, opts)
+            args = (x.shape, wt.shape, opts.stride_h, opts.stride_w, opts.padding,
+                    kernels._CONV_CHUNK_BYTES)
+            got, fresh = kernels._conv_geometry(*args), kernels._conv_geometry.__wrapped__(*args)
+            assert got[:-1] == fresh[:-1], (name, n)
+            nb, rc = got[2], got[5]
+            for b in {nb, n % nb or nb}:
+                assert plan_layout(got[-1](b)) == plan_layout(fresh[-1](b)), (name, n, b)
+                assert (b, x.shape[1:], wt.shape, *args[2:5], rc) in kernels._plans
+
+
 @pytest.mark.parametrize("kernel,oracle", [(max_pool2d, ref.max_pool2d_ref),
                                            (avg_pool2d, ref.avg_pool2d_ref)])
 def test_pools_match_oracle_exactly(kernel, oracle):
@@ -791,6 +831,69 @@ def test_wrong_bias_shape_names_the_kernel(name, bias_shape):
     message = re.escape(f"{name} bias shape {bias_shape} != ({co},)")
     with pytest.raises(ShapeMismatch, match=f"^{message}$"):
         kernel(x, w, np.ones(bias_shape, F), opts)
+
+
+def _ones(*shape):
+    return np.ones(shape, F)
+
+
+_CONV = ConvOptions(1, 1, Padding.VALID, Activation.NONE)
+_POOL = PoolOptions(2, 2, 1, 1, Padding.VALID)
+_NO_ACT = DenseOptions(Activation.NONE)
+
+# every shape check's failure, one per check, and its exact message
+_CHECKS = [
+    (lambda: conv2d(_ones(1, 4, 4, 2), _ones(3, 3, 2, 4), _ones(3), _CONV),
+     "Conv2D bias shape (3,) != (4,)"),
+    (lambda: conv2d(_ones(1, 3, 6, 2), _ones(5, 3, 2, 4), None, _CONV),
+     "window 5 larger than input extent 3"),
+    (lambda: max_pool2d(_ones(1, 6, 1, 2), _POOL), "window 2 larger than input extent 1"),
+    (lambda: conv2d(_ones(1, 6, 6, 2), _ones(3, 3, 3, 4), None, _CONV),
+     "Conv2D channels: input 2 vs weight 3"),
+    (lambda: conv2d(_ones(6, 6, 2), _ones(3, 3, 2, 4), None, _CONV),
+     "Conv2D input must be NHWC, got rank 3"),
+    (lambda: conv2d(_ones(1, 6, 6, 2), _ones(3, 3, 2), None, _CONV),
+     "Conv2D weight must be (kh, kw, cin, cout), got rank 3"),
+    (lambda: depthwise_conv2d(_ones(1, 6, 6, 2, 1), _ones(3, 3, 2), None, _CONV),
+     "DepthwiseConv2D input must be NHWC, got rank 5"),
+    (lambda: depthwise_conv2d(_ones(1, 6, 6, 2), _ones(3, 3, 2, 1), None, _CONV),
+     "DepthwiseConv2D weight must be (kh, kw, c), got rank 4"),
+    (lambda: depthwise_conv2d(_ones(1, 6, 6, 2), _ones(3, 3, 4), None, _CONV),
+     "DepthwiseConv2D channels: input 2 vs weight 4"),
+    (lambda: dense(_ones(8), _ones(8, 3), None, _NO_ACT),
+     "Dense input must be (batch, features), got rank 1"),
+    (lambda: dense(_ones(1, 8), _ones(8, 3, 1), None, _NO_ACT),
+     "Dense weight must be (in, out), got rank 3"),
+    (lambda: dense(_ones(1, 8), _ones(7, 3), None, _NO_ACT),
+     "Dense features: input 8 vs weight 7"),
+    (lambda: avg_pool2d(_ones(6, 6, 2), _POOL), "AvgPool2D input must be NHWC, got rank 3"),
+    (lambda: add(_ones(2, 3), _ones(3, 2)), "Add shapes differ: (2, 3) vs (3, 2)"),
+    (lambda: concat([], ConcatOptions(0)), "Concat needs at least one input"),
+    (lambda: concat([_ones(2, 3)], ConcatOptions(-3)), "Concat axis -3 invalid for rank 2"),
+    (lambda: concat([_ones(2, 3), _ones(2, 3, 1)], ConcatOptions(1)), "Concat ranks differ"),
+    (lambda: concat([_ones(2, 3), _ones(4, 5)], ConcatOptions(1)),
+     "Concat shapes differ off-axis: (4, 5) vs (2, 3)"),
+    (lambda: softmax(_ones(2, 0)), "Softmax needs a non-empty last axis"),
+    (lambda: reshape(_ones(2, 3), np.array([[6]], np.int32)),
+     "Reshape shape input must be rank 1"),
+    (lambda: reshape(_ones(2, 3), np.array([-1, -1], np.int32)),
+     "Reshape allows at most one -1 wildcard"),
+    (lambda: reshape(_ones(2, 3), np.array([0, 6], np.int32)), "Reshape dims invalid: [0, 6]"),
+    (lambda: reshape(_ones(2, 3), np.array([-1, 4], np.int32)),
+     "Reshape cannot infer -1: 6 elements into [-1, 4]"),
+    (lambda: reshape(_ones(2, 3), np.array([4, 2], np.int32)),
+     "Reshape size mismatch: 6 elements into [4, 2]"),
+    (lambda: flatten(_ones(3)), "Flatten input must have rank >= 2, got 1"),
+]
+
+
+@pytest.mark.parametrize("check,message", _CHECKS, ids=[m for _, m in _CHECKS])
+def test_every_shape_check_keeps_its_message(check, message):
+    # twice: a check inside the memoized convolution geometry raises on
+    # every call, since a memo caches no error
+    for _ in range(2):
+        with pytest.raises(ShapeMismatch, match=f"^{re.escape(message)}$"):
+            check()
 
 
 def test_add_shape_mismatch():
