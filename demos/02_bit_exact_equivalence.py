@@ -13,6 +13,6 @@ for name in FIXTURE_NAMES:
     graph = build_fixture(name, seed=7)
     public, bundle, _ = obfuscate(
         graph, ObfuscationConfig(seed=42, n_shortcuts=20, n_extra_layers=20))
-    err = compare_graphs(graph, None, public, bundle, n=200, seed=3)
+    err = compare_graphs(graph, public, bundle, n=200, seed=3)
     print(f"{name:14s} ops {len(graph.operators):2d} -> "
           f"{len(public.operators):2d}   max L2 error over 200 inputs: {err}")

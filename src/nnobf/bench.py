@@ -16,8 +16,8 @@ from __future__ import annotations
 import gc
 import statistics
 import time
-from dataclasses import astuple, dataclass, fields
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,8 +37,7 @@ _CHUNK = 256   # inputs per run() in compare_graphs
 _WARMUP = 10   # untimed inferences per model before timing
 
 
-@dataclass
-class BenchRecord:
+class BenchRecord(NamedTuple):
     """One CSV row; the field names are the header."""
     model: str
     n1: int
@@ -54,13 +53,12 @@ class BenchRecord:
 
 
 def record_to_csv(r: BenchRecord) -> str:
-    return ",".join(f"{v:.6f}" if isinstance(v, float) else str(v)
-                    for v in astuple(r))
+    return ",".join(f"{v:.6f}" if isinstance(v, float) else str(v) for v in r)
 
 
 def records_to_csv(records: list[BenchRecord]) -> str:
-    header = ",".join(f.name for f in fields(BenchRecord))
-    return "\n".join([header] + [record_to_csv(r) for r in records]) + "\n"
+    return "\n".join([",".join(BenchRecord._fields)]
+                     + [record_to_csv(r) for r in records]) + "\n"
 
 
 def batched_random_inputs(graph: ModelGraph, n: int, seed: int) \
@@ -75,16 +73,18 @@ def batched_random_inputs(graph: ModelGraph, n: int, seed: int) \
     return arrays
 
 
-def compare_graphs(original: ModelGraph, original_bundle: KernelBundle | None,
-                   obfuscated: ModelGraph, bundle: KernelBundle | None,
-                   n: int = 1000, seed: int = 0) -> float:
-    """Max over n random inputs of the L2 distance between output vectors."""
+def compare_graphs(original: ModelGraph, obfuscated: ModelGraph,
+                   bundle: KernelBundle | None, n: int = 1000,
+                   seed: int = 0) -> float:
+    """Max over n random inputs of the L2 distance between output vectors.
+
+    ``original`` runs without a bundle; ``obfuscated`` runs with ``bundle``."""
     inputs = batched_random_inputs(original, n, seed)
     worst = 0.0
     for lo in range(0, n, _CHUNK):
         hi = min(n, lo + _CHUNK)
         part = [a[lo:hi] for a in inputs]
-        y1, _ = run(original, original_bundle, part)
+        y1, _ = run(original, None, part)
         y2, _ = run(obfuscated, bundle, part)
         diffs = [(a.astype(np.float64) - b.astype(np.float64))
                  .reshape(hi - lo, -1) for a, b in zip(y1, y2)]
@@ -101,7 +101,7 @@ def compare_outputs(original_path: str | Path, obfuscated_path: str | Path,
     obfuscated = parse_model(Path(obfuscated_path).read_bytes())
     bundle = (load_bundle(Path(bundle_path).read_bytes())
               if bundle_path is not None else None)
-    return compare_graphs(original, None, obfuscated, bundle, n=n, seed=seed)
+    return compare_graphs(original, obfuscated, bundle, n=n, seed=seed)
 
 
 def _interleaved_seconds(models: list[tuple[ModelGraph, KernelBundle | None]],

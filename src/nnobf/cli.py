@@ -155,6 +155,7 @@ def _cmd_build_fixture(args) -> int:
 
 _SEED = dict(type=int, default=0)
 _COUNT = _typed("[0-9]*[1-9][0-9]*", "a positive count", int)
+_COUNT0 = _typed("[0-9]+", "a count of 0 or more", int)
 _STRATEGY = "|".join(s.value for s in Strategy)
 _STRATEGIES = _typed(f"all|none|(({_STRATEGY})(,({_STRATEGY}))*)?",
                      f"'all', 'none' or a comma list of {_STRATEGY.replace('|', ',')}")
@@ -166,8 +167,8 @@ _COMMANDS = {
         "model": {},
         "-o --output": dict(required=True, help="output directory"),
         "--seed": _SEED,
-        "--n1": dict(type=int, default=0, help="shortcut count"),
-        "--n2": dict(type=int, default=0, help="extra layer count"),
+        "--n1": dict(type=_COUNT0, default=0, help="shortcut count"),
+        "--n2": dict(type=_COUNT0, default=0, help="extra layer count"),
         "--shape": _SHAPE,
         "--strategies": dict(default="all", type=_STRATEGIES,
                              help="comma list of rename,encapsulate,shape,"

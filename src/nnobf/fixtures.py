@@ -88,8 +88,7 @@ class GraphBuilder:
         buffers = [b""]
         for tensor, data in self._constants:
             buffers.append(data)
-            tensors.append(Tensor(tensor.name, tensor.dtype, tensor.shape,
-                                  buffer_index=len(buffers) - 1))
+            tensors.append(tensor._replace(buffer_index=len(buffers) - 1))
 
         def resolve(i: int) -> int:
             return i if i >= 0 else n_act + (-i - 1)

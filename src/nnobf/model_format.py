@@ -43,10 +43,11 @@ import json
 import math
 import re
 import struct
-from dataclasses import asdict, astuple, dataclass, is_dataclass
+from dataclasses import dataclass
 from enum import IntEnum
 from itertools import chain
 from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -116,16 +117,14 @@ class OptionsKind(IntEnum):
 # builtin option structs
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ConvOptions:
+class ConvOptions(NamedTuple):
     stride_w: int = 1
     stride_h: int = 1
     padding: Padding = Padding.VALID
     activation: Activation = Activation.NONE
 
 
-@dataclass(frozen=True)
-class PoolOptions:
+class PoolOptions(NamedTuple):
     filter_w: int = 2
     filter_h: int = 2
     stride_w: int = 2
@@ -133,13 +132,11 @@ class PoolOptions:
     padding: Padding = Padding.VALID
 
 
-@dataclass(frozen=True)
-class DenseOptions:
+class DenseOptions(NamedTuple):
     activation: Activation = Activation.NONE
 
 
-@dataclass(frozen=True)
-class ConcatOptions:
+class ConcatOptions(NamedTuple):
     axis: int = -1
 
 
@@ -179,15 +176,15 @@ def encode_options(kind: BuiltinOp, opts) -> bytes:
     _, fmt, cls, _ = _KINDS[kind]
     if cls is None:
         return b""
-    return struct.pack(fmt, *astuple(opts))
+    return struct.pack(fmt, *opts)
 
 
 @functools.lru_cache(maxsize=1024, typed=True)
 def decode_options(kind: BuiltinOp, raw: bytes):
     """Inverse of :func:`encode_options`; zero-length kinds return ``None``.
 
-    Memoized on ``(kind, raw)``: results are frozen dataclasses, so callers
-    may share them.  A blob of the wrong length, with an out-of-range enum
+    Memoized on ``(kind, raw)``: results are named tuples, so callers may
+    share them.  A blob of the wrong length, with an out-of-range enum
     byte or with a stride or filter size below 1 raises
     :class:`MalformedOptions` on every call, since errors are never cached.
     """
@@ -208,8 +205,7 @@ def decode_options(kind: BuiltinOp, raw: bytes):
 # graph IR
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class OperatorCode:
+class OperatorCode(NamedTuple):
     """One opcode table entry: a builtin kernel id or a named custom operator."""
     builtin_code: int
     custom_name: str = ""
@@ -219,16 +215,14 @@ class OperatorCode:
         return self.builtin_code == CUSTOM_SENTINEL
 
 
-@dataclass(frozen=True)
-class Tensor:
+class Tensor(NamedTuple):
     name: str
     dtype: DType
     shape: tuple[int, ...]
     buffer_index: int = 0  # 0 = activation, no constant data
 
 
-@dataclass(frozen=True)
-class OperatorEntry:
+class OperatorEntry(NamedTuple):
     opcode_index: int
     inputs: tuple[int, ...]
     outputs: tuple[int, ...]
@@ -427,9 +421,9 @@ _COUNTED = {"s": _U32, "b": _U32, "q": _U64}
 # a fixed unsigned int; an IntEnum class one byte; "s" a u32-counted UTF-8
 # string; "b"/"q" u32-/u64-counted bytes; "i" an index list (n u32, then n
 # u32 values); (build, sub) a u32-counted list of rows of layout ``sub``,
-# each read back as ``build(*fields)``.  When ``build`` is a dataclass, its
-# fields are the row's fields in wire order; other rows are written from a
-# tuple of their fields or, with a one-field ``sub``, from the value itself.
+# each read back as ``build(*fields)`` and written from a tuple of its fields
+# in wire order (the model's rows are named tuples) or, with a one-field
+# ``sub``, from the value itself.
 _MODEL = ((OperatorCode, ("H", "s")), (bytes, ("q",)),
           (Tensor, ("s", DType, "i", "I")),
           (OperatorEntry, ("I", "i", "i", OptionsKind, "b")), "i", "i")
@@ -450,10 +444,9 @@ def _write(layout, values, out: list) -> None:
             build, sub = kind
             out.append(_U32.pack(len(value)))
             if value:  # one walk over every row's fields
-                rows = (map(attrgetter(*build.__dataclass_fields__), value)
-                        if is_dataclass(build) else value)
                 _write(sub * len(value),
-                       chain.from_iterable(rows) if len(sub) > 1 else rows, out)
+                       chain.from_iterable(value) if len(sub) > 1 else value,
+                       out)
         else:  # an IntEnum class: one byte
             out.append(_U8.pack(value))
 
@@ -567,7 +560,7 @@ def options_to_dict(kind: BuiltinOp, raw: bytes) -> dict:
     if opts is None:
         return {}
     return {k: v.name if isinstance(v, IntEnum) else v
-            for k, v in asdict(opts).items()}
+            for k, v in opts._asdict().items()}
 
 
 def dump_json(graph: ModelGraph) -> str:

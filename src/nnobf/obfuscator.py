@@ -169,13 +169,12 @@ def rename(graph: ModelGraph, plan: ObfuscationPlan,
                 f"expects an unobfuscated graph")
         name = names.fresh()
         opcodes.append(OperatorCode(CUSTOM_SENTINEL, name))
-        operators.append(OperatorEntry(i, op.inputs, op.outputs,
-                                       OptionsKind.CUSTOM, op.options))
+        operators.append(op._replace(opcode_index=i,
+                                     options_kind=OptionsKind.CUSTOM))
         plan.records[name] = BundleRecord(
             real.builtin_code, op.options,
             tuple(range(len(op.inputs))), ())
-    tensors = tuple(Tensor(names.fresh(), t.dtype, t.shape, t.buffer_index)
-                    for t in graph.tensors)
+    tensors = tuple(t._replace(name=names.fresh()) for t in graph.tensors)
     return replace(graph, opcodes=tuple(opcodes), tensors=tensors,
                    operators=tuple(operators))
 
@@ -219,11 +218,10 @@ def encapsulate_parameters(graph: ModelGraph, plan: ObfuscationPlan,
         plan.records[name] = BundleRecord(rec.real_builtin_code,
                                           rec.real_options,
                                           tuple(range(len(acts))), weights)
-        decoy_options = rng.randbytes(rng.randint(8, 24))
-        operators.append(OperatorEntry(op.opcode_index,
-                                       tuple(remap[t] for t in acts),
-                                       tuple(remap[t] for t in op.outputs),
-                                       OptionsKind.CUSTOM, decoy_options))
+        operators.append(op._replace(
+            inputs=tuple(remap[t] for t in acts),
+            outputs=tuple(remap[t] for t in op.outputs),
+            options=rng.randbytes(rng.randint(8, 24))))  # rename made it CUSTOM
 
     return replace(graph, buffers=(b"",), tensors=tuple(tensors),
                    operators=tuple(operators),
@@ -249,10 +247,10 @@ def obfuscate_shapes(graph: ModelGraph, strategy: ShapeStrategy,
         if i in inputs or t.buffer_index != 0:
             tensors.append(t)
         elif strategy is ShapeStrategy.RANDOM:
-            shape = tuple(rng.randint(1, 64) for _ in t.shape)
-            tensors.append(Tensor(t.name, t.dtype, shape, t.buffer_index))
+            tensors.append(t._replace(
+                shape=tuple(rng.randint(1, 64) for _ in t.shape)))
         else:
-            tensors.append(Tensor(t.name, t.dtype, largest, t.buffer_index))
+            tensors.append(t._replace(shape=largest))
     return replace(graph, tensors=tuple(tensors))
 
 
@@ -290,8 +288,7 @@ def inject_shortcuts(graph: ModelGraph, n1: int, rng: random.Random,
             break
         else:
             warnings.warn("no free shortcut pair found after 100 draws; skipped")
-    operators = tuple(OperatorEntry(op.opcode_index, tuple(ins), op.outputs,
-                                    op.options_kind, op.options)
+    operators = tuple(op._replace(inputs=tuple(ins))
                       for op, ins in zip(graph.operators, inputs))
     return replace(graph, operators=operators)
 
@@ -335,9 +332,7 @@ def inject_extra_layers(graph: ModelGraph, n2: int, rng: random.Random,
     pos, decoy_pos, operators = [], [0] * n2, []
     for op, ins, after in zip(graph.operators, extra, decoys):
         pos.append(len(operators))
-        operators.append(OperatorEntry(op.opcode_index, op.inputs + tuple(ins),
-                                       op.outputs, op.options_kind, op.options)
-                         if ins else op)
+        operators.append(op._replace(inputs=op.inputs + tuple(ins)) if ins else op)
         for d, decoy in reversed(after):
             decoy_pos[d] = len(operators)
             operators.append(decoy)
@@ -458,7 +453,7 @@ def _restore_shapes(tensors, shapes: list[tuple[int, ...]]) -> tuple[Tensor, ...
     if len(shapes) != len(tensors):
         raise PlanMismatch(f"plan holds {len(shapes)} tensor shapes; the graph "
                            f"has {len(tensors)} non-decoy tensors")
-    return tuple(replace(t, shape=s) for t, s in zip(tensors, shapes))
+    return tuple(t._replace(shape=s) for t, s in zip(tensors, shapes))
 
 
 # ---------------------------------------------------------------------------

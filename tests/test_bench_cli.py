@@ -35,11 +35,11 @@ def write_model(tmp_path, name, seed=7):
 def test_compare_fixture_vs_obfuscation_is_exactly_zero(tmp_path, lenet):
     public, bundle, _ = obfuscate(
         lenet, ObfuscationConfig(seed=1, n_shortcuts=10, n_extra_layers=10))
-    assert compare_graphs(lenet, None, public, bundle, n=64, seed=3) == 0.0
+    assert compare_graphs(lenet, public, bundle, n=64, seed=3) == 0.0
 
 
 def test_compare_model_vs_itself_is_zero(lenet):
-    assert compare_graphs(lenet, None, lenet, None, n=16, seed=0) == 0.0
+    assert compare_graphs(lenet, lenet, None, n=16, seed=0) == 0.0
 
 
 def test_compare_detects_single_weight_perturbation(lenet):
@@ -51,7 +51,7 @@ def test_compare_detects_single_weight_perturbation(lenet):
     weights[0] += F(0.25)
     buffers = lenet.buffers[:b] + (weights.tobytes(),) + lenet.buffers[b + 1:]
     perturbed = replace(lenet, buffers=buffers)
-    assert compare_graphs(lenet, None, perturbed, None, n=16, seed=0) > 0.0
+    assert compare_graphs(lenet, perturbed, None, n=16, seed=0) > 0.0
 
 
 def test_compare_outputs_via_files(tmp_path, lenet):
@@ -250,6 +250,8 @@ def test_cli_bench_malformed_configs_are_usage_errors(pair, capsys):
      "rename,bogus"),
     (["obfuscate", "m", "-o", "d", "--strategies", "all,rename"], "--strategies",
      "all,rename"),
+    (["obfuscate", "m", "-o", "d", "--n1", "-3"], "--n1", "-3"),
+    (["obfuscate", "m", "-o", "d", "--n2", "2.5"], "--n2", "2.5"),
 ])
 def test_cli_bad_counts_and_strategies_are_usage_errors(argv, option, value, capsys):
     assert cli_dispatch(argv) == 2

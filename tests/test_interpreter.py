@@ -364,7 +364,7 @@ def test_resolution_errors_raise_before_any_kernel(lenet, monkeypatch, fault):
 def without_one_output(public, s, outputs):
     """``public`` with operator ``s`` declaring ``outputs``; never validated."""
     ops = list(public.operators)
-    ops[s] = dataclasses.replace(ops[s], outputs=outputs)
+    ops[s] = ops[s]._replace(outputs=outputs)
     return dataclasses.replace(public, operators=tuple(ops))
 
 

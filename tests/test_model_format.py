@@ -278,6 +278,29 @@ SAMPLE_OPTIONS = {
 }
 
 
+def test_parsed_rows_keep_their_types_and_refuse_assignment(all_fixtures):
+    """Compiled programs and the validation mark rely on immutable graphs.
+
+    A named tuple equals any tuple with equal items, so ``type`` is what
+    tells a parsed row from a bare tuple."""
+    for g in all_fixtures.values():
+        parsed = parse_model(serialize_model(g))
+        for rows, cls in ((parsed.opcodes, OperatorCode),
+                          (parsed.tensors, Tensor),
+                          (parsed.operators, OperatorEntry)):
+            assert {type(row) for row in rows} == {cls}
+            for field in cls._fields:
+                with pytest.raises(AttributeError):
+                    setattr(rows[0], field, getattr(rows[0], field))
+        with pytest.raises(AttributeError):
+            parsed.tensors = ()
+    for kind, opts in SAMPLE_OPTIONS.items():
+        decoded = decode_options(kind, encode_options(kind, opts))
+        assert type(decoded) is type(opts)
+        with pytest.raises(AttributeError):
+            setattr(decoded, decoded._fields[0], getattr(decoded, decoded._fields[0]))
+
+
 @pytest.mark.parametrize("kind", list(BuiltinOp))
 def test_memoized_decode_matches_fresh_decode(kind):
     raw = encode_options(kind, SAMPLE_OPTIONS.get(kind))
@@ -482,9 +505,9 @@ def bad_options(kind, name, value):
         g = build_fixture(fixture, 7)
         for i, op in enumerate(g.operators):
             if g.op_kind(op).builtin_code == kind:
-                opts = replace(decode_options(kind, op.options), **{name: value})
+                opts = decode_options(kind, op.options)._replace(**{name: value})
                 raw = encode_options(kind, opts)
-                ops = g.operators[:i] + (replace(op, options=raw),) + g.operators[i + 1:]
+                ops = g.operators[:i] + (op._replace(options=raw),) + g.operators[i + 1:]
                 return g, replace(g, operators=ops), i, raw
     raise AssertionError(f"no fixture has a {kind.name}")
 

@@ -359,7 +359,7 @@ def hundred_draw_inject_shortcuts(graph, n1, rng, plan):
             break
         else:
             warnings.warn("no free shortcut pair found after 100 draws; skipped")
-    operators = tuple(replace(op, inputs=tuple(ins))
+    operators = tuple(op._replace(inputs=tuple(ins))
                       for op, ins in zip(graph.operators, inputs))
     return replace(graph, operators=operators)
 
@@ -756,7 +756,7 @@ def test_reconstruct_rejects_an_operator_without_one_output(renamed):
     public, _, plan = obfuscate(build_fixture("lenet", 5), ObfuscationConfig(
         seed=1, n_shortcuts=20, n_extra_layers=20, strategies=strategies))
     ops = list(public.operators)
-    ops[3] = replace(ops[3], outputs=())
+    ops[3] = ops[3]._replace(outputs=())
     with pytest.raises(PlanMismatch, match=r"invalid: operators\[3\]\.outputs"):
         reconstruct(replace(public, operators=tuple(ops)), plan)
 

@@ -11,7 +11,12 @@ artifact kind, over that kind's bytes in sweep order, then the combined
 digest over all three, taken in that order per obfuscation.  A change
 that keeps the combined digest writes the same bytes for all 1,680
 obfuscations; the per-kind digests show which artifact a change moved.
-Standard library plus nnobf.
+
+The ``dump`` digest checks the read side: it covers the UTF-8 bytes of
+``dump_json(parse_model(data))`` for each fixture's serialized bytes, then
+for each public model in sweep order.  It moves when parsing builds
+different rows or ``options_to_dict`` reads options differently, and it is
+not part of ``combined``.  Standard library plus nnobf.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import hashlib
 import warnings
 
 from nnobf.fixtures import FIXTURE_NAMES, build_fixture
-from nnobf.model_format import serialize_model
+from nnobf.model_format import dump_json, parse_model, serialize_model
 from nnobf.obfuscator import (
     ObfuscationConfig,
     ShapeStrategy,
@@ -35,12 +40,18 @@ COUNTS = (0, 1, 3, 10, 20, 30, 60)
 KINDS = ("model", "bundle", "plan")
 
 
+def _dump(data: bytes) -> bytes:
+    return dump_json(parse_model(data)).encode("utf-8")
+
+
 def digests() -> dict[str, str]:
-    """Hex SHA-256 per artifact kind, then ``combined`` over all three."""
-    hashes = {kind: hashlib.sha256() for kind in (*KINDS, "combined")}
+    """Hex SHA-256 per artifact kind, ``combined`` over all three, then
+    ``dump`` over the parsed fixtures and public models."""
+    hashes = {kind: hashlib.sha256() for kind in (*KINDS, "combined", "dump")}
     for name in FIXTURE_NAMES:
         for weight_seed in (0, 1):
             graph = build_fixture(name, weight_seed)
+            hashes["dump"].update(_dump(serialize_model(graph)))
             for seed in range(12):
                 for n in COUNTS:
                     for strategy in ShapeStrategy:
@@ -51,6 +62,8 @@ def digests() -> dict[str, str]:
                                 plan_to_json(plan).encode("utf-8"))):
                             hashes[kind].update(data)
                             hashes["combined"].update(data)
+                            if kind == "model":
+                                hashes["dump"].update(_dump(data))
     return {kind: h.hexdigest() for kind, h in hashes.items()}
 
 
