@@ -157,9 +157,7 @@ def latency_overhead(baseline: ModelGraph, base_bundle: KernelBundle | None,
 
 def peak_bytes_single(graph: ModelGraph, bundle: KernelBundle | None,
                       seed: int = 0) -> int:
-    inputs = [a[0:1] for a in batched_random_inputs(graph, 1, seed)]
-    _, trace = run(graph, bundle, inputs)
-    return trace.peak_live_bytes
+    return run(graph, bundle, batched_random_inputs(graph, 1, seed))[1].peak_live_bytes
 
 
 def bench(model_path: str | Path, bundle_path: str | Path | None,

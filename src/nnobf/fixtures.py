@@ -107,83 +107,77 @@ def _weights(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
     return rng.random(shape, dtype=np.float32) - np.float32(0.5)
 
 
+def _layer(b: GraphBuilder, rng, kind: BuiltinOp, x: int, name: str,
+           wshape: tuple[int, ...], out_shape: tuple[int, ...], options,
+           bias: bool = True) -> int:
+    """A weighted layer: draws ``<name>/weight``, then ``<name>/bias`` over
+    the weight's last axis, then adds the operator writing ``<name>/out``."""
+    ins = [x, b.constant(f"{name}/weight", _weights(rng, wshape))]
+    if bias:
+        ins.append(b.constant(f"{name}/bias", _weights(rng, wshape[-1:])))
+    return b.op(kind, ins, f"{name}/out", out_shape, options)
+
+
 def _build_mlp(b: GraphBuilder, rng) -> None:
     x = b.input("input", (1, 128))
     dims = [(128, 256, Activation.RELU), (256, 64, Activation.RELU),
             (64, 10, Activation.NONE)]
     for k, (din, dout, act) in enumerate(dims):
-        w = b.constant(f"dense{k}/weight", _weights(rng, (din, dout)))
-        bias = b.constant(f"dense{k}/bias", _weights(rng, (dout,)))
-        x = b.op(BuiltinOp.DENSE, [x, w, bias], f"dense{k}/out", (1, dout),
-                 DenseOptions(act))
+        x = _layer(b, rng, BuiltinOp.DENSE, x, f"dense{k}", (din, dout), (1, dout),
+                   DenseOptions(act))
     y = b.op(BuiltinOp.SOFTMAX, [x], "probs", (1, 10))
     b.graph_outputs.append(y)
 
 
 def _build_lenet(b: GraphBuilder, rng) -> None:
     x = b.input("input", (1, 28, 28, 1))
-    w1 = b.constant("conv1/weight", _weights(rng, (5, 5, 1, 6)))
-    x = b.op(BuiltinOp.CONV_2D, [x, w1], "conv1/out", (1, 24, 24, 6),
-             ConvOptions(1, 1, Padding.VALID, Activation.RELU))
+    x = _layer(b, rng, BuiltinOp.CONV_2D, x, "conv1", (5, 5, 1, 6), (1, 24, 24, 6),
+               ConvOptions(1, 1, Padding.VALID, Activation.RELU), bias=False)
     x = b.op(BuiltinOp.MAX_POOL_2D, [x], "pool1/out", (1, 12, 12, 6),
              PoolOptions(2, 2, 2, 2, Padding.VALID))
-    w2 = b.constant("conv2/weight", _weights(rng, (5, 5, 6, 16)))
-    x = b.op(BuiltinOp.CONV_2D, [x, w2], "conv2/out", (1, 8, 8, 16),
-             ConvOptions(1, 1, Padding.VALID, Activation.RELU))
+    x = _layer(b, rng, BuiltinOp.CONV_2D, x, "conv2", (5, 5, 6, 16), (1, 8, 8, 16),
+               ConvOptions(1, 1, Padding.VALID, Activation.RELU), bias=False)
     x = b.op(BuiltinOp.MAX_POOL_2D, [x], "pool2/out", (1, 4, 4, 16),
              PoolOptions(2, 2, 2, 2, Padding.VALID))
     x = b.op(BuiltinOp.FLATTEN, [x], "flatten/out", (1, 256))
-    wd = b.constant("dense/weight", _weights(rng, (256, 10)))
-    bd = b.constant("dense/bias", _weights(rng, (10,)))
-    x = b.op(BuiltinOp.DENSE, [x, wd, bd], "dense/out", (1, 10),
-             DenseOptions(Activation.NONE))
+    x = _layer(b, rng, BuiltinOp.DENSE, x, "dense", (256, 10), (1, 10),
+               DenseOptions(Activation.NONE))
     y = b.op(BuiltinOp.SOFTMAX, [x], "probs", (1, 10))
     b.graph_outputs.append(y)
 
 
 def _build_branchy(b: GraphBuilder, rng) -> None:
     x = b.input("input", (1, 12, 12, 3))
-    w0 = b.constant("stem/weight", _weights(rng, (3, 3, 3, 8)))
-    b0 = b.constant("stem/bias", _weights(rng, (8,)))
-    a = b.op(BuiltinOp.CONV_2D, [x, w0, b0], "stem/out", (1, 12, 12, 8),
-             ConvOptions(1, 1, Padding.SAME, Activation.RELU))
-    wl = b.constant("left/weight", _weights(rng, (3, 3, 8, 4)))
-    left = b.op(BuiltinOp.CONV_2D, [a, wl], "left/out", (1, 12, 12, 4),
-                ConvOptions(1, 1, Padding.SAME, Activation.NONE))
-    wr = b.constant("right/weight", _weights(rng, (3, 3, 8, 4)))
-    right = b.op(BuiltinOp.CONV_2D, [a, wr], "right/out", (1, 12, 12, 4),
-                 ConvOptions(1, 1, Padding.SAME, Activation.NONE))
+    a = _layer(b, rng, BuiltinOp.CONV_2D, x, "stem", (3, 3, 3, 8), (1, 12, 12, 8),
+               ConvOptions(1, 1, Padding.SAME, Activation.RELU))
+    left = _layer(b, rng, BuiltinOp.CONV_2D, a, "left", (3, 3, 8, 4), (1, 12, 12, 4),
+                  ConvOptions(1, 1, Padding.SAME, Activation.NONE), bias=False)
+    right = _layer(b, rng, BuiltinOp.CONV_2D, a, "right", (3, 3, 8, 4), (1, 12, 12, 4),
+                   ConvOptions(1, 1, Padding.SAME, Activation.NONE), bias=False)
     cc = b.op(BuiltinOp.CONCAT, [left, right], "concat/out", (1, 12, 12, 8),
               ConcatOptions(axis=3))
     s = b.op(BuiltinOp.ADD, [a, cc], "residual/out", (1, 12, 12, 8))
     p = b.op(BuiltinOp.MAX_POOL_2D, [s], "pool/out", (1, 6, 6, 8),
              PoolOptions(2, 2, 2, 2, Padding.VALID))
     f = b.op(BuiltinOp.FLATTEN, [p], "flatten/out", (1, 288))
-    wd = b.constant("head/weight", _weights(rng, (288, 10)))
-    bd = b.constant("head/bias", _weights(rng, (10,)))
-    d = b.op(BuiltinOp.DENSE, [f, wd, bd], "head/out", (1, 10),
-             DenseOptions(Activation.NONE))
+    d = _layer(b, rng, BuiltinOp.DENSE, f, "head", (288, 10), (1, 10),
+               DenseOptions(Activation.NONE))
     y = b.op(BuiltinOp.SOFTMAX, [d], "probs", (1, 10))
     b.graph_outputs.append(y)
 
 
 def _build_depthwise_net(b: GraphBuilder, rng) -> None:
     x = b.input("input", (1, 16, 16, 3))
-    w1 = b.constant("stem/weight", _weights(rng, (3, 3, 3, 8)))
-    b1 = b.constant("stem/bias", _weights(rng, (8,)))
-    x = b.op(BuiltinOp.CONV_2D, [x, w1, b1], "stem/out", (1, 16, 16, 8),
-             ConvOptions(1, 1, Padding.SAME, Activation.RELU))
-    wd = b.constant("dw/weight", _weights(rng, (3, 3, 8)))
-    x = b.op(BuiltinOp.DEPTHWISE_CONV_2D, [x, wd], "dw/out", (1, 16, 16, 8),
-             ConvOptions(1, 1, Padding.SAME, Activation.RELU6))
+    x = _layer(b, rng, BuiltinOp.CONV_2D, x, "stem", (3, 3, 3, 8), (1, 16, 16, 8),
+               ConvOptions(1, 1, Padding.SAME, Activation.RELU))
+    x = _layer(b, rng, BuiltinOp.DEPTHWISE_CONV_2D, x, "dw", (3, 3, 8), (1, 16, 16, 8),
+               ConvOptions(1, 1, Padding.SAME, Activation.RELU6), bias=False)
     x = b.op(BuiltinOp.AVG_POOL_2D, [x], "pool/out", (1, 8, 8, 8),
              PoolOptions(2, 2, 2, 2, Padding.VALID))
     shape = b.constant("reshape/shape", np.array([-1, 512], dtype=np.int32))
     x = b.op(BuiltinOp.RESHAPE, [x, shape], "reshape/out", (1, 512))
-    wh = b.constant("head/weight", _weights(rng, (512, 10)))
-    bh = b.constant("head/bias", _weights(rng, (10,)))
-    x = b.op(BuiltinOp.DENSE, [x, wh, bh], "head/out", (1, 10),
-             DenseOptions(Activation.NONE))
+    x = _layer(b, rng, BuiltinOp.DENSE, x, "head", (512, 10), (1, 10),
+               DenseOptions(Activation.NONE))
     y = b.op(BuiltinOp.SOFTMAX, [x], "probs", (1, 10))
     b.graph_outputs.append(y)
 
@@ -196,15 +190,11 @@ def _build_pool_net(b: GraphBuilder, rng) -> None:
     x = b.op(BuiltinOp.AVG_POOL_2D, [x], "pool2/out", (1, 8, 8, 8),
              PoolOptions(2, 2, 2, 2, Padding.VALID))
     x = b.op(BuiltinOp.FLATTEN, [x], "flatten/out", (1, 512))
-    w1 = b.constant("dense1/weight", _weights(rng, (512, 32)))
-    b1 = b.constant("dense1/bias", _weights(rng, (32,)))
-    x = b.op(BuiltinOp.DENSE, [x, w1, b1], "dense1/out", (1, 32),
-             DenseOptions(Activation.NONE))
+    x = _layer(b, rng, BuiltinOp.DENSE, x, "dense1", (512, 32), (1, 32),
+               DenseOptions(Activation.NONE))
     x = b.op(BuiltinOp.RELU6, [x], "relu6/out", (1, 32))
-    w2 = b.constant("dense2/weight", _weights(rng, (32, 10)))
-    b2 = b.constant("dense2/bias", _weights(rng, (10,)))
-    x = b.op(BuiltinOp.DENSE, [x, w2, b2], "dense2/out", (1, 10),
-             DenseOptions(Activation.NONE))
+    x = _layer(b, rng, BuiltinOp.DENSE, x, "dense2", (32, 10), (1, 10),
+               DenseOptions(Activation.NONE))
     y = b.op(BuiltinOp.SOFTMAX, [x], "probs", (1, 10))
     b.graph_outputs.append(y)
 

@@ -15,16 +15,17 @@ every graph input is treated as a batch dimension and may differ from the
 declared size.
 
 The first run of a ``(graph, bundle)`` pair compiles it: :func:`resolve`,
-the one walk over the operators (``reconstruct`` uses it too), then decoded
-options, the last-read table, the constants as read-only views of the
-graph's buffers, and the static byte count.  A missing bundle, an unknown
-custom name, a bad true input position or decoy record, or a true input or
-graph output that is a decoy's output raises there, before any kernel runs,
-and nothing is kept.  The program lives as long as both objects (graphs and
-bundles are immutable) and holds neither; later runs only check their inputs
-and execute the steps.  Nothing in a program depends on the batch size.  An
-activation is dropped after its last true read; graph outputs and constants
-are kept.
+the one walk over the operators (``reconstruct`` uses it too), then each
+step's decoded options and drop list, the constants as read-only views of
+the graph's buffers, and the static byte count.  A missing bundle, an
+unknown custom name, a bad true input position or decoy record, or a true
+input or graph output that is a decoy's output raises there, before any
+kernel runs, and nothing is kept.  The program lives as long as both objects
+(graphs and bundles are immutable) and holds neither; later runs only check
+their inputs and execute the steps.  Nothing in a program depends on the
+batch size.  Liveness is decided at compile time: a step drops each
+activation it reads last, and its own output if nothing reads it; graph
+outputs and constants are kept.
 ``trace.peak_live_bytes`` is the all-live proxy (``bench.peak_bytes_single``
 reads it at batch 1): the sum of every graph input, constant (model- or
 bundle-resident) and operator output, decoys included.
@@ -38,7 +39,7 @@ import functools
 import math
 import time
 import weakref
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -69,12 +70,11 @@ def _decoy_output(raw: bytes) -> tuple[tuple, int]:
     return (shape,), 4 * math.prod(shape)
 
 
-@dataclass
-class ExecutionTrace:
-    output_shapes: list[tuple[tuple[int, ...]]] = field(default_factory=list)
-    op_seconds: list[float] = field(default_factory=list)
-    peak_live_bytes: int = 0
-    peak_live_bytes_liveness: int = 0
+class ExecutionTrace(NamedTuple):
+    output_shapes: list[tuple[tuple[int, ...]]]
+    op_seconds: list[float]
+    peak_live_bytes: int
+    peak_live_bytes_liveness: int
 
 
 def _check_inputs(graph: ModelGraph, inputs: list[np.ndarray]) -> None:
@@ -147,32 +147,35 @@ _programs: dict[tuple[int, int], tuple] = {}
 
 def _program(graph: ModelGraph, bundle: KernelBundle | None) -> tuple:
     """``run``'s program for ``(graph, bundle)``, compiled once: the real steps
-    ``(s, output, kind, true_inputs, weights, options)``, the last-read table
-    (``last[t]``: the step that truly reads t last, -1 if none, the operator
-    count for a constant or graph output), the decoy output shapes, the
-    constants, the static live bytes and the decoy output bytes (never live)."""
+    ``(s, output, kind, true_inputs, weights, options, drops)``, the decoy
+    output shapes, the constants, the static live bytes and the decoy output
+    bytes (never live).  ``drops`` lists the activations step ``s`` reads
+    last, and its own output if no step reads it; a tensor is in at most one
+    list, and constants and graph outputs are in none."""
     key = (id(graph), id(bundle))
     entry = _programs.get(key)
     if entry is not None:
         return entry[0]
     resolved, decoys = resolve(graph, bundle and bundle.records)
-    n_ops = len(graph.operators)
-    shapes, last, decoy_bytes = [()] * n_ops, [-1] * len(graph.tensors), 0
+    shapes, decoy_bytes = [()] * len(graph.operators), 0
     for s, raw in decoys.values():
         shapes[s], n = _decoy_output(raw)
         decoy_bytes += n
-    steps = []
+    steps, reader = [], {}  # tensor -> drops of the step that reads it last
     for s, o, kind, raw, ins, weights in resolved:
-        steps.append((s, o, kind, ins, weights, decode_options(kind, raw)))
+        drops = reader[o] = []
         for t in ins:
-            last[t] = s
+            reader[t] = drops
+        steps.append((s, o, kind, ins, weights, decode_options(kind, raw), drops))
     consts = materialize_constants(graph)  # views of the buffers, not the graph
     for t in (*consts, *graph.graph_outputs):
-        last[t] = n_ops
+        reader.pop(t, None)
+    for t, drops in reader.items():
+        drops.append(t)
     live = sum(a.nbytes for a in consts.values())
     if bundle is not None:
         live += sum(w.nbytes for rec in bundle.records.values() for w in rec.weights)
-    program = steps, last, shapes, consts, live, decoy_bytes
+    program = steps, shapes, consts, live, decoy_bytes
 
     def drop(_ref):
         _programs.pop(key, None)
@@ -192,8 +195,8 @@ def run(graph: ModelGraph, bundle: KernelBundle | None,
     runs nothing); shapes and both memory figures are always recorded.
     """
     _check_inputs(graph, inputs)
-    steps, last, shapes, consts, live, decoy_bytes = _program(graph, bundle)
-    last, shapes = last[:], shapes[:]
+    steps, shapes, consts, live, decoy_bytes = _program(graph, bundle)
+    shapes = shapes[:]
     values = {t: np.ascontiguousarray(a) for t, a in zip(graph.graph_inputs, inputs)}
     live += sum(a.nbytes for a in values.values())
     values.update(consts)
@@ -202,24 +205,21 @@ def run(graph: ModelGraph, bundle: KernelBundle | None,
     seconds = [0.0] * len(shapes) if clock else []
 
     peak = live
-    for s, o, kind, ins, weights, opts in steps:
+    for s, o, kind, ins, weights, opts, drops in steps:
         t0 = clock() if clock else 0.0
         out = execute_builtin(kind, [*map(values.__getitem__, ins), *weights],
                               opts)[0]
         if clock:
             seconds[s] = clock() - t0
         shapes[s] = (out.shape,)
+        values[o] = out
         n = out.nbytes
+        del out  # an output in its own step's drops is freed there
         total += n
-        peak = max(peak, live + n)
-        if last[o] > s:  # an output nothing reads is dropped at once
-            values[o] = out
-            live += n
-        del out
-        for t in ins:  # after its last true read, an activation is dropped
-            if last[t] == s:
-                last[t] = -1  # a step may read a tensor twice
-                live -= values.pop(t).nbytes
+        live += n
+        peak = max(peak, live)
+        for t in drops:
+            live -= values.pop(t).nbytes
 
     return ([values[t] for t in graph.graph_outputs],
             ExecutionTrace(shapes, seconds, total, peak))

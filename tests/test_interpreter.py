@@ -415,6 +415,23 @@ def test_liveness_peak_at_most_the_all_live_proxy(all_fixtures):
             assert 0 < trace.peak_live_bytes_liveness <= trace.peak_live_bytes, name
 
 
+def test_liveness_keeps_graph_io_and_unread_inputs():
+    # inputs (x, u), y = relu(x), outputs (x, y): x is read last by the relu
+    # but is a graph output, so it is kept as passed in; u is never read and
+    # stays counted, so live bytes peak at x + u + y
+    g = ModelGraph(
+        opcodes=(OperatorCode(int(BuiltinOp.RELU)),), buffers=(b"",),
+        tensors=tuple(Tensor(n, DType.F32, (4,)) for n in "xuy"),
+        operators=(OperatorEntry(0, (0,), (2,)),),
+        graph_inputs=(0, 1), graph_outputs=(0, 2))
+    x, u = np.array([-1.0, 0.0, 2.0, -3.0], F), np.ones(4, F)
+    for _ in ("cold", "warm"):
+        (got_x, y), trace = run(g, None, [x, u])
+        assert got_x is x
+        assert np.array_equal(y, np.maximum(x, 0))
+        assert trace.peak_live_bytes == trace.peak_live_bytes_liveness == 48
+
+
 # -- compiled programs -------------------------------------------------------------
 
 def fresh(graph, bundle):
@@ -496,6 +513,29 @@ def test_op_timing_on_a_warm_program(lenet):
     assert len(trace.op_seconds) == len(public.operators) and any(decoy)
     assert [t > 0 for t in trace.op_seconds] == [not d for d in decoy]
     assert run(public, bundle, x)[1].op_seconds == []
+
+
+def test_a_failed_run_leaves_its_program_unchanged(lenet, monkeypatch):
+    public, bundle, _ = obfuscate(
+        lenet, ObfuscationConfig(seed=5, n_shortcuts=5, n_extra_layers=5))
+    x = [rand_input(lenet)]
+    calls = []
+
+    def third_call_fails(*args):
+        calls.append(args[0])
+        if len(calls) == 3:
+            raise ShapeMismatch("injected")
+        return execute_builtin(*args)
+
+    monkeypatch.setattr(interpreter, "execute_builtin", third_call_fails)
+    with pytest.raises(ShapeMismatch, match="injected"):
+        run(public, bundle, x)
+    monkeypatch.undo()
+    assert (id(public), id(bundle)) in interpreter._programs
+    outs, trace = run(public, bundle, x)
+    own_outs, own_trace = run(*fresh(public, bundle), x)
+    assert outputs_bytes(outs) == outputs_bytes(own_outs)
+    assert trace_fields(trace) == trace_fields(own_trace)
 
 
 def test_constants_are_bound_once(lenet, monkeypatch):

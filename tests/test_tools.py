@@ -43,3 +43,11 @@ def test_gains_need_more_than_a_zero_spread_gap():
     found = gains({"serve-b1": {"pairs": 10, "metrics": metrics}})
     assert [line.split(":")[0] for line in found] == [
         "serve-b1 artifact_bytes", "serve-b1 throughput_per_s", "serve-b1 setup_s"]
+
+
+def test_compile_cost_prints_medians(capsys):
+    assert load_tool("compile_cost").main(["--fixtures", "mlp", "--rounds", "2"]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert [row[0] for row in rows] == ["mlp", "all"]
+    assert all(float(row[1]) > 0 and row[2] == "us" for row in rows)
+    assert rows[1][3:] == ["(8", "compiles)"]
