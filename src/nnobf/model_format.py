@@ -28,11 +28,12 @@ Conventions baked into the format:
 * within one operator's input list, constant tensors follow activation tensors.
 * every operator declares exactly one output tensor.
 
-Each graph object is validated once: the codecs, ``dump_json`` and the
-obfuscator mark a graph that passes :func:`validate` and skip marked ones.
-Graphs are immutable (compiled programs rely on that too), so a mark never
-goes stale; it lives on the graph, since an ``id``-keyed table's resizes
-would make peak allocation depend on history.  A failing graph is re-checked.
+Each graph object is validated once, at one gate: the codecs, ``dump_json``
+and the obfuscator call :func:`check_graph`, which marks a graph that passes
+:func:`validate`, skips marked ones and raises for the rest.  Graphs are
+immutable (compiled programs rely on that too), so a mark never goes stale;
+it lives on the graph, since an ``id``-keyed table's resizes would make peak
+allocation depend on history.  A failing graph is re-checked.
 """
 
 from __future__ import annotations
@@ -68,6 +69,7 @@ CUSTOM_SENTINEL = 0xFFFF
 DECOY_SENTINEL = 0xFFFE
 
 CUSTOM_NAME_RE = re.compile(r"^[A-Z][a-z]{5}$")
+_CYCLE = "operators: data-flow graph contains a cycle"  # check_graph matches it whole
 
 
 class DType(IntEnum):
@@ -241,7 +243,7 @@ class ModelGraph:
     operators: tuple[OperatorEntry, ...]
     graph_inputs: tuple[int, ...]
     graph_outputs: tuple[int, ...]
-    # not a field: set once validate() finds no violation (see _violations)
+    # not a field: set once validate() finds no violation (see check_graph)
     _validated = False
 
     def is_constant(self, tensor_index: int) -> bool:
@@ -368,7 +370,7 @@ def validate(graph: ModelGraph) -> list[str]:
 
     v += order
     if order and _has_cycle(graph):
-        v.append("operators: data-flow graph contains a cycle")
+        v.append(_CYCLE)
 
     return v
 
@@ -385,26 +387,22 @@ def _has_cycle(graph: ModelGraph) -> bool:
     return False
 
 
-def _violations(graph: ModelGraph, check=None) -> list[str]:
-    """``check(graph)`` (default ``validate``) unless the graph passed before.
-
-    Only a graph with no violation is marked.
-    """
+def check_graph(graph: ModelGraph, error=None, what: str = "") -> None:
+    """Mark ``graph`` once it passes :func:`validate`, else raise ``error(
+    f"{what}: {violations}")`` or, by whole messages and never the file text
+    in them, CycleDetected, IndexOutOfRange or else InvariantViolation."""
     if graph._validated:
-        return []
-    bad = (check or validate)(graph)
+        return
+    bad = validate(graph)
     if not bad:
         object.__setattr__(graph, "_validated", True)  # past the frozen guard
-    return bad
-
-
-def _raise_for_violations(violations: list[str]) -> None:
-    if not violations:
         return
-    msg = "; ".join(violations)
-    if any("cycle" in s for s in violations):
+    msg = "; ".join(bad)
+    if error is not None:
+        raise error(f"{what}: {msg}")
+    if _CYCLE in bad:
         raise CycleDetected(msg)
-    if any("out of range" in s for s in violations):
+    if any(s.endswith(" out of range") for s in bad):
         raise IndexOutOfRange(msg)
     raise InvariantViolation(msg)
 
@@ -531,7 +529,7 @@ def _decode(magic: bytes, version: int, layout, data: bytes) -> list:
 
 def serialize_model(graph: ModelGraph) -> bytes:
     """Canonical byte encoding; a pure function of the graph."""
-    _raise_for_violations(_violations(graph))
+    check_graph(graph)
     return _encode(MAGIC, VERSION, _MODEL,
                    attrgetter(*ModelGraph.__dataclass_fields__)(graph))
 
@@ -539,7 +537,7 @@ def serialize_model(graph: ModelGraph) -> bytes:
 def parse_model(data: bytes) -> ModelGraph:
     """Parse NNM1 bytes into a validated ModelGraph."""
     graph = ModelGraph(*_decode(MAGIC, VERSION, _MODEL, data))
-    _raise_for_violations(_violations(graph))
+    check_graph(graph)
     return graph
 
 
@@ -565,7 +563,7 @@ def options_to_dict(kind: BuiltinOp, raw: bytes) -> dict:
 
 def dump_json(graph: ModelGraph) -> str:
     """Readable JSON view of the model file, with stable key order."""
-    _raise_for_violations(_violations(graph))
+    check_graph(graph)
     codes = []
     for oc in graph.opcodes:
         entry = {"deprecated_builtin_code": oc.builtin_code}

@@ -47,10 +47,9 @@ from .model_format import (
     OperatorEntry,
     OptionsKind,
     Tensor,
-    _raise_for_violations,
-    _violations,
+    check_graph,
     materialize_constants,
-    validate,
+    validate,  # unused: perfbench's tracer patches obfuscator.validate
 )
 
 
@@ -76,28 +75,29 @@ class ShapeStrategy(Enum):
 
 @dataclass(frozen=True)
 class ObfuscationConfig:
+    """Construction checks the config: a bad one raises InvariantViolation."""
     seed: int
     n_shortcuts: int = 0
     n_extra_layers: int = 0
     shape_strategy: ShapeStrategy = ShapeStrategy.ALIGN_TO_LARGEST
     strategies: frozenset[Strategy] = ALL_STRATEGIES
 
-
-def validate_config(cfg: ObfuscationConfig) -> None:
-    if type(cfg.seed) is not int:  # type(): bool is an int subclass
-        raise InvariantViolation(f"seed must be an int, got {cfg.seed!r:.40}")
-    if any(type(n) is not int or n < 0 for n in (cfg.n_shortcuts, cfg.n_extra_layers)):
-        raise InvariantViolation("shortcut/extra-layer counts must be ints >= 0")
-    s = cfg.strategies
-    if Strategy.ENCAPSULATE in s and Strategy.RENAME not in s:
-        raise InvariantViolation(
-            "parameter encapsulation requires renaming: bundle records are "
-            "keyed by custom operator names")
-    if (Strategy.SHORTCUT in s or Strategy.EXTRA_LAYER in s) \
-            and not {Strategy.RENAME, Strategy.ENCAPSULATE} <= s:
-        raise InvariantViolation(
-            "shortcut/extra-layer injection requires rename+encapsulate so "
-            "true wiring is hidden in the bundle")
+    def __post_init__(self):
+        if type(self.seed) is not int:  # type(): bool is an int subclass
+            raise InvariantViolation(f"seed must be an int, got {self.seed!r:.40}")
+        if any(type(n) is not int or n < 0
+               for n in (self.n_shortcuts, self.n_extra_layers)):
+            raise InvariantViolation("shortcut/extra-layer counts must be ints >= 0")
+        s = self.strategies
+        if Strategy.ENCAPSULATE in s and Strategy.RENAME not in s:
+            raise InvariantViolation(
+                "parameter encapsulation requires renaming: bundle records are "
+                "keyed by custom operator names")
+        if (Strategy.SHORTCUT in s or Strategy.EXTRA_LAYER in s) \
+                and not {Strategy.RENAME, Strategy.ENCAPSULATE} <= s:
+            raise InvariantViolation(
+                "shortcut/extra-layer injection requires rename+encapsulate so "
+                "true wiring is hidden in the bundle")
 
 
 # a 32-bit word's top byte -> the letter of its top 5 bits, unless >= 26
@@ -350,8 +350,7 @@ def inject_extra_layers(graph: ModelGraph, n2: int, rng: random.Random,
 def obfuscate(graph: ModelGraph, config: ObfuscationConfig) \
         -> tuple[ModelGraph, KernelBundle, ObfuscationPlan]:
     """Apply the enabled passes in canonical order; fully deterministic."""
-    validate_config(config)
-    _raise_for_violations(_violations(graph, validate))
+    check_graph(graph)
 
     master = random.Random(config.seed)
     stage_seed = {s: master.getrandbits(64) for s in Strategy}
@@ -377,10 +376,7 @@ def obfuscate(graph: ModelGraph, config: ObfuscationConfig) \
                                 random.Random(stage_seed[Strategy.EXTRA_LAYER]),
                                 plan, names)
 
-    bad = _violations(g, validate)
-    if bad:
-        raise InvariantViolation("obfuscation produced an invalid graph: "
-                                 + "; ".join(bad))
+    check_graph(g, InvariantViolation, "obfuscation produced an invalid graph")
     return g, KernelBundle(plan.records), plan
 
 
@@ -394,8 +390,7 @@ def reconstruct(graph: ModelGraph, plan: ObfuscationPlan) -> ModelGraph:
     Declared activation shapes come from ``plan.shapes``; no model runs.
     An invalid graph, or a plan that does not fit it, raises ``PlanMismatch``.
     """
-    if bad := _violations(graph, validate):
-        raise PlanMismatch("the graph to reconstruct is invalid: " + "; ".join(bad))
+    check_graph(graph, PlanMismatch, "the graph to reconstruct is invalid")
     renamed = Strategy.RENAME in plan.config.strategies
     for i, op in enumerate(graph.operators):
         if graph.opcodes[op.opcode_index].is_custom != renamed:
@@ -407,10 +402,7 @@ def reconstruct(graph: ModelGraph, plan: ObfuscationPlan) -> ModelGraph:
     else:
         rebuilt = replace(graph, tensors=_restore_shapes(graph.tensors,
                                                          plan.shapes))
-    bad = _violations(rebuilt, validate)
-    if bad:
-        raise PlanMismatch("reconstruction produced an invalid graph: "
-                           + "; ".join(bad))
+    check_graph(rebuilt, PlanMismatch, "reconstruction produced an invalid graph")
     return rebuilt
 
 
@@ -484,9 +476,9 @@ def plan_to_json(plan: ObfuscationPlan) -> str:
             "strategies": [s.value for s in Strategy
                            if s in plan.config.strategies],
         },
-        "shapes": [list(s) for s in plan.shapes],
-        "injected_shortcuts": [list(p) for p in plan.injected_shortcuts],
-        "injected_layers": [[i, list(s)] for i, s in plan.injected_layers],
+        "shapes": plan.shapes,
+        "injected_shortcuts": plan.injected_shortcuts,
+        "injected_layers": plan.injected_layers,
     }
     bundle = base64.b64encode(emit_bundle(plan)).decode("ascii")
     return "".join((json.dumps(doc)[:-1], ', "bundle": "', bundle, '"}'))
@@ -513,7 +505,6 @@ def _plan_from_doc(doc) -> ObfuscationPlan:
         n_extra_layers=cfg["n_extra_layers"],
         shape_strategy=ShapeStrategy(cfg["shape_strategy"]),
         strategies=frozenset(Strategy(s) for s in cfg["strategies"]))
-    validate_config(config)
     # pop, so the base64 text is freed before load_bundle copies the weights;
     # validate=True: the default silently drops non-alphabet bytes
     blob = base64.b64decode(doc.pop("bundle"), validate=True)

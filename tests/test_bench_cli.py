@@ -13,7 +13,7 @@ from nnobf.bench import (
     records_to_csv,
 )
 from nnobf.cli import build_parser, cli_dispatch
-from nnobf.errors import BadMagic, InvariantViolation
+from nnobf.errors import BadMagic, InvariantViolation, TruncatedSection
 from nnobf.fixtures import build_fixture
 from nnobf.interpreter import run
 from nnobf.model_format import parse_model, serialize_model
@@ -144,6 +144,31 @@ def test_tensor_file_unknown_dtype(tmp_path):
     data[4] = 9  # the dtype byte
     p.write_bytes(bytes(data))
     with pytest.raises(InvariantViolation):
+        read_tensor(p)
+
+
+@pytest.mark.parametrize("array, message", [
+    (np.zeros(2), "unsupported tensor dtype float64"),
+    (np.zeros((1,) * 5, dtype=F), "tensor rank 5 exceeds 4"),
+], ids=["float64", "rank 5"])
+def test_tensor_file_write_rejects(tmp_path, array, message):
+    with pytest.raises(InvariantViolation, match=f"^{message}$"):
+        write_tensor(tmp_path / "t.nnt1", array)
+    assert not (tmp_path / "t.nnt1").exists()
+
+
+@pytest.mark.parametrize("damage, error, message", [
+    (lambda data: data[:23], TruncatedSection, "tensor header needs 24 bytes"),
+    (lambda data: data[:5] + b"\x05" + data[6:], InvariantViolation,
+     "tensor rank 5 exceeds 4"),
+    (lambda data: data[:-1], TruncatedSection,
+     "tensor payload is 15 bytes, header implies 16"),
+], ids=["short header", "rank 5", "short payload"])
+def test_tensor_file_read_rejects(tmp_path, damage, error, message):
+    p = tmp_path / "t.nnt1"
+    write_tensor(p, np.arange(4, dtype=F))
+    p.write_bytes(damage(p.read_bytes()))
+    with pytest.raises(error, match=f"^{message}$"):
         read_tensor(p)
 
 

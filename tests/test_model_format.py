@@ -1,5 +1,6 @@
 import gc
 import json
+import re
 import struct
 import weakref
 from collections import Counter
@@ -21,6 +22,7 @@ from nnobf import interpreter, model_format, obfuscator
 from nnobf.bundle import KernelBundle
 from nnobf.fixtures import FIXTURE_NAMES, FIXTURE_STATS, build_fixture
 from nnobf.model_format import (
+    CUSTOM_SENTINEL,
     Activation,
     BuiltinOp,
     ConvOptions,
@@ -240,6 +242,48 @@ def test_operator_with_two_outputs_is_rejected(monkeypatch):
     monkeypatch.undo()
     with pytest.raises(InvariantViolation, match="exactly one output"):
         parse_model(blob)
+
+
+def _io_graph(**changes):
+    """``one_tensor_graph`` with a second tensor ``y``, fields replaced."""
+    g = one_tensor_graph()
+    g = replace(g, tensors=g.tensors + (Tensor("y", DType.F32, (4,)),))
+    return replace(g, **changes)
+
+
+@pytest.mark.parametrize("graph, message", [
+    (lambda: ModelGraph((), (), (), (), (), ()),
+     "buffers: table must contain reserved empty entry 0"),
+    (lambda: _io_graph(buffers=(b"\x00",)),
+     "buffers[0]: reserved entry must be empty"),
+    (lambda: replace(one_tensor_graph(),
+                     tensors=(Tensor("io", DType.F32, (4, 0)),)),
+     "tensors[0].shape: dims must be >= 1, got (4, 0)"),
+    (lambda: _io_graph(opcodes=(OperatorCode(CUSTOM_SENTINEL, "Abcdef"),),
+                       operators=(OperatorEntry(0, (0,), (1,)),)),
+     "operators[0]: custom opcode requires CUSTOM options"),
+    (lambda: _io_graph(graph_outputs=(1,)),
+     "graph_outputs[0]: tensor 1 is never produced"),
+], ids=["no buffer table", "buffer 0 not empty", "zero dim",
+        "custom with builtin options", "output never produced"])
+def test_each_lone_violation_is_its_whole_message(graph, message):
+    assert validate(graph()) == [message]
+    with pytest.raises(InvariantViolation, match=f"^{re.escape(message)}$"):
+        serialize_model(graph())
+
+
+@pytest.mark.parametrize("name", ["cycle", "out of range"])
+def test_a_custom_name_never_picks_the_error_class(name):
+    # mlp with opcode 0 renamed, written past the check: the name is quoted
+    # in a violation message, and the class follows whole messages only
+    g = build_fixture("mlp", 0)
+    fields = [getattr(g, f) for f in ModelGraph.__dataclass_fields__]
+    fields[0] = (OperatorCode(CUSTOM_SENTINEL, name),) + g.opcodes[1:]
+    blob = model_format._encode(model_format.MAGIC, model_format.VERSION,
+                                model_format._MODEL, fields)
+    with pytest.raises(InvariantViolation, match=f"custom_name: '{name}'") as e:
+        parse_model(blob)
+    assert type(e.value) is InvariantViolation
 
 
 def test_validate_detects_cycle():

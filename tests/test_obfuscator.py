@@ -99,6 +99,13 @@ def test_config_requires_prereqs_for_injections():
                       {Strategy.RENAME, Strategy.SHORTCUT})))
 
 
+def test_config_is_checked_when_constructed():
+    with pytest.raises(InvariantViolation, match="^seed must be an int, got True$"):
+        ObfuscationConfig(seed=True)
+    with pytest.raises(InvariantViolation, match="counts must be ints >= 0"):
+        replace(ObfuscationConfig(seed=0), n_extra_layers=-1)
+
+
 def test_config_rejects_negative_counts():
     with pytest.raises(InvariantViolation):
         obfuscate(relu_chain(3), ObfuscationConfig(seed=0, n_shortcuts=-1))
@@ -142,6 +149,13 @@ def test_rename_gives_every_operator_a_fresh_custom_opcode(lenet):
     assert len(conv_names) == 2 and conv_names[0] != conv_names[1]
     # plan remembers the real identity
     assert plan.records[conv_names[0]].real_builtin_code == int(BuiltinOp.CONV_2D)
+
+
+def test_rename_rejects_an_already_custom_graph(lenet):
+    public, _, _ = obfuscate(lenet, ObfuscationConfig(seed=1))
+    with pytest.raises(InvariantViolation,
+                       match=r"^operators\[0\] already carries a custom opcode"):
+        rename(public, fresh_plan(), NameGenerator(1))
 
 
 def test_rename_replaces_every_tensor_name(lenet):
@@ -768,6 +782,19 @@ def test_reconstruct_rejects_a_wrong_shape_count(lenet, change):
     plan.shapes = plan.shapes[:-1] if change < 0 else [*plan.shapes, (1, 2)]
     with pytest.raises(PlanMismatch, match="tensor shapes"):
         reconstruct(public, plan)
+
+
+@pytest.mark.parametrize("renamed", [True, False])
+def test_reconstruct_rejects_a_plan_that_disagrees_on_renaming(lenet, renamed):
+    # a fully obfuscated graph with a shape-only plan, or the original with
+    # a full plan
+    public, _, full = obfuscate(lenet, ObfuscationConfig(seed=1))
+    _, _, shape_only = obfuscate(lenet, ObfuscationConfig(
+        seed=1, strategies=frozenset({Strategy.SHAPE})))
+    graph, plan = (public, shape_only) if renamed else (lenet, full)
+    with pytest.raises(PlanMismatch, match=rf"^operators\[0\] is "
+                       rf"{'' if renamed else 'not '}custom but the plan"):
+        reconstruct(graph, plan)
 
 
 def test_reconstruct_rejects_foreign_plan(lenet):

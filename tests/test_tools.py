@@ -1,6 +1,10 @@
 """The repository's measurement tools, on synthetic input."""
 
 import importlib.util
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -51,3 +55,24 @@ def test_compile_cost_prints_medians(capsys):
     assert [row[0] for row in rows] == ["mlp", "all"]
     assert all(float(row[1]) > 0 and row[2] == "us" for row in rows)
     assert rows[1][3:] == ["(8", "compiles)"]
+
+
+def test_line_coverage_lists_lines_never_run():
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "line_coverage.py"),
+         str(ROOT / "tests" / "test_bundle.py"), "-q", "-p", "no:cacheprovider"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stdout + done.stderr
+    rows = done.stdout.splitlines()
+    missed, total = map(int, re.fullmatch(
+        r"total (\d+) of (\d+) executable lines never ran", rows[-1]).groups())
+    assert 0 < missed < total
+    listed = {row.split()[0]: int(row.split()[1]) for row in rows
+              if row.startswith("src/nnobf/")}
+    # the bundle tests never touch the CLI, and run most of the bundle codec
+    cli = ROOT / "src" / "nnobf" / "cli.py"
+    assert listed["src/nnobf/cli.py"] == len(
+        load_tool("line_coverage").executable_lines(cli))
+    assert listed.get("src/nnobf/bundle.py", 0) < 10
+    assert sum(listed.values()) == missed
