@@ -10,14 +10,14 @@ zero-filled outputs.
 from nnobf import FIXTURE_NAMES, ObfuscationConfig, build_fixture, obfuscate
 from nnobf.bench import latency_overhead, peak_bytes_single
 from nnobf.model_format import serialize_model
-from nnobf.obfuscator import emit_bundle
+from nnobf.bundle import serialize_bundle
 
 print(f"{'model':14s} {'lat(20,20)':>11s} {'lat(30,0)':>10s} "
       f"{'peak n2=0':>10s} {'n2=10':>8s} {'n2=20':>8s} {'n2=30':>8s} "
       f"{'model.nnm1':>11s} {'bundle':>8s}")
 for name in FIXTURE_NAMES:
     graph = build_fixture(name, seed=7)
-    g2020, b2020, p2020 = obfuscate(graph, ObfuscationConfig(
+    g2020, b2020, _ = obfuscate(graph, ObfuscationConfig(
         seed=5, n_shortcuts=20, n_extra_layers=20))
     g3000, b3000, _ = obfuscate(graph, ObfuscationConfig(
         seed=5, n_shortcuts=30, n_extra_layers=0))
@@ -31,6 +31,6 @@ for name in FIXTURE_NAMES:
     print(f"{name:14s} {lat_2020:+10.2%} {lat_3000:+9.2%} "
           + " ".join(f"{p:>8d}" for p in [peaks[0]] + peaks[1:])
           + f" {len(serialize_model(g2020)):>10d} "
-          + f"{len(emit_bundle(p2020)):>7d}")
+          + f"{len(serialize_bundle(b2020)):>7d}")
 print("\npeak bytes grow monotonically with the number of extra layers;")
 print("latency stays within a few percent because decoys only zero-fill.")

@@ -46,7 +46,6 @@ from .obfuscator import (
     ObfuscationPlan,
     ShapeStrategy,
     Strategy,
-    emit_bundle,
     obfuscate,
     plan_from_json,
     plan_to_json,

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bundle import KernelBundle, load_bundle
+from .bundle import KernelBundle, load_bundle, serialize_bundle
 from .interpreter import run
 from .model_format import ModelGraph, parse_model, serialize_model
 from .obfuscator import (
@@ -29,7 +29,6 @@ from .obfuscator import (
     ObfuscationConfig,
     ShapeStrategy,
     Strategy,
-    emit_bundle,
     obfuscate,
 )
 
@@ -192,6 +191,6 @@ def bench(model_path: str | Path, bundle_path: str | Path | None,
             measure_latency(public, bundle, n=n, seed=seed, reps=reps),
             peak_bytes_single(public, bundle, seed=seed),
             len(serialize_model(public)),
-            len(emit_bundle(plan)),
+            len(serialize_bundle(bundle)),
             len(plan.injected_shortcuts), len(plan.injected_layers)))
     return records

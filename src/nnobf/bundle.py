@@ -71,9 +71,6 @@ class BundleRecord:
     def is_decoy(self) -> bool:
         return self.real_builtin_code == DECOY_SENTINEL
 
-    def decoy_shape(self) -> tuple[int, ...]:
-        return decode_decoy_shape(self.real_options)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, BundleRecord):
             return NotImplemented

@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from .bench import bench as run_bench, compare_outputs, records_to_csv
-from .bundle import load_bundle
+from .bundle import load_bundle, serialize_bundle
 from .errors import NnobfError
 from .extractor import attack_matrix, build_default_zoo
 from .fixtures import FIXTURE_NAMES, build_fixture
@@ -23,19 +23,11 @@ from .obfuscator import (
     ObfuscationConfig,
     ShapeStrategy,
     Strategy,
-    emit_bundle,
     obfuscate,
     plan_to_json,
 )
 from .similarity import PKConfig, similarity_matrix, to_labeled_graph
 from .tensor_io import read_tensor, write_tensor
-
-def _parse_strategies(text: str) -> frozenset[Strategy]:
-    if text == "all":
-        return ALL_STRATEGIES
-    if text in ("none", ""):
-        return frozenset()
-    return frozenset(Strategy(part) for part in text.split(","))
 
 
 def _load_model(path: str):
@@ -47,12 +39,12 @@ def _cmd_obfuscate(args) -> int:
     config = ObfuscationConfig(seed=args.seed, n_shortcuts=args.n1,
                                n_extra_layers=args.n2,
                                shape_strategy=ShapeStrategy(args.shape),
-                               strategies=_parse_strategies(args.strategies))
-    public, _bundle, plan = obfuscate(graph, config)
+                               strategies=args.strategies)
+    public, bundle, plan = obfuscate(graph, config)
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
     (out / "model.nnm1").write_bytes(serialize_model(public))
-    (out / "bundle.obfb").write_bytes(emit_bundle(plan))
+    (out / "bundle.obfb").write_bytes(serialize_bundle(bundle))
     (out / "plan.json").write_text(plan_to_json(plan))
     print(f"wrote {out / 'model.nnm1'}")
     print(f"wrote {out / 'bundle.obfb'}")
@@ -158,7 +150,9 @@ _COUNT = _typed("[0-9]*[1-9][0-9]*", "a positive count", int)
 _COUNT0 = _typed("[0-9]+", "a count of 0 or more", int)
 _STRATEGY = "|".join(s.value for s in Strategy)
 _STRATEGIES = _typed(f"all|none|(({_STRATEGY})(,({_STRATEGY}))*)?",
-                     f"'all', 'none' or a comma list of {_STRATEGY.replace('|', ',')}")
+                     f"'all', 'none' or a comma list of {_STRATEGY.replace('|', ',')}",
+                     lambda t: ALL_STRATEGIES if t == "all" else frozenset(
+                         Strategy(p) for p in t.split(",") if p not in ("", "none")))
 _SHAPE = dict(choices=sorted(s.value for s in ShapeStrategy), default="align")
 
 # subcommand -> (help, handler, {flags: add_argument keywords} in help order)

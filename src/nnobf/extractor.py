@@ -40,7 +40,7 @@ from .obfuscator import (
     Strategy,
     obfuscate,
 )
-from .similarity import PKConfig, propagation_kernel, to_labeled_graph
+from .similarity import PKConfig, similarity_matrix, to_labeled_graph
 
 
 class ConversionStatus(Enum):
@@ -145,21 +145,17 @@ def _param_similarity(a: WeightStats, b: WeightStats) -> float:
             + _ratio(a.l1, b.l1)) / 3.0
 
 
-def surrogate_score(query: ModelGraph, candidate: ModelGraph,
-                    cfg: PKConfig) -> float:
-    """Structure and parameter features weighted equally."""
-    struct = propagation_kernel(to_labeled_graph(query),
-                                to_labeled_graph(candidate), cfg)
-    return 0.5 * (struct + _param_similarity(weight_stats(query),
-                                             weight_stats(candidate)))
-
-
 def find_surrogate(query: ModelGraph, zoo: list[ModelGraph],
                    cfg: PKConfig = PKConfig()) -> list[tuple[int, float]]:
-    """Rank zoo members by similarity to the query, best first."""
+    """Rank zoo members by similarity to the query, best first: structure
+    (the propagation kernel) and parameter features weighted equally."""
     if not zoo:
         raise EmptyZoo("surrogate search needs a non-empty zoo")
-    scored = [(i, surrogate_score(query, z, cfg)) for i, z in enumerate(zoo)]
+    graphs = (query, *zoo)
+    struct = similarity_matrix([to_labeled_graph(g) for g in graphs], cfg)[0]
+    q, *stats = map(weight_stats, graphs)
+    scored = [(i, 0.5 * (struct[i + 1] + _param_similarity(q, s)))
+              for i, s in enumerate(stats)]
     return sorted(scored, key=lambda p: (-p[1], p[0]))
 
 
@@ -213,12 +209,7 @@ class AttackRow:
 
 
 def _buffer_parse_succeeds(data: bytes) -> bool:
-    try:
-        report = parse_in_buffer(data)
-    except BadMagic:
-        return False
-    if report.conversion is not ConversionStatus.SUCCESS:
-        return False
+    report = parse_in_buffer(data)
     known = set(BUILTIN_NAMES.values())
     return all(t in known for t in report.op_types_recovered)
 

@@ -16,16 +16,17 @@ declared size.
 
 The first run of a ``(graph, bundle)`` pair compiles it: :func:`resolve`,
 the one walk over the operators (``reconstruct`` uses it too), then each
-step's decoded options and drop list, the constants as read-only views of
-the graph's buffers, and the static byte count.  A missing bundle, an
-unknown custom name, a bad true input position or decoy record, or a true
-input or graph output that is a decoy's output raises there, before any
-kernel runs, and nothing is kept.  The program lives as long as both objects
-(graphs and bundles are immutable) and holds neither; later runs only check
-their inputs and execute the steps.  Nothing in a program depends on the
-batch size.  Liveness is decided at compile time: a step drops each
-activation it reads last, and its own output if nothing reads it; graph
-outputs and constants are kept.
+step's decoded options and drop list, ``check_graph`` of the graph, the
+constants as read-only views of the graph's buffers, and the static byte
+count.  A missing bundle, an unknown custom name, a bad true input position
+or decoy record, a true input or graph output that is a decoy's output, and
+a graph that fails ``validate`` raise there, before any kernel runs, and
+nothing is kept.  The program lives as long as both objects (graphs and
+bundles are immutable) and holds neither; later runs only check their inputs
+and execute the steps.  Nothing in a program depends on the batch size.
+Liveness is decided at compile time: a step drops each activation it reads
+last, and its own output if nothing reads it; graph outputs and constants
+are kept.
 ``trace.peak_live_bytes`` is the all-live proxy (``bench.peak_bytes_single``
 reads it at batch 1): the sum of every graph input, constant (model- or
 bundle-resident) and operator output, decoys included.
@@ -57,6 +58,7 @@ from .model_format import (
     DECOY_SENTINEL,
     BuiltinOp,
     ModelGraph,
+    check_graph,
     decode_options,
     materialize_constants,
 )
@@ -103,6 +105,9 @@ def resolve(graph: ModelGraph, records: dict[str, BundleRecord] | None) \
     for s, op in enumerate(graph.operators):
         if len(op.outputs) != 1:
             raise InvariantViolation(f"operator {s}: {len(op.outputs)} outputs, not one")
+        if not 0 <= op.opcode_index < len(graph.opcodes):
+            raise IndexOutOfRange(f"operator {s}: opcode index {op.opcode_index} "
+                                  f"out of range")
         opcode = graph.opcodes[op.opcode_index]
         if opcode.builtin_code != CUSTOM_SENTINEL:
             code, raw, ins, weights = opcode.builtin_code, op.options, op.inputs, ()
@@ -167,6 +172,7 @@ def _program(graph: ModelGraph, bundle: KernelBundle | None) -> tuple:
         for t in ins:
             reader[t] = drops
         steps.append((s, o, kind, ins, weights, decode_options(kind, raw), drops))
+    check_graph(graph)  # last, so resolve's and decoding's own errors come first
     consts = materialize_constants(graph)  # views of the buffers, not the graph
     for t in (*consts, *graph.graph_outputs):
         reader.pop(t, None)
@@ -194,8 +200,8 @@ def run(graph: ModelGraph, bundle: KernelBundle | None,
     ``trace.op_seconds``, at two clock reads per call (0.0 for a decoy, which
     runs nothing); shapes and both memory figures are always recorded.
     """
-    _check_inputs(graph, inputs)
     steps, shapes, consts, live, decoy_bytes = _program(graph, bundle)
+    _check_inputs(graph, inputs)
     shapes = shapes[:]
     values = {t: np.ascontiguousarray(a) for t, a in zip(graph.graph_inputs, inputs)}
     live += sum(a.nbytes for a in values.values())

@@ -545,13 +545,6 @@ def parse_model(data: bytes) -> ModelGraph:
 # human-readable dump
 # ---------------------------------------------------------------------------
 
-def op_type_name(graph: ModelGraph, op: OperatorEntry) -> str:
-    oc = graph.op_kind(op)
-    if oc.is_custom:
-        return oc.custom_name
-    return BUILTIN_NAMES[BuiltinOp(oc.builtin_code)] + "Options"
-
-
 def options_to_dict(kind: BuiltinOp, raw: bytes) -> dict:
     """Decoded options as a plain dict in field order; enums by name."""
     opts = decode_options(kind, raw)
@@ -577,12 +570,13 @@ def dump_json(graph: ModelGraph) -> str:
 
     operators = []
     for op in graph.operators:
+        oc = graph.op_kind(op)
+        kind = None if oc.is_custom else BuiltinOp(oc.builtin_code)
         entry = {"inputs": list(op.inputs), "outputs": list(op.outputs),
-                 "op_type": op_type_name(graph, op)}
+                 "op_type": oc.custom_name if kind is None
+                 else BUILTIN_NAMES[kind] + "Options"}
         if op.options_kind is OptionsKind.BUILTIN:
-            oc = graph.op_kind(op)
-            entry["builtin_options"] = options_to_dict(
-                BuiltinOp(oc.builtin_code), op.options)
+            entry["builtin_options"] = options_to_dict(kind, op.options)
         else:
             entry["custom_options"] = list(op.options)
         operators.append(entry)

@@ -144,10 +144,6 @@ class ObfuscationPlan:
     shapes: list[tuple[int, ...]] = field(default_factory=list)
 
 
-def emit_bundle(plan: ObfuscationPlan) -> bytes:
-    return serialize_bundle(KernelBundle(plan.records))
-
-
 # ---------------------------------------------------------------------------
 # individual passes
 # ---------------------------------------------------------------------------
@@ -236,8 +232,6 @@ def obfuscate_shapes(graph: ModelGraph, strategy: ShapeStrategy,
     Graph-input shapes stay real (callers must build inputs), and constant
     shapes stay real (their buffers must remain interpretable).
     """
-    if not graph.tensors:
-        return graph
     # the pool covers activation shapes, not weights
     largest = max((t.shape for t in graph.tensors if t.buffer_index == 0),
                   key=math.prod, default=())
@@ -480,8 +474,9 @@ def plan_to_json(plan: ObfuscationPlan) -> str:
         "injected_shortcuts": plan.injected_shortcuts,
         "injected_layers": plan.injected_layers,
     }
-    bundle = base64.b64encode(emit_bundle(plan)).decode("ascii")
-    return "".join((json.dumps(doc)[:-1], ', "bundle": "', bundle, '"}'))
+    bundle = serialize_bundle(KernelBundle(plan.records))
+    return "".join((json.dumps(doc)[:-1], ', "bundle": "',
+                    base64.b64encode(bundle).decode("ascii"), '"}'))
 
 
 def plan_from_json(text: str) -> ObfuscationPlan:

@@ -167,9 +167,7 @@ def _normalized(c1: Counter[bytes], c2: Counter[bytes]) -> float:
 def propagation_kernel(g1: LabeledGraph, g2: LabeledGraph,
                        cfg: PKConfig = PKConfig()) -> float:
     """Normalized similarity in [0, 1]; symmetric and deterministic in seed."""
-    labels = sorted(set(g1.labels) | set(g2.labels))
-    return _normalized(_bucket_counts(g1, labels, cfg),
-                       _bucket_counts(g2, labels, cfg))
+    return similarity_matrix([g1, g2], cfg)[0][1]
 
 
 def similarity_matrix(graphs: list[LabeledGraph],

@@ -19,6 +19,7 @@ from nnobf.bench import (
     latency_overhead,
     peak_bytes_single,
 )
+from nnobf.bundle import serialize_bundle
 from nnobf.errors import UnknownOperator
 from nnobf.extractor import (
     build_default_zoo,
@@ -39,7 +40,6 @@ from nnobf.model_format import (
 from nnobf.obfuscator import (
     ObfuscationConfig,
     ShapeStrategy,
-    emit_bundle,
     obfuscate,
     plan_to_json,
     reconstruct,
@@ -75,11 +75,11 @@ def test_criterion_1_zero_obfuscation_error(tmp_path):
         orig_path.write_bytes(serialize_model(g))
         for (n1, n2), shape, seed in itertools.product(
                 [(0, 0), (10, 10), (20, 20), (30, 30)], SHAPES, (101, 202)):
-            public, _, plan = _obf(g, seed, n1, n2, shape)
+            public, bundle, _ = _obf(g, seed, n1, n2, shape)
             model_path = tmp_path / "model.nnm1"
             bundle_path = tmp_path / "bundle.obfb"
             model_path.write_bytes(serialize_model(public))
-            bundle_path.write_bytes(emit_bundle(plan))
+            bundle_path.write_bytes(serialize_bundle(bundle))
             err = compare_outputs(orig_path, model_path, bundle_path,
                                   n=1000, seed=seed)
             assert err == 0.0, (name, n1, n2, shape, seed, err)
@@ -279,7 +279,7 @@ def test_criterion_7_round_trip_and_determinism():
         model_bytes = serialize_model(first[0])
         assert serialize_model(parse_model(model_bytes)) == model_bytes
         assert model_bytes == serialize_model(second[0])
-        assert emit_bundle(first[2]) == emit_bundle(second[2])
+        assert serialize_bundle(first[1]) == serialize_bundle(second[1])
         assert plan_to_json(first[2]) == plan_to_json(second[2])
         assert serialize_model(_obf(g, 78, 10, 10)[0]) != model_bytes
     _pass(7, "byte-exact round-trips; seeded obfuscation reproduces "

@@ -1,5 +1,6 @@
 import argparse
 import json
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -12,12 +13,13 @@ from nnobf.bench import (
     compare_outputs,
     records_to_csv,
 )
-from nnobf.cli import build_parser, cli_dispatch
+from nnobf.bundle import serialize_bundle
+from nnobf.cli import build_parser, cli_dispatch, main
 from nnobf.errors import BadMagic, InvariantViolation, TruncatedSection
 from nnobf.fixtures import build_fixture
 from nnobf.interpreter import run
 from nnobf.model_format import parse_model, serialize_model
-from nnobf.obfuscator import ObfuscationConfig, obfuscate
+from nnobf.obfuscator import ALL_STRATEGIES, ObfuscationConfig, Strategy, obfuscate
 from nnobf.tensor_io import read_tensor, write_tensor
 
 F = np.float32
@@ -60,9 +62,8 @@ def test_compare_outputs_via_files(tmp_path, lenet):
     public, bundle, plan = obfuscate(lenet, ObfuscationConfig(seed=2))
     obf_p = tmp_path / "obf.nnm1"
     obf_p.write_bytes(serialize_model(public))
-    from nnobf.obfuscator import emit_bundle
     bun_p = tmp_path / "b.obfb"
-    bun_p.write_bytes(emit_bundle(plan))
+    bun_p.write_bytes(serialize_bundle(bundle))
     assert compare_outputs(orig, obf_p, bun_p, n=32, seed=1) == 0.0
 
 
@@ -211,6 +212,27 @@ def test_cli_run_matches_library_run(tmp_path):
     assert np.array_equal(read_tensor(tmp_path / "y.nnt1"), want[0])
 
 
+def test_cli_run_prints_outputs_without_o(tmp_path, capsys):
+    g, model = write_model(tmp_path, "mlp")
+    x = np.random.default_rng(0).random((1, 128), dtype=F)
+    write_tensor(tmp_path / "x.nnt1", x)
+    assert cli_dispatch(["run", str(model), "--input", str(tmp_path / "x.nnt1")]) == 0
+    (want,), _ = run(g, None, [x])
+    assert capsys.readouterr().out == (f"output[0] shape={want.shape} "
+                                       f"values={want.ravel()[:8].tolist()}\n")
+
+
+def test_cli_run_o_needs_exactly_one_output(tmp_path, capsys):
+    g = build_fixture("mlp", 7)
+    g = replace(g, graph_outputs=(g.operators[0].outputs[0], *g.graph_outputs))
+    (tmp_path / "two.nnm1").write_bytes(serialize_model(g))
+    write_tensor(tmp_path / "x.nnt1", np.zeros((1, 128), F))
+    assert cli_dispatch(["run", str(tmp_path / "two.nnm1"), "--input",
+                         str(tmp_path / "x.nnt1"), "-o", str(tmp_path / "y.nnt1")]) == 1
+    assert capsys.readouterr().err == "error: model has 2 outputs; -o expects exactly 1\n"
+    assert not (tmp_path / "y.nnt1").exists()
+
+
 def test_cli_run_without_bundle_fails_operationally(tmp_path):
     _, model = write_model(tmp_path, "mlp")
     out = tmp_path / "obf"
@@ -249,6 +271,48 @@ def test_cli_bench_csv(tmp_path, capsys):
                          "-n", "10", "--reps", "1", "--original"]) == 0
     lines = capsys.readouterr().out.strip().split("\n")
     assert len(lines) == 3
+
+
+def test_cli_bench_writes_csv_file(tmp_path, capsys):
+    _, model = write_model(tmp_path, "mlp")
+    out = tmp_path / "bench.csv"
+    assert cli_dispatch(["bench", str(model), "--configs", "1,1", "-n", "10",
+                         "--reps", "1", "-o", str(out)]) == 0
+    assert capsys.readouterr().out == f"wrote {out}\n"
+    lines = out.read_text().strip().split("\n")
+    assert len(lines) == 2 and lines[1].startswith("mlp,1,1,align,")
+
+
+def test_cli_attack_with_a_zoo_directory(tmp_path, capsys):
+    zoo = tmp_path / "zoo"
+    zoo.mkdir()
+    assert cli_dispatch(["attack", str(write_model(tmp_path, "mlp")[1]),
+                         "--zoo", str(zoo)]) == 1
+    assert capsys.readouterr().err == f"error: no .nnm1 files in {zoo}\n"
+    for name in ("mlp", "lenet"):
+        write_model(zoo, name)
+    assert cli_dispatch(["attack", str(zoo / "mlp.nnm1"), "--zoo", str(zoo)]) == 0
+    # renaming and encapsulation keep the structure; injections hide it
+    assert capsys.readouterr().out == (
+        "strategies,convert,buffer_parse,surrogate,models\n"
+        "none,1,1,1,1\n"
+        "renaming,0,0,1,1\n"
+        "parameter_encapsulation,0,0,1,1\n"
+        "structure_obfuscation,1,1,1,1\n"
+        "shortcut_injection,0,0,0,1\n"
+        "extra_layer_injection,0,0,0,1\n"
+        "all_five,0,0,0,1\n")
+
+
+def test_cli_main_exits_with_the_dispatch_code(tmp_path, monkeypatch, capsys):
+    _, model = write_model(tmp_path, "mlp")
+    for argv, code in ((["dump", str(model)], 0), (["dump", str(tmp_path)], 1),
+                       (["dump"], 2)):
+        monkeypatch.setattr(sys, "argv", ["nnobf", *argv])
+        with pytest.raises(SystemExit) as exit_:
+            main()
+        assert exit_.value.code == code
+    capsys.readouterr()
 
 
 def test_cli_usage_errors(tmp_path, capsys):
@@ -290,11 +354,12 @@ _CLI_PARSES = {
     "obfuscate": ("_cmd_obfuscate",
                   ["m", "-o", "d"],
                   dict(model="m", output="d", seed=0, n1=0, n2=0,
-                       shape="align", strategies="all"),
+                       shape="align", strategies=ALL_STRATEGIES),
                   ["m", "--output", "d", "--seed", "-3", "--n1", "4", "--n2",
                    "5", "--shape", "random", "--strategies", "rename,shape"],
                   dict(model="m", output="d", seed=-3, n1=4, n2=5,
-                       shape="random", strategies="rename,shape")),
+                       shape="random",
+                       strategies=frozenset({Strategy.RENAME, Strategy.SHAPE}))),
     "run": ("_cmd_run",
             ["m", "--input", "a"],
             dict(model="m", bundle=None, input=["a"], output=None),

@@ -213,6 +213,12 @@ def test_every_dtype_round_trips_through_bundle_and_plan():
             assert np.array_equal(got, want)
 
 
+def test_a_record_never_equals_another_type():
+    rec = BundleRecord(int(BuiltinOp.RELU), b"", (0,), ())
+    assert (rec == 5) is False
+    assert rec == BundleRecord(int(BuiltinOp.RELU), b"", (0,), ())
+
+
 def test_bundle_and_records_are_frozen(lenet_bundle):
     source = dict(load_bundle(lenet_bundle).records)
     bundle = KernelBundle(source)

@@ -19,6 +19,12 @@ from nnobf.extractor import (
 )
 from nnobf.fixtures import FIXTURE_NAMES, FIXTURE_STATS, build_fixture
 from nnobf.model_format import (
+    BuiltinOp,
+    DType,
+    ModelGraph,
+    OperatorCode,
+    OperatorEntry,
+    Tensor,
     serialize_model,
     tensor_byte_size,
 )
@@ -177,6 +183,26 @@ def test_find_surrogate_matches_brute_force_recomputation():
 def test_empty_zoo_rejected(lenet):
     with pytest.raises(EmptyZoo):
         find_surrogate(lenet, [])
+
+
+def test_rank_of_an_index_not_ranked_raises(lenet):
+    ranked = find_surrogate(lenet, [lenet])
+    with pytest.raises(EmptyZoo, match="^zoo index 1 not present in ranking$"):
+        surrogate_rank(ranked, 1)
+
+
+def relu_chain(n_ops):
+    tensors = tuple(Tensor(f"t{i}", DType.F32, (1, 4)) for i in range(n_ops + 1))
+    operators = tuple(OperatorEntry(0, (i,), (i + 1,)) for i in range(n_ops))
+    return ModelGraph((OperatorCode(int(BuiltinOp.RELU)),), (b"",), tensors,
+                      operators, (0,), (n_ops,))
+
+
+def test_weightless_models_have_parameter_similarity_one():
+    query, zoo = relu_chain(2), [relu_chain(3), relu_chain(2)]
+    struct = propagation_kernel(to_labeled_graph(query), to_labeled_graph(zoo[0]))
+    assert struct < 1.0
+    assert find_surrogate(query, zoo) == [(1, 1.0), (0, 0.5 * (struct + 1.0))]
 
 
 # -- invariants over the attack matrix ------------------------------------------------------

@@ -392,6 +392,30 @@ def test_operator_without_one_output_raises_before_any_kernel(outputs, monkeypat
     assert calls == []
 
 
+@pytest.mark.parametrize("fault, message", [
+    ("opcode index", "operator 0: opcode index 9 out of range"),
+    ("input", r"operators\[0\].inputs\[0\]: tensor index 99 out of range"),
+    ("graph output", r"graph_outputs\[0\]: tensor index 99 out of range"),
+    ("graph input", r"graph_inputs\[0\]: tensor index 99 out of range")])
+def test_an_unvalidated_graph_raises_typed_errors_before_any_kernel(fault, message,
+                                                                    monkeypatch):
+    # an in-memory graph that never passed validate: compiling checks it
+    g = build_fixture("mlp", 0)
+    x, op, rest = rand_input(g), g.operators[0], g.operators[1:]
+    g = dataclasses.replace(g, **{
+        "opcode index": dict(operators=(op._replace(opcode_index=9), *rest)),
+        "input": dict(operators=(op._replace(inputs=(99, *op.inputs[1:])), *rest)),
+        "graph output": dict(graph_outputs=(99,)),
+        "graph input": dict(graph_inputs=(99,))}[fault])
+    calls = []
+    monkeypatch.setattr(interpreter, "execute_builtin",
+                        lambda *a: calls.append(a[0]) or execute_builtin(*a))
+    with pytest.raises(IndexOutOfRange, match=message):
+        run(g, None, [x])
+    assert (id(g), id(None)) not in interpreter._programs
+    assert calls == []
+
+
 def test_liveness_peak_relu():
     _, trace = run(relu_graph(), None, [np.ones(4, F)])
     assert trace.peak_live_bytes == trace.peak_live_bytes_liveness == 32

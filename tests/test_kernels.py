@@ -810,6 +810,11 @@ def test_execute_builtin_rejects_input_counts_outside_arity(kind):
             execute_builtin(kind, [np.ones((1, 2, 2, 1), F)] * n, None)
 
 
+def test_execute_builtin_rejects_an_unknown_kind():
+    with pytest.raises(ShapeMismatch, match="^unknown builtin kernel 99$"):
+        execute_builtin(99, [np.ones((1, 4), F)], None)
+
+
 # kernel name -> (call with a bias, its weights, the expected bias length)
 _BIASED = {
     "Conv2D": (conv2d, np.ones((3, 3, 2, 4), F),

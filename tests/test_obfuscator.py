@@ -1,4 +1,5 @@
 import base64
+import hashlib
 import json
 import random
 import re
@@ -11,6 +12,8 @@ import pytest
 
 from nnobf.bundle import (
     BundleRecord,
+    KernelBundle,
+    decode_decoy_shape,
     encode_decoy_shape,
     load_bundle,
     serialize_bundle,
@@ -37,6 +40,7 @@ from nnobf.model_format import (
     OptionsKind,
     Tensor,
     dump_json,
+    parse_model,
     serialize_model,
     validate,
 )
@@ -48,7 +52,6 @@ from nnobf.obfuscator import (
     ShapeStrategy,
     SharedConstantWarning,
     Strategy,
-    emit_bundle,
     encapsulate_parameters,
     inject_extra_layers,
     inject_shortcuts,
@@ -346,6 +349,17 @@ def test_chain_with_three_shortcuts_runs_bit_exact():
     assert np.array_equal(want[0], got[0])
 
 
+def test_a_one_operator_graph_takes_no_injection():
+    g, plan = relu_chain(1), fresh_plan()
+    with pytest.warns(UserWarning, match="^graph has fewer than 2 operators; "
+                                         "no shortcuts injected$"):
+        assert inject_shortcuts(g, 2, random.Random(0), plan) is g
+    with pytest.warns(UserWarning, match="^graph has fewer than 2 operators; "
+                                         "no extra layers injected$"):
+        assert inject_extra_layers(g, 2, random.Random(0), plan, NameGenerator(0)) is g
+    assert plan == fresh_plan()
+
+
 def test_shortcut_saturation_warns():
     import random
     g = relu_chain(2)  # only one admissible pair, already wired
@@ -417,7 +431,7 @@ def test_extra_layers_shape_and_wiring(lenet):
         op = public.operators[pos]
         name = public.opcodes[op.opcode_index].custom_name
         assert name in decoys
-        assert plan.records[name].decoy_shape() == shape
+        assert decode_decoy_shape(plan.records[name].real_options) == shape
         assert len(shape) == 2 and all(1 <= d <= 8 for d in shape)
         # the decoy's output feeds some later operator's declared inputs
         decoy_out = op.outputs[0]
@@ -573,8 +587,7 @@ def test_structural_growth(all_fixtures):
 # -- bundle emission ------------------------------------------------------------------------
 
 def test_empty_plan_emits_header_only_bundle():
-    plan = fresh_plan()
-    blob = emit_bundle(plan)
+    blob = serialize_bundle(KernelBundle(fresh_plan().records))
     assert len(blob) == 12  # magic + version + zero records
     assert load_bundle(blob).records == {}
 
@@ -583,12 +596,37 @@ def test_bundle_record_count_matches_operator_count(lenet):
     public, bundle, plan = obfuscate(
         lenet, ObfuscationConfig(seed=1, n_shortcuts=3, n_extra_layers=3))
     assert len(bundle.records) == len(public.operators)
-    assert load_bundle(emit_bundle(plan)) == bundle
+    assert load_bundle(serialize_bundle(bundle)) == bundle
 
 
-def test_emit_bundle_deterministic(lenet):
-    _, _, plan = obfuscate(lenet, ObfuscationConfig(seed=1))
-    assert emit_bundle(plan) == emit_bundle(plan)
+# SHA-256 of the sweep below, the same since the artifact formats last moved;
+# a change that moves artifact bytes on purpose updates them and says so
+ARTIFACTS_SHA256 = "ad96c78e2b54f13b324ab480b2c060edcd22b74daa2415996a1471834dfae8e0"
+DUMPS_SHA256 = "72ce826937e1b98cb590b2c9be2cda1c1b08f7ae5cc5116856e72b7662dbfa1b"
+
+
+def test_artifact_bytes_match_the_recorded_digests():
+    # every fixture (weight seed 0), obfuscation seeds 0 and 1, n1 = n2 in
+    # (0, 20), each ShapeStrategy: the model, bundle and plan bytes of each
+    # obfuscation, and the dump of each fixture then of its public models
+    artifacts, dumps = hashlib.sha256(), hashlib.sha256()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # saturated shortcuts
+        for name in FIXTURE_NAMES:
+            graph = build_fixture(name, 0)
+            dumps.update(dump_json(parse_model(serialize_model(graph))).encode("utf-8"))
+            for seed in (0, 1):
+                for n in (0, 20):
+                    for strategy in ShapeStrategy:
+                        public, bundle, plan = obfuscate(
+                            graph, ObfuscationConfig(seed, n, n, strategy))
+                        model = serialize_model(public)
+                        artifacts.update(model)
+                        artifacts.update(serialize_bundle(bundle))
+                        artifacts.update(plan_to_json(plan).encode("utf-8"))
+                        dumps.update(dump_json(parse_model(model)).encode("utf-8"))
+    assert artifacts.hexdigest() == ARTIFACTS_SHA256
+    assert dumps.hexdigest() == DUMPS_SHA256
 
 
 # -- plan persistence -------------------------------------------------------------------------

@@ -58,6 +58,14 @@ def test_labeled_graph_invariants():
         LabeledGraph(2, (), (1,))
 
 
+@pytest.mark.parametrize("kw, message", [
+    (dict(t_max=0), "t_max must be >= 1"),
+    (dict(bin_width=0), "bin_width must be positive")])
+def test_pk_config_invariants(kw, message):
+    with pytest.raises(InvariantViolation, match=f"^{message}$"):
+        PKConfig(**kw)
+
+
 def test_self_similarity_is_one():
     for g in [chain(1), chain(4), chain(6)]:
         assert propagation_kernel(g, g) == pytest.approx(1.0, abs=1e-9)

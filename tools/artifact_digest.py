@@ -5,7 +5,7 @@
 For each fixture (in ``FIXTURE_NAMES`` order), weight seed 0 and 1,
 obfuscation seed 0-11, n1 = n2 in (0, 1, 3, 10, 20, 30, 60) and each
 ``ShapeStrategy`` (in declaration order), the sweep takes
-``serialize_model(public)``, ``emit_bundle(plan)`` and the UTF-8 bytes of
+``serialize_model(public)``, ``serialize_bundle(bundle)`` and the UTF-8 bytes of
 ``plan_to_json(plan)``, loops nested as listed.  It prints one digest per
 artifact kind, over that kind's bytes in sweep order, then the combined
 digest over all three, taken in that order per obfuscation.  A change
@@ -24,12 +24,12 @@ from __future__ import annotations
 import hashlib
 import warnings
 
+from nnobf.bundle import serialize_bundle
 from nnobf.fixtures import FIXTURE_NAMES, build_fixture
 from nnobf.model_format import dump_json, parse_model, serialize_model
 from nnobf.obfuscator import (
     ObfuscationConfig,
     ShapeStrategy,
-    emit_bundle,
     obfuscate,
     plan_to_json,
 )
@@ -55,10 +55,10 @@ def digests() -> dict[str, str]:
             for seed in range(12):
                 for n in COUNTS:
                     for strategy in ShapeStrategy:
-                        public, _, plan = obfuscate(
+                        public, bundle, plan = obfuscate(
                             graph, ObfuscationConfig(seed, n, n, strategy))
                         for kind, data in zip(KINDS, (
-                                serialize_model(public), emit_bundle(plan),
+                                serialize_model(public), serialize_bundle(bundle),
                                 plan_to_json(plan).encode("utf-8"))):
                             hashes[kind].update(data)
                             hashes["combined"].update(data)
