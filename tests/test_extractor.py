@@ -19,17 +19,12 @@ from nnobf.extractor import (
 )
 from nnobf.fixtures import FIXTURE_NAMES, FIXTURE_STATS, build_fixture
 from nnobf.model_format import (
-    BuiltinOp,
-    DType,
-    ModelGraph,
-    OperatorCode,
-    OperatorEntry,
-    Tensor,
     serialize_model,
     tensor_byte_size,
 )
 from nnobf.obfuscator import ObfuscationConfig, Strategy, obfuscate
 from nnobf.similarity import PKConfig, propagation_kernel, to_labeled_graph
+from test_obfuscator import relu_chain
 
 NAME_RE = re.compile(r"^[A-Z][a-z]{5}$")
 
@@ -189,13 +184,6 @@ def test_rank_of_an_index_not_ranked_raises(lenet):
     ranked = find_surrogate(lenet, [lenet])
     with pytest.raises(EmptyZoo, match="^zoo index 1 not present in ranking$"):
         surrogate_rank(ranked, 1)
-
-
-def relu_chain(n_ops):
-    tensors = tuple(Tensor(f"t{i}", DType.F32, (1, 4)) for i in range(n_ops + 1))
-    operators = tuple(OperatorEntry(0, (i,), (i + 1,)) for i in range(n_ops))
-    return ModelGraph((OperatorCode(int(BuiltinOp.RELU)),), (b"",), tensors,
-                      operators, (0,), (n_ops,))
 
 
 def test_weightless_models_have_parameter_similarity_one():
