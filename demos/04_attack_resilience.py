@@ -15,7 +15,7 @@ from nnobf.extractor import attack_matrix, build_default_zoo
 from nnobf.fixtures import FIXTURE_NAMES
 
 models = [(f"{name}#11", build_fixture(name, 11)) for name in FIXTURE_NAMES]
-zoo = build_default_zoo(weight_seeds=(11, 12, 13))
+zoo = build_default_zoo()
 
 print(f"{'strategies':26s} {'convert':>8s} {'buffer':>8s} {'surrogate':>10s}")
 for row in attack_matrix(models, zoo, seed=3):

@@ -3,8 +3,9 @@
 Latency overhead is measured with per-inference interleaving (original and
 obfuscated alternate on every input), which cancels machine noise.  The
 memory proxy counts all inputs, constants, and operator outputs as live
-simultaneously.  Shortcuts are free at runtime; extra layers buy their
-zero-filled outputs.
+simultaneously.  Shortcuts are free at runtime.  A run calls no kernel for an
+extra layer and makes no output for it; only the memory proxy counts the size
+its record declares.
 """
 
 from nnobf import FIXTURE_NAMES, ObfuscationConfig, build_fixture, obfuscate
@@ -32,5 +33,5 @@ for name in FIXTURE_NAMES:
           + " ".join(f"{p:>8d}" for p in [peaks[0]] + peaks[1:])
           + f" {len(serialize_model(g2020)):>10d} "
           + f"{len(serialize_bundle(b2020)):>7d}")
-print("\npeak bytes grow monotonically with the number of extra layers;")
-print("latency stays within a few percent because decoys only zero-fill.")
+print("\nproxy peak bytes grow monotonically with the number of extra layers;")
+print("latency stays within a few percent because decoys run no kernel.")

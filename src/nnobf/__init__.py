@@ -53,7 +53,6 @@ from .obfuscator import (
 )
 from .similarity import (
     LabeledGraph,
-    PKConfig,
     propagation_kernel,
     to_labeled_graph,
 )

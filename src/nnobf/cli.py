@@ -26,7 +26,7 @@ from .obfuscator import (
     obfuscate,
     plan_to_json,
 )
-from .similarity import PKConfig, similarity_matrix, to_labeled_graph
+from .similarity import similarity_matrix, to_labeled_graph
 from .tensor_io import read_tensor, write_tensor
 
 
@@ -87,8 +87,7 @@ def _cmd_similarity(args) -> int:
     paths = [Path(p) for p in args.models]
     graphs = [to_labeled_graph(_load_model(p)) for p in paths]
     ids = [p.stem for p in paths]
-    cfg = PKConfig(seed=args.seed)
-    matrix = similarity_matrix(graphs, cfg)
+    matrix = similarity_matrix(graphs, args.seed)
     print("model," + ",".join(ids))
     for name, row in zip(ids, matrix):
         print(name + "," + ",".join(f"{v:.2f}" for v in row))

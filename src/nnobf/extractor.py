@@ -40,7 +40,7 @@ from .obfuscator import (
     Strategy,
     obfuscate,
 )
-from .similarity import PKConfig, similarity_matrix, to_labeled_graph
+from .similarity import similarity_row, to_labeled_graph
 
 
 class ConversionStatus(Enum):
@@ -145,17 +145,17 @@ def _param_similarity(a: WeightStats, b: WeightStats) -> float:
             + _ratio(a.l1, b.l1)) / 3.0
 
 
-def find_surrogate(query: ModelGraph, zoo: list[ModelGraph],
-                   cfg: PKConfig = PKConfig()) -> list[tuple[int, float]]:
+def find_surrogate(query: ModelGraph,
+                   zoo: list[ModelGraph]) -> list[tuple[int, float]]:
     """Rank zoo members by similarity to the query, best first: structure
     (the propagation kernel) and parameter features weighted equally."""
     if not zoo:
         raise EmptyZoo("surrogate search needs a non-empty zoo")
-    graphs = (query, *zoo)
-    struct = similarity_matrix([to_labeled_graph(g) for g in graphs], cfg)[0]
-    q, *stats = map(weight_stats, graphs)
-    scored = [(i, 0.5 * (struct[i + 1] + _param_similarity(q, s)))
-              for i, s in enumerate(stats)]
+    struct = similarity_row(to_labeled_graph(query),
+                            [to_labeled_graph(g) for g in zoo])
+    q, *stats = map(weight_stats, (query, *zoo))
+    scored = [(i, 0.5 * (k + _param_similarity(q, s)))
+              for i, (k, s) in enumerate(zip(struct, stats))]
     return sorted(scored, key=lambda p: (-p[1], p[0]))
 
 
@@ -172,11 +172,10 @@ def surrogate_rank(ranked: list[tuple[int, float]], true_index: int) -> float:
     return 1.0 + above + 0.5 * tied
 
 
-def build_default_zoo(weight_seeds: tuple[int, ...] = (11, 12, 13)) \
-        -> list[tuple[str, ModelGraph]]:
-    """Local model zoo: every fixture at several weight seeds."""
+def build_default_zoo() -> list[tuple[str, ModelGraph]]:
+    """Local model zoo: every fixture at weight seeds 11, 12 and 13."""
     return [(f"{name}#{s}", build_fixture(name, s))
-            for name in FIXTURE_NAMES for s in weight_seeds]
+            for name in FIXTURE_NAMES for s in (11, 12, 13)]
 
 
 # ---------------------------------------------------------------------------

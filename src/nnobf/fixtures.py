@@ -57,9 +57,8 @@ class GraphBuilder:
         self.graph_inputs: list[int] = []
         self.graph_outputs: list[int] = []
 
-    def activation(self, name: str, shape: tuple[int, ...],
-                   dtype: DType = DType.F32) -> int:
-        self._activations.append(Tensor(name, dtype, tuple(shape)))
+    def activation(self, name: str, shape: tuple[int, ...]) -> int:
+        self._activations.append(Tensor(name, DType.F32, tuple(shape)))
         return len(self._activations) - 1
 
     def input(self, name: str, shape: tuple[int, ...]) -> int:

@@ -412,11 +412,11 @@ def check_graph(graph: ModelGraph, error=None, what: str = "") -> None:
 # ---------------------------------------------------------------------------
 
 _U8, _U16, _U32, _U64 = (struct.Struct(f) for f in ("<B", "<H", "<I", "<Q"))
-_FIXED = {"B": _U8, "H": _U16, "I": _U32}
+_FIXED = {"H": _U16, "I": _U32}
 _COUNTED = {"s": _U32, "b": _U32, "q": _U64}
 
-# The wire layouts, field by field in wire order.  Field kinds: "B"/"H"/"I"
-# a fixed unsigned int; an IntEnum class one byte; "s" a u32-counted UTF-8
+# The wire layouts, field by field in wire order.  Field kinds: "H"/"I" a
+# fixed unsigned int; an IntEnum class one byte; "s" a u32-counted UTF-8
 # string; "b"/"q" u32-/u64-counted bytes; "i" an index list (n u32, then n
 # u32 values); (build, sub) a u32-counted list of rows of layout ``sub``,
 # each read back as ``build(*fields)`` and written from a tuple of its fields

@@ -252,13 +252,10 @@ def inject_shortcuts(graph: ModelGraph, n1: int, rng: random.Random,
                      plan: ObfuscationPlan) -> ModelGraph:
     """Append n1 decoy data-flow edges between topologically ordered pairs.
 
-    Each shortcut gets up to 100 draws of a pair ``a < b`` where ``b`` does
-    not yet read ``a``'s first output.  Free pairs are counted once up front
-    and each injection uses up one.  Once none is left, the remaining
-    shortcuts are skipped without drawing: the same edges are injected as
-    with 100 draws each, but ``rng`` is left fewer draws along.  Every
-    shortcut not injected warns once, with a message starting "no free
-    shortcut pair".
+    Each shortcut draws pairs ``a < b`` until ``b`` does not yet read ``a``'s
+    first output.  Free pairs are counted once up front; the shortcuts past
+    that count are skipped without drawing, and each warns once, with a message
+    starting "no free shortcut pair".
     """
     n_ops = len(graph.operators)
     if n_ops < 2:
@@ -268,20 +265,14 @@ def inject_shortcuts(graph: ModelGraph, n1: int, rng: random.Random,
     inputs = [list(op.inputs) for op in graph.operators]
     outs = [op.outputs[0] for op in graph.operators]
     free = sum(outs[a] not in inputs[b] for b in range(n_ops) for a in range(b))
-    for _ in range(n1):
-        if not free:
-            warnings.warn("no free shortcut pair left; skipped")
-            continue
-        for _attempt in range(100):
+    for _ in range(min(n1, free)):
+        a, b = sorted(rng.sample(range(n_ops), 2))
+        while outs[a] in inputs[b]:
             a, b = sorted(rng.sample(range(n_ops), 2))
-            if outs[a] in inputs[b]:
-                continue
-            inputs[b].append(outs[a])
-            plan.injected_shortcuts.append((a, b))
-            free -= 1
-            break
-        else:
-            warnings.warn("no free shortcut pair found after 100 draws; skipped")
+        inputs[b].append(outs[a])
+        plan.injected_shortcuts.append((a, b))
+    for _ in range(n1 - free):
+        warnings.warn("no free shortcut pair left; skipped")
     operators = tuple(op._replace(inputs=tuple(ins))
                       for op, ins in zip(graph.operators, inputs))
     return replace(graph, operators=operators)
@@ -292,10 +283,11 @@ def inject_extra_layers(graph: ModelGraph, n2: int, rng: random.Random,
                         names: NameGenerator) -> ModelGraph:
     """Insert n2 decoy operators whose outputs feed later ops' declared inputs.
 
-    A decoy reads some earlier operator's output and produces a small
-    zero-filled tensor at runtime; the consumer ignores it.  Each decoy goes
-    right after its producer, ahead of older ones, so stored order stays
-    topological; the layout, and the plan's indices, are made at the end.
+    A decoy reads an earlier operator's output.  A run calls no kernel for a
+    decoy and makes no output for it: only the all-live memory proxy counts the
+    size its record declares.  Each decoy goes right after its producer, ahead
+    of older ones, so stored order stays topological; the layout, and the
+    plan's indices, are made at the end.
     """
     n = len(graph.operators)
     if n < 2:

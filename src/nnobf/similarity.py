@@ -5,11 +5,11 @@ edge whenever an operator's output appears in another's declared input list,
 and each node labeled by its total degree capped at 8 (names carry no signal
 once obfuscated, so only structure is used).
 
-The kernel propagates per-node label distributions over the row-normalized
-symmetrized adjacency (with self-loops) and, at every iteration, buckets the
-distributions on a randomly offset grid of width ``bin_width``.  Nodes of the
-two graphs that land in the same bucket contribute count products; the summed
-contributions are normalized to [0, 1] by the two self-kernels.
+The kernel propagates per-node label distributions ``_T_MAX`` times over the
+row-normalized symmetrized adjacency (with self-loops) and, at every
+iteration, buckets them on a grid of width ``_BIN_WIDTH`` offset by the seed.
+Same-bucket nodes of the two graphs contribute count products, normalized
+to [0, 1] by the two self-kernels.
 
 All arithmetic is in float64 with a fixed accumulation order, so results
 are exactly reproducible and an independent brute-force implementation can
@@ -24,8 +24,8 @@ Every label column propagates and bins on its own, using only its label's
 offset, so a graph is propagated and binned once per label set.  A column
 whose label neither graph carries stays zero in every row and lands every
 node in the same bucket coordinate, so it changes no count product: the
-self-kernels and every pair of a :func:`similarity_matrix` share one binning
-over the union of all labels.
+self-kernels and every pair of a :func:`similarity_matrix` or
+:func:`similarity_row` share one binning over the union of all labels.
 """
 
 from __future__ import annotations
@@ -42,6 +42,12 @@ from .model_format import ModelGraph
 
 _M64 = (1 << 64) - 1
 
+# Picked empirically: on desk-scale graphs, a coarse grid and few iterations
+# keep similarity decreasing as injections grow; very fine bins with deep
+# propagation let decoy nodes dominate the bucket counts and the trend flips.
+_T_MAX = 3
+_BIN_WIDTH = 0.05
+
 
 @dataclass(frozen=True)
 class LabeledGraph:
@@ -57,23 +63,6 @@ class LabeledGraph:
                 raise InvariantViolation(f"edge ({u}, {v}) out of range")
             if u == v:
                 raise InvariantViolation(f"self-edge at node {u}")
-
-
-@dataclass(frozen=True)
-class PKConfig:
-    # Defaults picked empirically: on desk-scale graphs, a coarse grid and few
-    # iterations keep similarity decreasing as injections grow; very fine bins
-    # with deep propagation let decoy nodes dominate the bucket counts and the
-    # trend flips.
-    t_max: int = 3
-    bin_width: float = 0.05
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.t_max < 1:
-            raise InvariantViolation("t_max must be >= 1")
-        if not self.bin_width > 0:
-            raise InvariantViolation("bin_width must be positive")
 
 
 def to_labeled_graph(graph: ModelGraph) -> LabeledGraph:
@@ -119,9 +108,8 @@ def _neighborhoods(g: LabeledGraph) -> list[list[int]]:
     return [sorted(adj[v] | {v}) for v in range(g.n)]
 
 
-def _bucket_counts(g: LabeledGraph, labels: list[int],
-                   cfg: PKConfig) -> Counter[bytes]:
-    """Bucket occupancy of every iteration t = 0..t_max, over ``labels``.
+def _bucket_counts(g: LabeledGraph, labels: list[int], seed: int) -> Counter[bytes]:
+    """Bucket occupancy of every iteration t = 0..``_T_MAX``, over ``labels``.
 
     Keys are the bytes of a float64 row ``(t, floor((d + offset) / width)
     per label column)``; floored values are integral and non-negative, so
@@ -130,7 +118,7 @@ def _bucket_counts(g: LabeledGraph, labels: list[int],
     """
     if g.n == 0:
         raise EmptyGraph("propagation kernel needs non-empty graphs")
-    n, width = g.n, cfg.bin_width
+    n, width = g.n, _BIN_WIDTH
     col = {lab: j for j, lab in enumerate(labels)}
     neigh = _neighborhoods(g)
     # ascending neighbours padded with index n, a row that stays zero
@@ -140,13 +128,13 @@ def _bucket_counts(g: LabeledGraph, labels: list[int],
     w = np.array([1.0 / len(ns) for ns in neigh])[:, None]
     d = np.zeros((n + 1, len(labels)))
     d[np.arange(n), [col[lab] for lab in g.labels]] = 1.0
-    keys = np.empty((cfg.t_max + 1, n, 1 + len(labels)))
-    for t in range(cfg.t_max + 1):
-        offsets = np.array([quantization_offset(cfg.seed, t, lab) * width
+    keys = np.empty((_T_MAX + 1, n, 1 + len(labels)))
+    for t in range(_T_MAX + 1):
+        offsets = np.array([quantization_offset(seed, t, lab) * width
                             for lab in labels])
         keys[t, :, 0] = t
         keys[t, :, 1:] = np.floor((d[:n] + offsets) / width)
-        if t < cfg.t_max:
+        if t < _T_MAX:
             acc = np.zeros((n, len(labels)))
             for j in range(idx.shape[1]):
                 acc += w * d[idx[:, j]]
@@ -164,24 +152,32 @@ def _normalized(c1: Counter[bytes], c2: Counter[bytes]) -> float:
     return _dot(c1, c2) / math.sqrt(_dot(c1, c1) * _dot(c2, c2))
 
 
-def propagation_kernel(g1: LabeledGraph, g2: LabeledGraph,
-                       cfg: PKConfig = PKConfig()) -> float:
+def _counts(graphs: list[LabeledGraph], seed: int) -> list[Counter[bytes]]:
+    """Each graph propagated and binned once, over the labels of all graphs."""
+    labels = sorted(set().union(*(g.labels for g in graphs)))
+    return [_bucket_counts(g, labels, seed) for g in graphs]
+
+
+def propagation_kernel(g1: LabeledGraph, g2: LabeledGraph, seed: int = 0) -> float:
     """Normalized similarity in [0, 1]; symmetric and deterministic in seed."""
-    return similarity_matrix([g1, g2], cfg)[0][1]
+    return similarity_row(g1, [g2], seed)[0]
+
+
+def similarity_row(query: LabeledGraph, graphs: list[LabeledGraph],
+                   seed: int = 0) -> list[float]:
+    """:func:`propagation_kernel` of ``query`` against each of ``graphs``."""
+    q, *counts = _counts([query, *graphs], seed)
+    return [_normalized(q, c) for c in counts]
 
 
 def similarity_matrix(graphs: list[LabeledGraph],
-                      cfg: PKConfig = PKConfig()) -> list[list[float]]:
-    """Pairwise :func:`propagation_kernel` values; 1.0 on the diagonal.
-
-    Each graph is propagated and binned once, over the labels of all graphs.
-    """
+                      seed: int = 0) -> list[list[float]]:
+    """Pairwise :func:`propagation_kernel` values; 1.0 on the diagonal."""
     n = len(graphs)
     m = [[1.0] * n for _ in range(n)]
     if n < 2:
         return m
-    labels = sorted(set().union(*(g.labels for g in graphs)))
-    counts = [_bucket_counts(g, labels, cfg) for g in graphs]
+    counts = _counts(graphs, seed)
     for i in range(n):
         for j in range(i + 1, n):
             m[i][j] = m[j][i] = _normalized(counts[i], counts[j])

@@ -1,13 +1,15 @@
 """Brute-force propagation-kernel reference.
 
 Distributions live in plain dicts of python floats; propagation, binning,
-and counting are all explicit loops.  Shares only the quantization-offset
-function (grid configuration) with the production implementation.
+and counting are all explicit loops.  Shares only the grid (the
+quantization-offset function, ``_T_MAX`` and ``_BIN_WIDTH``, read at each
+call so a test may patch them) with the production implementation.
 """
 
 import math
 
-from nnobf.similarity import PKConfig, quantization_offset
+from nnobf import similarity
+from nnobf.similarity import quantization_offset
 
 
 def _neighborhood(g, v):
@@ -20,7 +22,8 @@ def _neighborhood(g, v):
     return sorted(ns)
 
 
-def _raw(g1, g2, cfg):
+def _raw(g1, g2, seed):
+    t_max, width = similarity._T_MAX, similarity._BIN_WIDTH
     labels = sorted(set(g1.labels) | set(g2.labels))
 
     def init(g):
@@ -43,25 +46,25 @@ def _raw(g1, g2, cfg):
         counts = {}
         for d in dists:
             key = tuple(
-                math.floor((d[lab] + quantization_offset(cfg.seed, t, lab)
-                            * cfg.bin_width) / cfg.bin_width)
+                math.floor((d[lab] + quantization_offset(seed, t, lab)
+                            * width) / width)
                 for lab in labels)
             counts[key] = counts.get(key, 0) + 1
         return counts
 
     d1, d2 = init(g1), init(g2)
     total = 0
-    for t in range(cfg.t_max + 1):
+    for t in range(t_max + 1):
         c1, c2 = bins(d1, t), bins(d2, t)
         for key, cnt in c1.items():
             total += cnt * c2.get(key, 0)
-        if t < cfg.t_max:
+        if t < t_max:
             d1, d2 = propagate(g1, d1), propagate(g2, d2)
     return total
 
 
-def reference_propagation_kernel(g1, g2, cfg=PKConfig()):
-    k12 = _raw(g1, g2, cfg)
-    k11 = _raw(g1, g1, cfg)
-    k22 = _raw(g2, g2, cfg)
+def reference_propagation_kernel(g1, g2, seed=0):
+    k12 = _raw(g1, g2, seed)
+    k11 = _raw(g1, g1, seed)
+    k22 = _raw(g2, g2, seed)
     return k12 / math.sqrt(k11 * k22)

@@ -44,8 +44,7 @@ from nnobf.obfuscator import (
     plan_to_json,
     reconstruct,
 )
-from nnobf.similarity import LabeledGraph, PKConfig, propagation_kernel, \
-    to_labeled_graph
+from nnobf.similarity import LabeledGraph, propagation_kernel, to_labeled_graph
 
 warnings.filterwarnings("ignore", message="no free shortcut pair")
 
@@ -144,7 +143,7 @@ def test_criterion_3_structure_similarity_trend():
 def test_criterion_4_propagation_kernel_oracle():
     """Exact agreement with the brute-force reference on an enumerated
     <=6-node suite plus 100 random small graphs; exact symmetry."""
-    cfg = PKConfig(seed=17)
+    seed = 17
 
     def all_dags(n):
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
@@ -166,9 +165,9 @@ def test_criterion_4_propagation_kernel_oracle():
     suite = list(all_dags(3)) + [chain(k) for k in range(1, 7)]
     checked = 0
     for g1, g2 in itertools.combinations(suite, 2):
-        a = propagation_kernel(g1, g2, cfg)
-        assert a == reference_propagation_kernel(g1, g2, cfg)
-        assert a == propagation_kernel(g2, g1, cfg)
+        a = propagation_kernel(g1, g2, seed)
+        assert a == reference_propagation_kernel(g1, g2, seed)
+        assert a == propagation_kernel(g2, g1, seed)
         checked += 1
 
     rng = np.random.default_rng(99)
@@ -183,9 +182,9 @@ def test_criterion_4_propagation_kernel_oracle():
                     edges.add((int(u), int(v)))
             labels = tuple(int(x) for x in rng.integers(0, 9, size=n))
             gs.append(LabeledGraph(n, tuple(sorted(edges)), labels))
-        a = propagation_kernel(gs[0], gs[1], cfg)
-        assert a == reference_propagation_kernel(gs[0], gs[1], cfg)
-        assert a == propagation_kernel(gs[1], gs[0], cfg)
+        a = propagation_kernel(gs[0], gs[1], seed)
+        assert a == reference_propagation_kernel(gs[0], gs[1], seed)
+        assert a == propagation_kernel(gs[1], gs[0], seed)
         checked += 1
     _pass(4, f"bit-exact oracle agreement and symmetry on {checked} graph pairs")
 
@@ -194,7 +193,7 @@ def test_criterion_5_resilience_matrix():
     """Originals: all three attacks succeed 5/5.  All-five at (20,20):
     conversion fails with UnknownOperator, zero weight bytes recovered,
     rank-1 surrogate identification fails on >= 50% of 20 trials."""
-    zoo = build_default_zoo(weight_seeds=(11, 12, 13))
+    zoo = build_default_zoo()
     zoo_graphs = [g for _, g in zoo]
 
     for name in FIXTURE_NAMES:

@@ -23,7 +23,7 @@ from nnobf.model_format import (
     tensor_byte_size,
 )
 from nnobf.obfuscator import ObfuscationConfig, Strategy, obfuscate
-from nnobf.similarity import PKConfig, propagation_kernel, to_labeled_graph
+from nnobf.similarity import propagation_kernel, to_labeled_graph
 from test_obfuscator import relu_chain
 
 NAME_RE = re.compile(r"^[A-Z][a-z]{5}$")
@@ -150,7 +150,6 @@ def test_find_surrogate_matches_brute_force_recomputation():
     zoo = build_default_zoo()
     graphs = [g for _, g in zoo]
     query, _, _ = obf(build_fixture("lenet", 11), seed=4, n1=30, n2=30)
-    cfg = PKConfig()
     q_lg = to_labeled_graph(query)
     q_stats = weight_stats(query)
 
@@ -169,10 +168,10 @@ def test_find_surrogate_matches_brute_force_recomputation():
 
     expected = []
     for i, z in enumerate(graphs):
-        struct = reference_propagation_kernel(q_lg, to_labeled_graph(z), cfg)
+        struct = reference_propagation_kernel(q_lg, to_labeled_graph(z))
         expected.append((i, 0.5 * (struct + param_sim(q_stats, weight_stats(z)))))
     expected.sort(key=lambda p: (-p[1], p[0]))
-    assert find_surrogate(query, graphs, cfg) == expected
+    assert find_surrogate(query, graphs) == expected
 
 
 def test_empty_zoo_rejected(lenet):

@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 
 from reference_kernel import reference_propagation_kernel
+from nnobf import similarity
 from nnobf.errors import EmptyGraph, InvariantViolation
 from nnobf.fixtures import FIXTURE_NAMES, build_fixture
 from nnobf.obfuscator import ObfuscationConfig, obfuscate
 from nnobf.similarity import (
     LabeledGraph,
-    PKConfig,
     propagation_kernel,
     similarity_matrix,
+    similarity_row,
     to_labeled_graph,
 )
 
@@ -58,14 +59,6 @@ def test_labeled_graph_invariants():
         LabeledGraph(2, (), (1,))
 
 
-@pytest.mark.parametrize("kw, message", [
-    (dict(t_max=0), "t_max must be >= 1"),
-    (dict(bin_width=0), "bin_width must be positive")])
-def test_pk_config_invariants(kw, message):
-    with pytest.raises(InvariantViolation, match=f"^{message}$"):
-        PKConfig(**kw)
-
-
 def test_self_similarity_is_one():
     for g in [chain(1), chain(4), chain(6)]:
         assert propagation_kernel(g, g) == pytest.approx(1.0, abs=1e-9)
@@ -75,12 +68,11 @@ def test_self_similarity_is_one():
 
 
 def test_symmetry_exact():
-    cfg = PKConfig(seed=3)
     pairs = [(chain(3), chain(5)),
              (to_labeled_graph(build_fixture("lenet", 0)),
               to_labeled_graph(build_fixture("branchy", 0)))]
     for a, b in pairs:
-        assert propagation_kernel(a, b, cfg) == propagation_kernel(b, a, cfg)
+        assert propagation_kernel(a, b, 3) == propagation_kernel(b, a, 3)
 
 
 def test_range_on_fixture_pairs():
@@ -97,9 +89,8 @@ def test_empty_graph_rejected():
 
 
 def test_chain3_vs_chain4_matches_brute_force():
-    cfg = PKConfig(seed=7)
-    got = propagation_kernel(chain(3), chain(4), cfg)
-    want = reference_propagation_kernel(chain(3), chain(4), cfg)
+    got = propagation_kernel(chain(3), chain(4), 7)
+    want = reference_propagation_kernel(chain(3), chain(4), 7)
     assert got == want
 
 
@@ -115,17 +106,16 @@ def _all_dags(n):
         yield LabeledGraph(n, edges, tuple(min(d, 8) for d in deg))
 
 
-def test_enumerated_suite_matches_brute_force_exactly():
-    cfg = PKConfig(seed=11, t_max=4)
+def test_enumerated_suite_matches_brute_force_exactly(monkeypatch):
+    monkeypatch.setattr(similarity, "_T_MAX", 4)
     suite = list(_all_dags(3)) + [chain(k) for k in range(1, 7)]
     for g1, g2 in itertools.combinations(suite, 2):
-        assert propagation_kernel(g1, g2, cfg) == \
-            reference_propagation_kernel(g1, g2, cfg)
+        assert propagation_kernel(g1, g2, 11) == \
+            reference_propagation_kernel(g1, g2, 11)
 
 
 def test_random_small_graphs_match_brute_force_exactly():
     rng = np.random.default_rng(23)
-    cfg = PKConfig(seed=5)
 
     def random_graph():
         n = int(rng.integers(1, 7))
@@ -139,8 +129,8 @@ def test_random_small_graphs_match_brute_force_exactly():
 
     for _ in range(100):
         g1, g2 = random_graph(), random_graph()
-        assert propagation_kernel(g1, g2, cfg) == \
-            reference_propagation_kernel(g1, g2, cfg)
+        assert propagation_kernel(g1, g2, 5) == \
+            reference_propagation_kernel(g1, g2, 5)
 
 
 def test_similarity_drops_below_one_under_obfuscation(lenet):
@@ -152,29 +142,32 @@ def test_similarity_drops_below_one_under_obfuscation(lenet):
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
-def test_fixture_against_its_obfuscation_matches_brute_force_exactly(name):
+def test_fixture_against_its_obfuscation_matches_brute_force_exactly(
+        name, monkeypatch):
     g = build_fixture(name, 0)
     base = to_labeled_graph(g)
     # the 1e-16 grid is finer than float64 spacing near 1, so neighbour sums
     # taken in another order than the reference's land in other buckets
-    configs = (PKConfig(seed=4), PKConfig(seed=4, t_max=4, bin_width=1e-16))
+    grids = ((similarity._T_MAX, similarity._BIN_WIDTH), (4, 1e-16))
     for n in (0, 10, 30):
         public, _, _ = obfuscate(
             g, ObfuscationConfig(seed=n + 1, n_shortcuts=n, n_extra_layers=n))
         obf = to_labeled_graph(public)
-        for cfg in configs:
+        for t_max, width in grids:
+            monkeypatch.setattr(similarity, "_T_MAX", t_max)
+            monkeypatch.setattr(similarity, "_BIN_WIDTH", width)
             for a, b in ((base, obf), (obf, obf)):
-                assert propagation_kernel(a, b, cfg) == \
-                    reference_propagation_kernel(a, b, cfg)
+                assert propagation_kernel(a, b, 4) == \
+                    reference_propagation_kernel(a, b, 4)
 
 
-def test_single_iteration_matches_brute_force_exactly():
-    cfg = PKConfig(seed=9, t_max=1)
+def test_single_iteration_matches_brute_force_exactly(monkeypatch):
+    monkeypatch.setattr(similarity, "_T_MAX", 1)
     graphs = [chain(1), chain(5),
               to_labeled_graph(build_fixture("branchy", 0))]
     for g1, g2 in itertools.combinations(graphs, 2):
-        assert propagation_kernel(g1, g2, cfg) == \
-            reference_propagation_kernel(g1, g2, cfg)
+        assert propagation_kernel(g1, g2, 9) == \
+            reference_propagation_kernel(g1, g2, 9)
 
 
 def disjoint_label_pair():
@@ -183,11 +176,12 @@ def disjoint_label_pair():
             LabeledGraph(4, edges + ((2, 3),), (5, 6, 7, 7)))
 
 
-def test_graphs_sharing_no_label_score_zero():
+def test_graphs_sharing_no_label_score_zero(monkeypatch):
     g1, g2 = disjoint_label_pair()
-    for cfg in (PKConfig(), PKConfig(seed=2, t_max=1)):
-        assert propagation_kernel(g1, g2, cfg) == \
-            reference_propagation_kernel(g1, g2, cfg) == 0.0
+    assert propagation_kernel(g1, g2) == reference_propagation_kernel(g1, g2) == 0.0
+    monkeypatch.setattr(similarity, "_T_MAX", 1)
+    assert propagation_kernel(g1, g2, 2) == \
+        reference_propagation_kernel(g1, g2, 2) == 0.0
 
 
 def test_similarity_matrix_equals_pairwise_kernel_exactly():
@@ -199,11 +193,13 @@ def test_similarity_matrix_equals_pairwise_kernel_exactly():
         public, _, _ = obfuscate(
             g, ObfuscationConfig(seed=5, n_shortcuts=10, n_extra_layers=10))
         graphs += [to_labeled_graph(g), to_labeled_graph(public)]
-    cfg = PKConfig(seed=6)
-    m = similarity_matrix(graphs, cfg)
+    m = similarity_matrix(graphs, 6)
     for i, j in itertools.product(range(len(graphs)), repeat=2):
-        want = 1.0 if i == j else propagation_kernel(graphs[i], graphs[j], cfg)
+        want = 1.0 if i == j else propagation_kernel(graphs[i], graphs[j], 6)
         assert m[i][j] == want
+    for i, g in enumerate(graphs):
+        others = graphs[:i] + graphs[i + 1:]
+        assert similarity_row(g, others, 6) == m[i][:i] + m[i][i + 1:]
 
 
 def test_similarity_matrix_rejects_empty_graph():

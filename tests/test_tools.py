@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -76,3 +77,35 @@ def test_line_coverage_lists_lines_never_run():
         load_tool("line_coverage").executable_lines(cli))
     assert listed.get("src/nnobf/bundle.py", 0) < 10
     assert sum(listed.values()) == missed
+
+
+def test_artifact_bytes_match_the_recorded_digests():
+    # every fixture (weight seed 0), obfuscation seeds 0 and 1, n1 = n2 in
+    # (0, 20), each ShapeStrategy: the digests are the same since the artifact
+    # formats last moved; a change that moves artifact bytes on purpose
+    # updates them and says so
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # saturated shortcuts
+        found = load_tool("artifact_digest").digests((0,), (0, 1), (0, 20))
+    assert found["combined"] == \
+        "ad96c78e2b54f13b324ab480b2c060edcd22b74daa2415996a1471834dfae8e0"
+    assert found["dump"] == \
+        "72ce826937e1b98cb590b2c9be2cda1c1b08f7ae5cc5116856e72b7662dbfa1b"
+
+
+def test_op_peaks_prints_rows(capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert load_tool("op_peaks").main(["--fixtures", "mlp"]) == 0
+    assert caught == []  # the tool silences mlp's saturated shortcuts
+    lines = capsys.readouterr().out.splitlines()
+    headers = [i for i, line in enumerate(lines) if line.startswith("mlp ")]
+    assert [lines[i].split(":")[0] for i in headers] == [
+        "mlp obfuscated batch 1", "mlp original batch 1"]
+    for i in headers:
+        figures = [float(f) for f in re.findall(r"(-?[\d.]+) KiB", lines[i])]
+        assert len(figures) == 3 and min(figures) >= 0
+        rows = [line.split() for line in lines[i + 2:i + 6]]
+        assert [row[0] for row in rows] == ["DENSE"] * 3 + ["SOFTMAX"]
+        assert all(float(row[1]) >= 0 and float(row[2]) >= 0 for row in rows)
+    assert len(lines) == 2 * 6

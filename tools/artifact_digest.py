@@ -6,9 +6,10 @@ For each fixture (in ``FIXTURE_NAMES`` order), weight seed 0 and 1,
 obfuscation seed 0-11, n1 = n2 in (0, 1, 3, 10, 20, 30, 60) and each
 ``ShapeStrategy`` (in declaration order), the sweep takes
 ``serialize_model(public)``, ``serialize_bundle(bundle)`` and the UTF-8 bytes of
-``plan_to_json(plan)``, loops nested as listed.  It prints one digest per
-artifact kind, over that kind's bytes in sweep order, then the combined
-digest over all three, taken in that order per obfuscation.  A change
+``plan_to_json(plan)``, loops nested as listed (``digests`` takes the
+seeds and counts as parameters, with these as defaults).  It prints one
+digest per artifact kind, over that kind's bytes in sweep order, then the
+combined digest over all three, taken in that order per obfuscation.  A change
 that keeps the combined digest writes the same bytes for all 1,680
 obfuscations; the per-kind digests show which artifact a change moved.
 
@@ -44,16 +45,17 @@ def _dump(data: bytes) -> bytes:
     return dump_json(parse_model(data)).encode("utf-8")
 
 
-def digests() -> dict[str, str]:
+def digests(weight_seeds=(0, 1), seeds=range(12), counts=COUNTS) -> dict[str, str]:
     """Hex SHA-256 per artifact kind, ``combined`` over all three, then
-    ``dump`` over the parsed fixtures and public models."""
+    ``dump`` over the parsed fixtures and public models, for the sweep over
+    the given weight seeds, obfuscation seeds and n1 = n2 counts."""
     hashes = {kind: hashlib.sha256() for kind in (*KINDS, "combined", "dump")}
     for name in FIXTURE_NAMES:
-        for weight_seed in (0, 1):
+        for weight_seed in weight_seeds:
             graph = build_fixture(name, weight_seed)
             hashes["dump"].update(_dump(serialize_model(graph)))
-            for seed in range(12):
-                for n in COUNTS:
+            for seed in seeds:
+                for n in counts:
                     for strategy in ShapeStrategy:
                         public, bundle, plan = obfuscate(
                             graph, ObfuscationConfig(seed, n, n, strategy))

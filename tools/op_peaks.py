@@ -34,6 +34,7 @@ import dataclasses
 import gc
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 
@@ -121,7 +122,9 @@ def main(argv: list[str] | None = None) -> int:
         shape = g.tensors[g.graph_inputs[0]].shape
         x = [np.random.default_rng(args.seed).random((args.batch, *shape[1:]),
                                                      dtype=np.float32)]
-        public, bundle, _ = obfuscate(g, config)
+        with warnings.catch_warnings():  # saturated shortcuts are expected
+            warnings.simplefilter("ignore")
+            public, bundle, _ = obfuscate(g, config)
         for label, model, kb in (("obfuscated", public, bundle), ("original", g, None)):
             peak = measured(lambda: interpreter.run(model, kb, x))
             held = program_bytes(model, kb, x)
