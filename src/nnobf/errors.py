@@ -60,7 +60,7 @@ class PlanMismatch(NnobfError):
 
 
 class MalformedPlan(NnobfError):
-    """A plan file is not a well-formed version-3 nnobf plan."""
+    """A plan file is not a well-formed version-4 nnobf plan."""
 
 
 # -- analysis -----------------------------------------------------------------

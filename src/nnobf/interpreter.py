@@ -14,14 +14,14 @@ decoys); runtime shapes come from the actual arrays.  The leading axis of
 every graph input is treated as a batch dimension and may differ from the
 declared size.
 
-The first run of a ``(graph, bundle)`` pair compiles it: :func:`resolve`,
-the one walk over the operators (``reconstruct`` uses it too), then each
-step's decoded options and drop list, ``check_graph`` of the graph, the
-constants as read-only views of the graph's buffers, and the static byte
-count.  A missing bundle, an unknown custom name, a bad true input position
-or decoy record, a true input or graph output that is a decoy's output, and
-a graph that fails ``validate`` raise there, before any kernel runs, and
-nothing is kept.  The program lives as long as both objects (graphs and
+The first run of a ``(graph, bundle)`` pair compiles it: ``check_graph`` of
+the graph, then :func:`resolve`, the one walk over the operators
+(``reconstruct`` uses it too), each step's decoded options and drop list,
+the constants as read-only views of the graph's buffers, and the static
+byte count.  A graph that fails ``validate``, a missing bundle, an unknown
+custom name, a bad true input position or decoy record, and a true input or
+graph output that is a decoy's output raise there, before any kernel runs,
+and nothing is kept.  The program lives as long as both objects (graphs and
 bundles are immutable) and holds neither; later runs only check their inputs
 and execute the steps.  Nothing in a program depends on the batch size.
 Liveness is decided at compile time: a step drops each activation it reads
@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import functools
 import math
-import time
 import weakref
 from typing import NamedTuple
 
@@ -74,7 +73,6 @@ def _decoy_output(raw: bytes) -> tuple[tuple, int]:
 
 class ExecutionTrace(NamedTuple):
     output_shapes: list[tuple[tuple[int, ...]]]
-    op_seconds: list[float]
     peak_live_bytes: int
     peak_live_bytes_liveness: int
 
@@ -98,16 +96,13 @@ def resolve(graph: ModelGraph, records: dict[str, BundleRecord] | None) \
     Returns the real steps ``(s, output, kind, raw_options, true_inputs,
     weights)``, ``kind`` being the real ``BuiltinOp``, and a map from each
     decoy layer's output to its ``(s, raw_options)`` (the options encode its
-    shape).  An operator without one output, an unknown code, and a true input
-    or graph output that is a decoy's output raise ``InvariantViolation``.
+    shape).  Both callers, ``_program`` and ``reconstruct``, pass only graphs
+    that passed ``check_graph``, so only the records are checked here: an
+    unknown real code, and a true input or graph output that is a decoy's
+    output, raise ``InvariantViolation``.
     """
     steps, decoys = [], {}
     for s, op in enumerate(graph.operators):
-        if len(op.outputs) != 1:
-            raise InvariantViolation(f"operator {s}: {len(op.outputs)} outputs, not one")
-        if not 0 <= op.opcode_index < len(graph.opcodes):
-            raise IndexOutOfRange(f"operator {s}: opcode index {op.opcode_index} "
-                                  f"out of range")
         opcode = graph.opcodes[op.opcode_index]
         if opcode.builtin_code != CUSTOM_SENTINEL:
             code, raw, ins, weights = opcode.builtin_code, op.options, op.inputs, ()
@@ -161,6 +156,7 @@ def _program(graph: ModelGraph, bundle: KernelBundle | None) -> tuple:
     entry = _programs.get(key)
     if entry is not None:
         return entry[0]
+    check_graph(graph)
     resolved, decoys = resolve(graph, bundle and bundle.records)
     shapes, decoy_bytes = [()] * len(graph.operators), 0
     for s, raw in decoys.values():
@@ -172,7 +168,6 @@ def _program(graph: ModelGraph, bundle: KernelBundle | None) -> tuple:
         for t in ins:
             reader[t] = drops
         steps.append((s, o, kind, ins, weights, decode_options(kind, raw), drops))
-    check_graph(graph)  # last, so resolve's and decoding's own errors come first
     consts = materialize_constants(graph)  # views of the buffers, not the graph
     for t in (*consts, *graph.graph_outputs):
         reader.pop(t, None)
@@ -192,14 +187,9 @@ def _program(graph: ModelGraph, bundle: KernelBundle | None) -> tuple:
 
 
 def run(graph: ModelGraph, bundle: KernelBundle | None,
-        inputs: list[np.ndarray],
-        op_timing: bool = False) -> tuple[list[np.ndarray], ExecutionTrace]:
-    """Execute the graph; returns graph outputs and an execution trace.
-
-    ``op_timing=True`` also records each kernel call's wall time in
-    ``trace.op_seconds``, at two clock reads per call (0.0 for a decoy, which
-    runs nothing); shapes and both memory figures are always recorded.
-    """
+        inputs: list[np.ndarray]) -> tuple[list[np.ndarray], ExecutionTrace]:
+    """Execute the graph; returns graph outputs and an execution trace of
+    every operator's output shapes and both memory figures."""
     steps, shapes, consts, live, decoy_bytes = _program(graph, bundle)
     _check_inputs(graph, inputs)
     shapes = shapes[:]
@@ -207,16 +197,11 @@ def run(graph: ModelGraph, bundle: KernelBundle | None,
     live += sum(a.nbytes for a in values.values())
     values.update(consts)
     total = live + decoy_bytes
-    clock = time.perf_counter if op_timing else None
-    seconds = [0.0] * len(shapes) if clock else []
 
     peak = live
     for s, o, kind, ins, weights, opts, drops in steps:
-        t0 = clock() if clock else 0.0
         out = execute_builtin(kind, [*map(values.__getitem__, ins), *weights],
                               opts)[0]
-        if clock:
-            seconds[s] = clock() - t0
         shapes[s] = (out.shape,)
         values[o] = out
         n = out.nbytes
@@ -228,4 +213,4 @@ def run(graph: ModelGraph, bundle: KernelBundle | None,
             live -= values.pop(t).nbytes
 
     return ([values[t] for t in graph.graph_outputs],
-            ExecutionTrace(shapes, seconds, total, peak))
+            ExecutionTrace(shapes, total, peak))

@@ -511,7 +511,7 @@ def _decode(magic: bytes, version: int, layout, data: bytes) -> list:
     # slices taken from here key decode_options' cache: keep them hashable
     # even when the caller passes a bytearray
     data = bytes(data)
-    if len(data) >= 4 and data[:4] != magic:
+    if data[:4] != magic[:len(data)]:  # a short input too, unless a prefix
         raise BadMagic(f"expected {magic!r} header")
     # only the walker's own unpack_from calls raise struct.error, so a row
     # builder's errors pass through unrelabelled

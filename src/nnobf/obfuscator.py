@@ -136,6 +136,9 @@ class ObfuscationPlan:
     ``shapes[i]`` is the true declared shape of public tensor ``i``, for
     every tensor but the decoy layers' outputs (which come last).  It is
     empty when shape obfuscation is off, since then no shape was replaced.
+    The injection logs (public operator positions) are filled only by
+    :func:`obfuscate`; :func:`plan_from_json` leaves them empty, since the
+    records and the public model hold the same facts.
     """
     config: ObfuscationConfig
     records: dict[str, BundleRecord] = field(default_factory=dict)
@@ -323,8 +326,7 @@ def inject_extra_layers(graph: ModelGraph, n2: int, rng: random.Random,
             decoy_pos[d] = len(operators)
             operators.append(decoy)
     plan.injected_shortcuts = [(pos[i], pos[j]) for i, j in plan.injected_shortcuts]
-    plan.injected_layers = ([(pos[i], s) for i, s in plan.injected_layers]
-                            + list(zip(decoy_pos, shapes)))
+    plan.injected_layers = list(zip(decoy_pos, shapes))
     return replace(graph, opcodes=tuple(opcodes), tensors=tuple(tensors),
                    operators=tuple(operators))
 
@@ -443,7 +445,9 @@ PLAN_WARNING = ("PRIVATE ARTIFACT: this plan inverts the obfuscation. "
 
 
 def plan_to_json(plan: ObfuscationPlan) -> str:
-    """Version-3 plan: config, true shapes, injection log, then the bundle.
+    """Version-4 plan: config, true shapes, then the bundle; all that
+    :func:`reconstruct` reads.  The injection logs are not written: each
+    decoy record encodes its shape, and each real record its true inputs.
 
     The records travel as ``base64(serialize_bundle(...))``, so the plan
     shares the bundle's one record codec and its load-time checks.  The
@@ -453,7 +457,7 @@ def plan_to_json(plan: ObfuscationPlan) -> str:
     doc = {
         "warning": PLAN_WARNING,
         "format": "nnobf-plan",
-        "version": 3,
+        "version": 4,
         "config": {
             "seed": plan.config.seed,
             "n_shortcuts": plan.config.n_shortcuts,
@@ -463,8 +467,6 @@ def plan_to_json(plan: ObfuscationPlan) -> str:
                            if s in plan.config.strategies],
         },
         "shapes": plan.shapes,
-        "injected_shortcuts": plan.injected_shortcuts,
-        "injected_layers": plan.injected_layers,
     }
     bundle = serialize_bundle(KernelBundle(plan.records))
     return "".join((json.dumps(doc)[:-1], ', "bundle": "',
@@ -483,8 +485,8 @@ def plan_from_json(text: str) -> ObfuscationPlan:
 
 def _plan_from_doc(doc) -> ObfuscationPlan:
     if not isinstance(doc, dict) or doc.get("format") != "nnobf-plan" \
-            or doc.get("version") != 3:
-        raise MalformedPlan("not a version-3 nnobf plan file")
+            or doc.get("version") != 4:
+        raise MalformedPlan("not a version-4 nnobf plan file")
     cfg = doc["config"]
     config = ObfuscationConfig(
         seed=cfg["seed"],
@@ -495,25 +497,13 @@ def _plan_from_doc(doc) -> ObfuscationPlan:
     # pop, so the base64 text is freed before load_bundle copies the weights;
     # validate=True: the default silently drops non-alphabet bytes
     blob = base64.b64decode(doc.pop("bundle"), validate=True)
-    return ObfuscationPlan(
-        config=config, records=dict(load_bundle(blob).records),
-        injected_shortcuts=[tuple(map(_index, _list(p, 2)))
-                            for p in _list(doc["injected_shortcuts"])],
-        injected_layers=[(_index(i), _shape(s)) for i, s in
-                         (_list(p, 2) for p in _list(doc["injected_layers"]))],
-        shapes=[_shape(s) for s in _list(doc["shapes"])])
+    return ObfuscationPlan(config=config, records=dict(load_bundle(blob).records),
+                           shapes=[_shape(s) for s in _list(doc["shapes"])])
 
 
-def _list(v, n: int | None = None) -> list:
-    if not isinstance(v, list) or n is not None and len(v) != n:
-        raise MalformedPlan(f"expected a list{f' of {n}' if n else ''}, "
-                            f"got {type(v).__name__} {v!r:.40}")
-    return v
-
-
-def _index(v) -> int:
-    if type(v) is not int or v < 0:  # type(): bool is an int subclass
-        raise MalformedPlan(f"expected an index, got {v!r:.40}")
+def _list(v) -> list:
+    if not isinstance(v, list):
+        raise MalformedPlan(f"expected a list, got {type(v).__name__} {v!r:.40}")
     return v
 
 

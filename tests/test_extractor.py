@@ -62,8 +62,9 @@ def test_buffer_parse_truncated_is_malformed(lenet):
 
 
 def test_buffer_parse_bad_magic_raises():
-    with pytest.raises(BadMagic):
-        parse_in_buffer(b"GIF89a")
+    for data in (b"GIF89a", b"XY", b"NNX"):  # short inputs too
+        with pytest.raises(BadMagic):
+            parse_in_buffer(data)
 
 
 # -- convert -----------------------------------------------------------------------

@@ -19,7 +19,7 @@ from nnobf.errors import (
     UnknownFixture,
 )
 from nnobf import interpreter, model_format, obfuscator
-from nnobf.bundle import KernelBundle
+from nnobf.bundle import KernelBundle, load_bundle
 from nnobf.fixtures import FIXTURE_NAMES, FIXTURE_STATS, build_fixture
 from nnobf.model_format import (
     CUSTOM_SENTINEL,
@@ -60,8 +60,15 @@ def test_round_trip_identity_all_fixtures():
 
 
 def test_bad_magic():
-    with pytest.raises(BadMagic):
-        parse_model(b"NNM0")
+    # an input shorter than the magic is checked against the magic's prefix
+    for load, bad, short in ((parse_model, (b"NNM0", b"XY", b"NNX", b"X"), b"NN"),
+                             (load_bundle, (b"OBFX", b"OX", b"NN"), b"OB")):
+        for data in bad:
+            with pytest.raises(BadMagic):
+                load(data)
+        for data in (b"", short, short[:1]):  # strict prefixes of a container
+            with pytest.raises(TruncatedSection):
+                load(data)
 
 
 def test_lenet_counts_match_builder_declaration(lenet):
@@ -579,8 +586,11 @@ def test_undecodable_options_raise_before_any_kernel(case, monkeypatch):
     x = np.zeros((1, *clean.tensors[clean.graph_inputs[0]].shape[1:]), np.float32)
     calls = []
     monkeypatch.setattr(interpreter, "execute_builtin", lambda *a: calls.append(a))
-    for model, kb in ((g, None), (public, KernelBundle(records))):
-        with pytest.raises(MalformedOptions):
+    # the gate rejects the bare builtin graph, as serialize_model does; a
+    # bundle record's options are decoded while compiling
+    for model, kb, error in ((g, None, InvariantViolation),
+                             (public, KernelBundle(records), MalformedOptions)):
+        with pytest.raises(error):
             interpreter.run(model, kb, [x])
     assert calls == []
 

@@ -638,9 +638,41 @@ def test_plan_json_round_trip(lenet):
     loaded = plan_from_json(plan_to_json(plan))
     assert loaded.config == plan.config
     assert loaded.records == plan.records
-    assert loaded.injected_shortcuts == plan.injected_shortcuts
-    assert loaded.injected_layers == plan.injected_layers
     assert loaded.shapes == plan.shapes
+    assert list(json.loads(plan_to_json(plan))) == [  # what reconstruct reads
+        "warning", "format", "version", "config", "shapes", "bundle"]
+
+
+def injection_log(public, records):
+    """The injection logs as the public model and the plan's records hold
+    them: ``(position, shape)`` per decoy record, and ``(producer, consumer)``
+    per declared input that is neither a true input nor a decoy's output."""
+    kinds = [records[public.op_kind(op).custom_name] for op in public.operators]
+    layers = [(s, decode_decoy_shape(rec.real_options))
+              for s, rec in enumerate(kinds) if rec.is_decoy]
+    producer = {op.outputs[0]: s for s, op in enumerate(public.operators)}
+    decoy_outputs = {public.operators[s].outputs[0] for s, _ in layers}
+    shortcuts = [(producer[t], s)
+                 for s, (op, rec) in enumerate(zip(public.operators, kinds))
+                 if not rec.is_decoy for p, t in enumerate(op.inputs)
+                 if p not in rec.true_input_positions and t not in decoy_outputs]
+    return sorted(shortcuts), sorted(layers)
+
+
+@pytest.mark.parametrize("strategy", ShapeStrategy)
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_plan_file_loses_no_injection_fact(name, strategy):
+    # the v4 file drops the injection logs: the records and the public model
+    # still give back both, as obfuscate logged them
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # mlp has fewer than 20 free pairs
+        public, _, plan = obfuscate(build_fixture(name, 0), ObfuscationConfig(
+            seed=1, n_shortcuts=20, n_extra_layers=20, shape_strategy=strategy))
+    assert plan.injected_shortcuts and len(plan.injected_layers) == 20
+    loaded = plan_from_json(plan_to_json(plan))
+    assert (loaded.injected_shortcuts, loaded.injected_layers) == ([], [])
+    assert injection_log(public, loaded.records) == (
+        sorted(plan.injected_shortcuts), sorted(plan.injected_layers))
 
 
 def test_plan_json_keeps_a_negative_seed(lenet):
@@ -695,14 +727,6 @@ def _float_dim(doc):
     doc["shapes"][1][0] = 1.0
 
 
-def _shortcut_is_string(doc):
-    doc["injected_shortcuts"].append("ab")
-
-
-def _layer_bad_index_and_shape(doc):
-    doc["injected_layers"].append([1.5, [0, -2]])
-
-
 def _config_set(key, value):
     """Set a config field to a value ``obfuscate`` never writes."""
     def apply(doc):
@@ -723,8 +747,7 @@ def _on_bundle(corrupt):
 @pytest.mark.parametrize(
     "corrupt",
     [_drop_config_seed, _bad_strategy, _bad_base64, _bundle_not_string,
-     _drop_shapes, _shape_not_list, _zero_dim, _bool_dim, _float_dim,
-     _shortcut_is_string, _layer_bad_index_and_shape]
+     _drop_shapes, _shape_not_list, _zero_dim, _bool_dim, _float_dim]
     + [_config_set("seed", v) for v in ("x", True, 1.5)]
     + [_config_set("n_shortcuts", -5), _config_set("n_extra_layers", "lots"),
        _config_set("strategies", ["encapsulate"])]
@@ -739,20 +762,24 @@ def test_malformed_plan_doc_raises(lenet, corrupt):
         plan_from_json(json.dumps(doc))
 
 
-def _version_2_plans():
-    """A plan as version 2 wrote it (no shapes), and a v3 plan labelled v2."""
+def _old_plans():
+    """Plans as versions 2 (no shapes) and 3 (v4 plus the injection logs)
+    wrote them, and a v3 plan labelled v2."""
     _, _, plan = obfuscate(build_fixture("mlp", 0), ObfuscationConfig(seed=5))
-    v3 = json.loads(plan_to_json(plan))
+    v3 = {**json.loads(plan_to_json(plan)), "version": 3,
+          "injected_shortcuts": plan.injected_shortcuts,
+          "injected_layers": plan.injected_layers}
     v2 = {k: v3[k] for k in ("warning", "format", "config", "bundle",
                              "injected_shortcuts", "injected_layers")}
     return [pytest.param(json.dumps({**v2, "version": 2}), id="version-2-plan"),
-            pytest.param(json.dumps({**v3, "version": 2}), id="version-3-labelled-2")]
+            pytest.param(json.dumps({**v3, "version": 2}), id="version-3-labelled-2"),
+            pytest.param(json.dumps(v3), id="version-3-plan")]
 
 
 @pytest.mark.parametrize("text", [
     "", "{", "not json", "[]", "null", '{"format": "nnobf-plan"}',
     '{"format": "nnobf-plan", "version": 2}', "[" * 100_000,
-    *_version_2_plans(),
+    *_old_plans(),
 ])
 def test_malformed_plan_text_raises(text):
     with pytest.raises(MalformedPlan):
