@@ -27,6 +27,7 @@ Conventions baked into the format:
 * operators are stored in a valid topological order.
 * within one operator's input list, constant tensors follow activation tensors.
 * every operator declares exactly one output tensor.
+* operator outputs and graph inputs are activations.
 
 Each graph object is validated once, at one gate: the codecs, ``dump_json``
 and the obfuscator call :func:`check_graph`, which marks a graph that passes
@@ -349,6 +350,8 @@ def validate(graph: ModelGraph) -> list[str]:
             if not 0 <= tout < n_t:
                 v.append(f"operators[{i}].outputs[{j}]: tensor index {tout} out of range")
                 continue
+            if const[tout]:
+                v.append(f"operators[{i}].outputs[{j}]: tensor {tout} is a constant")
             if tout in produced_by:
                 v.append(f"operators[{i}] and operators[{produced_by[tout]}] "
                          f"both produce tensor {tout}")
@@ -363,6 +366,8 @@ def validate(graph: ModelGraph) -> list[str]:
         for j, t in enumerate(idxs):
             if not 0 <= t < n_t:
                 v.append(f"{io_name}[{j}]: tensor index {t} out of range")
+            elif io_name == "graph_inputs" and const[t]:
+                v.append(f"graph_inputs[{j}]: tensor {t} is a constant")
 
     for j, t in enumerate(graph.graph_outputs):
         if 0 <= t < n_t and t not in produced_by and t not in graph_input_set:

@@ -13,12 +13,11 @@ to [0, 1] by the two self-kernels.
 
 All arithmetic is in float64 with a fixed accumulation order, so results
 are exactly reproducible and an independent brute-force implementation can
-match them bit for bit.  A graph's ``(n, L)`` distribution matrix propagates
-in one step: with each node's closed neighbourhood in ascending index order,
-padded at the end with a row that stays zero, step ``j`` adds
-``w * d[j-th neighbour]`` to every node's accumulator, starting from 0.0.
-Each node therefore sums its neighbours in ascending order, and a padded
-slot adds an exact 0.0.
+match them bit for bit.  Each label column is a list of floats; one step
+gives every node ``acc += w * col[u]`` over its closed neighbourhood in
+ascending index order, starting from 0.0.  The loop is explicit because
+``sum()`` compensates its rounding from Python 3.12 on, and neither it nor
+``math.fsum`` would match the plain left-to-right sum of the reference.
 
 Every label column propagates and bins on its own, using only its label's
 offset, so a graph is propagated and binned once per label set.  A column
@@ -34,8 +33,6 @@ import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import EmptyGraph, InvariantViolation
 from .model_format import ModelGraph
@@ -100,59 +97,45 @@ def quantization_offset(seed: int, t: int, label: int) -> float:
     return h / 2.0 ** 64
 
 
-def _neighborhoods(g: LabeledGraph) -> list[list[int]]:
-    adj: list[set[int]] = [set() for _ in range(g.n)]
-    for u, v in g.edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    return [sorted(adj[v] | {v}) for v in range(g.n)]
-
-
-def _bucket_counts(g: LabeledGraph, labels: list[int], seed: int) -> Counter[bytes]:
+def _bucket_counts(g: LabeledGraph, labels: list[int], seed: int) -> Counter[tuple]:
     """Bucket occupancy of every iteration t = 0..``_T_MAX``, over ``labels``.
 
-    Keys are the bytes of a float64 row ``(t, floor((d + offset) / width)
-    per label column)``; floored values are integral and non-negative, so
-    equal bytes mean equal buckets without any integer cast that could
-    overflow.
+    Keys are ``(t, floor((d + offset) / width) per label column)`` int tuples.
     """
     if g.n == 0:
         raise EmptyGraph("propagation kernel needs non-empty graphs")
-    n, width = g.n, _BIN_WIDTH
-    col = {lab: j for j, lab in enumerate(labels)}
-    neigh = _neighborhoods(g)
-    # ascending neighbours padded with index n, a row that stays zero
-    idx = np.full((n, max(map(len, neigh))), n)
-    for v, ns in enumerate(neigh):
-        idx[v, :len(ns)] = ns
-    w = np.array([1.0 / len(ns) for ns in neigh])[:, None]
-    d = np.zeros((n + 1, len(labels)))
-    d[np.arange(n), [col[lab] for lab in g.labels]] = 1.0
-    keys = np.empty((_T_MAX + 1, n, 1 + len(labels)))
+    closed = [{v} for v in range(g.n)]
+    for u, v in g.edges:
+        closed[u].add(v)
+        closed[v].add(u)
+    neigh = [(1.0 / len(ns), sorted(ns)) for ns in closed]
+    cols = [[1.0 if x == lab else 0.0 for x in g.labels] for lab in labels]
+    width, counts = _BIN_WIDTH, Counter()
     for t in range(_T_MAX + 1):
-        offsets = np.array([quantization_offset(seed, t, lab) * width
-                            for lab in labels])
-        keys[t, :, 0] = t
-        keys[t, :, 1:] = np.floor((d[:n] + offsets) / width)
+        offsets = [quantization_offset(seed, t, lab) * width for lab in labels]
+        counts.update(zip([t] * g.n, *([math.floor((x + off) / width) for x in col]
+                                        for col, off in zip(cols, offsets))))
         if t < _T_MAX:
-            acc = np.zeros((n, len(labels)))
-            for j in range(idx.shape[1]):
-                acc += w * d[idx[:, j]]
-            d[:n] = acc
-    rows = keys.reshape(-1, keys.shape[2])
-    return Counter(rows.view(np.dtype((np.void, rows.shape[1] * 8)))
-                   .ravel().tolist())
+            for j, col in enumerate(cols):
+                new = []
+                for w, ns in neigh:
+                    acc = 0.0
+                    for u in ns:
+                        acc += w * col[u]
+                    new.append(acc)
+                cols[j] = new
+    return counts
 
 
-def _dot(c1: Counter[bytes], c2: Counter[bytes]) -> int:
+def _dot(c1: Counter[tuple], c2: Counter[tuple]) -> int:
     return sum(cnt * c2[key] for key, cnt in c1.items())
 
 
-def _normalized(c1: Counter[bytes], c2: Counter[bytes]) -> float:
+def _normalized(c1: Counter[tuple], c2: Counter[tuple]) -> float:
     return _dot(c1, c2) / math.sqrt(_dot(c1, c1) * _dot(c2, c2))
 
 
-def _counts(graphs: list[LabeledGraph], seed: int) -> list[Counter[bytes]]:
+def _counts(graphs: list[LabeledGraph], seed: int) -> list[Counter[tuple]]:
     """Each graph propagated and binned once, over the labels of all graphs."""
     labels = sorted(set().union(*(g.labels for g in graphs)))
     return [_bucket_counts(g, labels, seed) for g in graphs]

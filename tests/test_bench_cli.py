@@ -1,5 +1,6 @@
 import argparse
 import json
+import runpy
 import sys
 from dataclasses import replace
 
@@ -309,9 +310,10 @@ def test_cli_main_exits_with_the_dispatch_code(tmp_path, monkeypatch, capsys):
     for argv, code in ((["dump", str(model)], 0), (["dump", str(tmp_path)], 1),
                        (["dump"], 2)):
         monkeypatch.setattr(sys, "argv", ["nnobf", *argv])
-        with pytest.raises(SystemExit) as exit_:
-            main()
-        assert exit_.value.code == code
+        for entry in (main, lambda: runpy.run_module("nnobf", run_name="__main__")):
+            with pytest.raises(SystemExit) as exit_:
+                entry()
+            assert exit_.value.code == code
     capsys.readouterr()
 
 

@@ -258,6 +258,14 @@ def _io_graph(**changes):
     return replace(g, **changes)
 
 
+def _mlp(softmax_output=4, **changes):
+    """The mlp fixture at weight seed 0, fields replaced and its softmax
+    (operator 3) writing tensor ``softmax_output``."""
+    g = build_fixture("mlp", 0)
+    softmax = g.operators[3]._replace(outputs=(softmax_output,))
+    return replace(g, operators=g.operators[:3] + (softmax,), **changes)
+
+
 @pytest.mark.parametrize("graph, message", [
     (lambda: ModelGraph((), (), (), (), (), ()),
      "buffers: table must contain reserved empty entry 0"),
@@ -271,8 +279,12 @@ def _io_graph(**changes):
      "operators[0]: custom opcode requires CUSTOM options"),
     (lambda: _io_graph(graph_outputs=(1,)),
      "graph_outputs[0]: tensor 1 is never produced"),
+    (lambda: _mlp(10, graph_outputs=(10,)),
+     "operators[3].outputs[0]: tensor 10 is a constant"),
+    (lambda: _mlp(graph_inputs=(0, 6)), "graph_inputs[1]: tensor 6 is a constant"),
 ], ids=["no buffer table", "buffer 0 not empty", "zero dim",
-        "custom with builtin options", "output never produced"])
+        "custom with builtin options", "output never produced",
+        "constant as operator output", "constant as graph input"])
 def test_each_lone_violation_is_its_whole_message(graph, message):
     assert validate(graph()) == [message]
     with pytest.raises(InvariantViolation, match=f"^{re.escape(message)}$"):

@@ -114,13 +114,13 @@ def test_enumerated_suite_matches_brute_force_exactly(monkeypatch):
             reference_propagation_kernel(g1, g2, 11)
 
 
-def test_random_small_graphs_match_brute_force_exactly():
+def test_random_small_graphs_match_brute_force_exactly(monkeypatch):
     rng = np.random.default_rng(23)
 
-    def random_graph():
-        n = int(rng.integers(1, 7))
+    def random_graph(min_n=1, max_n=6, max_edges=8):
+        n = int(rng.integers(min_n, max_n + 1))
         edges = set()
-        for _ in range(int(rng.integers(0, 9))):
+        for _ in range(int(rng.integers(0, max_edges + 1))):
             u, v = rng.integers(0, n, size=2)
             if u != v:
                 edges.add((int(u), int(v)))
@@ -131,6 +131,27 @@ def test_random_small_graphs_match_brute_force_exactly():
         g1, g2 = random_graph(), random_graph()
         assert propagation_kernel(g1, g2, 5) == \
             reference_propagation_kernel(g1, g2, 5)
+
+    def renumbered(g):
+        p = rng.permutation(g.n).tolist()
+        labels = [0] * g.n
+        for v, lab in enumerate(g.labels):
+            labels[p[v]] = lab
+        return LabeledGraph(g.n, tuple(sorted((p[u], p[v]) for u, v in g.edges)),
+                            tuple(labels))
+
+    # larger graphs, each against the next and against a renumbering of
+    # itself: on the 1e-16 grid a node then shares its image's bucket only
+    # when both sum their neighbours in the same order, so any order other
+    # than the reference's changes the score
+    large = [random_graph(40, 120, 360) for _ in range(4)]
+    pairs = [*zip(large, large[1:]), *((g, renumbered(g)) for g in large)]
+    for t_max, width in ((similarity._T_MAX, similarity._BIN_WIDTH), (4, 1e-16)):
+        monkeypatch.setattr(similarity, "_T_MAX", t_max)
+        monkeypatch.setattr(similarity, "_BIN_WIDTH", width)
+        for g1, g2 in pairs:
+            assert propagation_kernel(g1, g2, 5) == \
+                reference_propagation_kernel(g1, g2, 5)
 
 
 def test_similarity_drops_below_one_under_obfuscation(lenet):
