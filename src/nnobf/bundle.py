@@ -29,10 +29,15 @@ data only; the runtime keeps no state in them.  Records and bundles are
 frozen once built.  Short input and trailing bytes raise
 :class:`~nnobf.errors.TruncatedSection`, a bad header
 :class:`~nnobf.errors.BadMagic`.
+
+Loading also derives, as it checks them, the facts a compile reads of each
+record (:func:`_facts`), kept as :attr:`KernelBundle.table`; a bundle
+built in process derives them, with the same errors, on its first compile.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from collections.abc import Mapping
@@ -89,8 +94,8 @@ def encode_decoy_shape(shape: tuple[int, ...]) -> bytes:
 def decode_decoy_shape(raw: bytes, record: str | None = None) -> tuple[int, ...]:
     """The shape decoy options encode; :class:`InvariantViolation`, naming the
     bundle ``record`` if given, if they do not encode one or it has more than
-    65,536 elements.  ``run`` decodes through here too, so bundles built in
-    process meet the same rules."""
+    65,536 elements.  A bundle built in process derives its table through
+    here too, so it meets the same rules."""
     if not raw or len(raw) != 1 + 4 * raw[0]:
         problem = f"{len(raw)} option bytes do not encode a shape"
     elif math.prod(shape := struct.unpack(f"<{raw[0]}I", raw[1:])) > _MAX_DECOY_ELEMENTS:
@@ -112,13 +117,35 @@ class KernelBundle:
     def __post_init__(self):
         object.__setattr__(self, "records", MappingProxyType(dict(self.records)))
 
+    @functools.cached_property
+    def table(self) -> tuple[dict[str, tuple], int]:
+        """Each record's :func:`_facts` by name, and all weights' bytes."""
+        return _table((name, _facts(name, rec))
+                      for name, rec in self.records.items())
 
-def _record(name, code, options, positions, weights) -> tuple[str, BundleRecord]:
-    if code == DECOY_SENTINEL:
-        decode_decoy_shape(options, name)
-    elif code not in BuiltinOp._value2member_map_:
-        raise InvariantViolation(f"record {name!r}: unknown builtin {code}")
-    return name, BundleRecord(code, options, positions, weights)
+
+def _facts(name: str, rec: BundleRecord) -> tuple:
+    """What compiling reads of a record, checked: a decoy's ``(None, (shape,),
+    float32 bytes)``, else ``(BuiltinOp, options, true positions, weights)``."""
+    if rec.real_builtin_code == DECOY_SENTINEL:
+        shape = decode_decoy_shape(rec.real_options, name)
+        return None, (shape,), 4 * math.prod(shape)
+    kind = BuiltinOp._value2member_map_.get(rec.real_builtin_code)
+    if kind is None:
+        raise InvariantViolation(f"record {name!r}: unknown builtin "
+                                 f"{rec.real_builtin_code}")
+    return kind, rec.real_options, rec.true_input_positions, rec.weights
+
+
+def _table(named_facts) -> tuple[dict[str, tuple], int]:
+    facts = dict(named_facts)
+    return facts, sum([w.nbytes for f in facts.values() if f[0] is not None
+                       for w in f[3]])
+
+
+def _record(name, code, options, positions, weights) -> tuple:
+    rec = BundleRecord(code, options, positions, weights)
+    return name, rec, _facts(name, rec)
 
 
 def _weight(dtype, shape, raw) -> np.ndarray:
@@ -143,5 +170,8 @@ def serialize_bundle(bundle: KernelBundle) -> bytes:
 
 
 def load_bundle(data: bytes) -> KernelBundle:
-    (records,) = _decode(BUNDLE_MAGIC, BUNDLE_VERSION, _BUNDLE, data)
-    return KernelBundle(records)
+    (rows,) = _decode(BUNDLE_MAGIC, BUNDLE_VERSION, _BUNDLE, data)
+    bundle = KernelBundle((name, rec) for name, rec, _ in rows)
+    # stored past the frozen guard, where the cached property would store it
+    object.__setattr__(bundle, "table", _table((n, f) for n, _, f in rows))
+    return bundle

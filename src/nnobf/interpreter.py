@@ -7,7 +7,7 @@ real kernel with the real options.  Every operator has exactly one output.
 Decoy inputs and decoy layers never feed the true computation, so obfuscated
 outputs are bit-identical to the original's.  A decoy layer's output is
 never a true input nor a graph output, so a run allocates none: it records
-the shape and size the record's option bytes encode, from a bounded memo.
+the shape and size the record's option bytes encode.
 
 Declared tensor shapes are never consulted during execution (they may be
 decoys); runtime shapes come from the actual arrays.  The leading axis of
@@ -15,15 +15,18 @@ every graph input is treated as a batch dimension and may differ from the
 declared size.
 
 The first run of a ``(graph, bundle)`` pair compiles it: ``check_graph`` of
-the graph, then :func:`resolve`, the one walk over the operators
-(``reconstruct`` uses it too), each step's decoded options and drop list,
-the constants as read-only views of the graph's buffers, and the static
-byte count.  A graph that fails ``validate``, a missing bundle, an unknown
-custom name, a bad true input position or decoy record, and a true input or
-graph output that is a decoy's output raise there, before any kernel runs,
-and nothing is kept.  The program lives as long as both objects (graphs and
-bundles are immutable) and holds neither; later runs only check their inputs
-and execute the steps.  Nothing in a program depends on the batch size.
+the graph, then :func:`compile_program`, the one walk over the operators
+(``reconstruct`` uses it too), builds each step's decoded options and drop
+list, the decoy shapes and bytes, the constants as read-only views of the
+graph's buffers, and the static byte count.  It reads the bundle's record
+table (``KernelBundle.table``), which ``load_bundle`` fills as it checks
+each record, and a bundle built in process on its first compile.  A graph
+that fails ``validate``, a missing bundle, an unknown custom name, a bad
+record or true input position, and a true input or graph output that is a
+decoy's output raise there, before any kernel runs, and nothing is kept.
+The program lives as long as both objects (graphs and bundles are
+immutable) and holds neither; later runs only check their inputs and
+execute the steps.  Nothing in a program depends on the batch size.
 Liveness is decided at compile time: a step drops each activation it reads
 last, and its own output if nothing reads it; graph outputs and constants
 are kept.
@@ -36,14 +39,12 @@ activation out of it after its last true read.
 
 from __future__ import annotations
 
-import functools
-import math
 import weakref
 from typing import NamedTuple
 
 import numpy as np
 
-from .bundle import BundleRecord, KernelBundle, decode_decoy_shape
+from .bundle import KernelBundle
 from .errors import (
     IndexOutOfRange,
     InvariantViolation,
@@ -54,21 +55,12 @@ from .errors import (
 from .kernels import execute_builtin
 from .model_format import (
     CUSTOM_SENTINEL,
-    DECOY_SENTINEL,
     BuiltinOp,
     ModelGraph,
     check_graph,
     decode_options,
     materialize_constants,
 )
-
-
-@functools.lru_cache(maxsize=64)
-def _decoy_output(raw: bytes) -> tuple[tuple, int]:
-    """The ``output_shapes`` entry and float32 byte size of the output a
-    decoy record's options encode (bounded by ``decode_decoy_shape``)."""
-    shape = decode_decoy_shape(raw)
-    return (shape,), 4 * math.prod(shape)
 
 
 class ExecutionTrace(NamedTuple):
@@ -89,53 +81,60 @@ def _check_inputs(graph: ModelGraph, inputs: list[np.ndarray]) -> None:
                 f"declared {declared} (leading axis is free)")
 
 
-def resolve(graph: ModelGraph, records: dict[str, BundleRecord] | None) \
-        -> tuple[list[tuple], dict[int, tuple[int, bytes]]]:
-    """Resolve every operator through ``records`` (a bundle's, or None).
-
-    Returns the real steps ``(s, output, kind, raw_options, true_inputs,
-    weights)``, ``kind`` being the real ``BuiltinOp``, and a map from each
-    decoy layer's output to its ``(s, raw_options)`` (the options encode its
-    shape).  Both callers, ``_program`` and ``reconstruct``, pass only graphs
-    that passed ``check_graph``, so only the records are checked here: an
-    unknown real code, and a true input or graph output that is a decoy's
-    output, raise ``InvariantViolation``.
-    """
-    steps, decoys = [], {}
+def compile_program(graph: ModelGraph, table: tuple[dict, int] | None,
+                    decode) -> tuple:
+    """The program for a gated ``graph`` and a bundle's record ``table`` (or
+    None), options through ``decode(kind, raw)``: the real steps ``(s,
+    output, kind, true_inputs, weights, options, drops)``, the output shapes
+    (a decoy's ``(shape,)``, else ``()``), the constants, the static live
+    bytes and the decoy output bytes (never live).  ``drops`` lists the
+    activations step ``s`` reads last, and its own output if no step reads
+    it; a tensor is in at most one list, constants and graph outputs in none.
+    Only how the records fit the graph is checked here."""
+    facts, live = table or (None, 0)
+    shapes, decoy_bytes, decoys = [()] * len(graph.operators), 0, set()
+    steps, reader = [], {}  # tensor -> drops of the step that reads it last
     for s, op in enumerate(graph.operators):
-        opcode = graph.opcodes[op.opcode_index]
+        opcode, o = graph.opcodes[op.opcode_index], op.outputs[0]
         if opcode.builtin_code != CUSTOM_SENTINEL:
-            code, raw, ins, weights = opcode.builtin_code, op.options, op.inputs, ()
+            kind = BuiltinOp._value2member_map_[opcode.builtin_code]
+            raw, ins, weights = op.options, op.inputs, ()
         else:
-            if records is None:
-                raise MissingBundle(
-                    f"operator {opcode.custom_name!r} is custom but no bundle "
-                    f"was supplied")
-            rec = records.get(opcode.custom_name)
-            if rec is None:
+            if facts is None:
+                raise MissingBundle(f"operator {opcode.custom_name!r} is custom "
+                                    "but no bundle was supplied")
+            fact = facts.get(opcode.custom_name)
+            if fact is None:
                 raise UnknownCustomName(
                     f"bundle has no record for {opcode.custom_name!r}")
-            code, raw = rec.real_builtin_code, rec.real_options
-            if code == DECOY_SENTINEL:  # reads nothing, never reaches a kernel
-                decoys[op.outputs[0]] = (s, raw)
+            if fact[0] is None:  # a decoy reads nothing, never reaches a kernel
+                _, shapes[s], n = fact
+                decoy_bytes += n
+                decoys.add(o)
                 continue
+            kind, raw, positions, weights = fact
             try:
-                ins = [op.inputs[p] for p in rec.true_input_positions]
+                ins = [op.inputs[p] for p in positions]
             except IndexError:
                 raise IndexOutOfRange(
                     f"record {opcode.custom_name!r}: true input positions "
-                    f"{rec.true_input_positions} exceed the operator's "
-                    f"{len(op.inputs)} inputs") from None
-            weights = rec.weights
-        kind = BuiltinOp._value2member_map_.get(code)
-        if kind is None:
-            raise InvariantViolation(f"operator {s}: unknown builtin {code}")
-        if decoys and not decoys.keys().isdisjoint(ins):
+                    f"{positions} exceed the operator's {len(op.inputs)} "
+                    f"inputs") from None
+        if decoys and not decoys.isdisjoint(ins):
             raise InvariantViolation(f"operator {s}: a true input is a decoy's output")
-        steps.append((s, op.outputs[0], kind, raw, ins, weights))
-    if decoys and not decoys.keys().isdisjoint(graph.graph_outputs):
+        drops = reader[o] = []
+        for t in ins:
+            reader[t] = drops
+        steps.append((s, o, kind, ins, weights, decode(kind, raw), drops))
+    if decoys and not decoys.isdisjoint(graph.graph_outputs):
         raise InvariantViolation("a graph output is a decoy's output")
-    return steps, decoys
+    consts = materialize_constants(graph)  # views of the buffers, not the graph
+    for t in (*consts, *graph.graph_outputs):
+        reader.pop(t, None)
+    for t, drops in reader.items():
+        drops.append(t)
+    live += sum(a.nbytes for a in consts.values())
+    return steps, shapes, consts, live, decoy_bytes
 
 
 # (id(graph), id(bundle)) -> (program, weak references to graph and bundle);
@@ -146,37 +145,13 @@ _programs: dict[tuple[int, int], tuple] = {}
 
 
 def _program(graph: ModelGraph, bundle: KernelBundle | None) -> tuple:
-    """``run``'s program for ``(graph, bundle)``, compiled once: the real steps
-    ``(s, output, kind, true_inputs, weights, options, drops)``, the decoy
-    output shapes, the constants, the static live bytes and the decoy output
-    bytes (never live).  ``drops`` lists the activations step ``s`` reads
-    last, and its own output if no step reads it; a tensor is in at most one
-    list, and constants and graph outputs are in none."""
+    """``run``'s program for ``(graph, bundle)``, compiled once."""
     key = (id(graph), id(bundle))
     entry = _programs.get(key)
     if entry is not None:
         return entry[0]
     check_graph(graph)
-    resolved, decoys = resolve(graph, bundle and bundle.records)
-    shapes, decoy_bytes = [()] * len(graph.operators), 0
-    for s, raw in decoys.values():
-        shapes[s], n = _decoy_output(raw)
-        decoy_bytes += n
-    steps, reader = [], {}  # tensor -> drops of the step that reads it last
-    for s, o, kind, raw, ins, weights in resolved:
-        drops = reader[o] = []
-        for t in ins:
-            reader[t] = drops
-        steps.append((s, o, kind, ins, weights, decode_options(kind, raw), drops))
-    consts = materialize_constants(graph)  # views of the buffers, not the graph
-    for t in (*consts, *graph.graph_outputs):
-        reader.pop(t, None)
-    for t, drops in reader.items():
-        drops.append(t)
-    live = sum(a.nbytes for a in consts.values())
-    if bundle is not None:
-        live += sum(w.nbytes for rec in bundle.records.values() for w in rec.weights)
-    program = steps, shapes, consts, live, decoy_bytes
+    program = compile_program(graph, bundle and bundle.table, decode_options)
 
     def drop(_ref):
         _programs.pop(key, None)

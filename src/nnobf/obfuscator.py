@@ -19,6 +19,7 @@ Three artifacts come out of :func:`obfuscate`:
 from __future__ import annotations
 
 import base64
+import binascii
 import json
 import math
 import random
@@ -397,9 +398,12 @@ def reconstruct(graph: ModelGraph, plan: ObfuscationPlan) -> ModelGraph:
 def _unwrap(graph: ModelGraph, plan: ObfuscationPlan) -> ModelGraph:
     """Drop the decoys and give each operator its real kind and weights."""
     try:
-        steps, decoys = interpreter.resolve(graph, plan.records)
+        steps, shapes, *_ = interpreter.compile_program(
+            graph, KernelBundle(plan.records).table,
+            lambda kind, raw: raw)  # options stay raw bytes
     except NnobfError as e:
         raise PlanMismatch(f"plan does not fit the graph: {e}") from e
+    decoys = {op.outputs[0] for op, shape in zip(graph.operators, shapes) if shape}
 
     kept = [i for i in range(len(graph.tensors)) if i not in decoys]
     remap = {i: k for k, i in enumerate(kept)}
@@ -408,7 +412,7 @@ def _unwrap(graph: ModelGraph, plan: ObfuscationPlan) -> ModelGraph:
     # keep existing buffers: without encapsulation, constants still live here
     buffers: list[bytes] = list(graph.buffers)
     operators: list[OperatorEntry] = []
-    for s, _, kind, raw, ins, weights in steps:
+    for s, _, kind, ins, weights, raw, _ in steps:
         inputs = [remap[t] for t in ins]
         for w in weights:
             buffers.append(np.ascontiguousarray(w).tobytes())
@@ -442,6 +446,7 @@ def _restore_shapes(tensors, shapes: list[tuple[int, ...]]) -> tuple[Tensor, ...
 
 PLAN_WARNING = ("PRIVATE ARTIFACT: this plan inverts the obfuscation. "
                 "Never distribute it alongside the model or bundle.")
+_BUNDLE_KEY = ', "bundle": "'  # the plan's last key, its value spliced in
 
 
 def plan_to_json(plan: ObfuscationPlan) -> str:
@@ -469,36 +474,37 @@ def plan_to_json(plan: ObfuscationPlan) -> str:
         "shapes": plan.shapes,
     }
     bundle = serialize_bundle(KernelBundle(plan.records))
-    return "".join((json.dumps(doc)[:-1], ', "bundle": "',
+    return "".join((json.dumps(doc)[:-1], _BUNDLE_KEY,
                     base64.b64encode(bundle).decode("ascii"), '"}'))
 
 
 def plan_from_json(text: str) -> ObfuscationPlan:
-    """Inverse of :func:`plan_to_json`; malformed input raises MalformedPlan."""
+    """Inverse of :func:`plan_to_json`; malformed input raises MalformedPlan.
+    Like the writer, it splits the text at the last ``, "bundle": "``: only
+    the head goes to ``json.loads``, and the tail must be strict base64 and
+    ``"}``, so a JSON-escaped bundle string is rejected."""
+    cut = text.rfind(_BUNDLE_KEY)
+    if cut < 0 or not text.endswith('"}'):
+        raise MalformedPlan('not a plan file: no closing "bundle" string')
     try:
-        return _plan_from_doc(json.loads(text))
+        doc = json.loads(text[:cut] + "}")  # text ending in "}": a dict or an error
+        if doc.get("format") != "nnobf-plan" or doc.get("version") != 4:
+            raise MalformedPlan("not a version-4 nnobf plan file")
+        cfg = doc["config"]
+        config = ObfuscationConfig(
+            seed=cfg["seed"],
+            n_shortcuts=cfg["n_shortcuts"],
+            n_extra_layers=cfg["n_extra_layers"],
+            shape_strategy=ShapeStrategy(cfg["shape_strategy"]),
+            strategies=frozenset(Strategy(s) for s in cfg["strategies"]))
+        # strict rejects non-alphabet bytes; reads the str in place, no copy
+        blob = binascii.a2b_base64(text[cut + len(_BUNDLE_KEY):-2], strict_mode=True)
+        return ObfuscationPlan(config, dict(load_bundle(blob).records),
+                               shapes=[_shape(s) for s in _list(doc["shapes"])])
     except MalformedPlan:
         raise
     except (KeyError, TypeError, ValueError, RecursionError, NnobfError) as e:
         raise MalformedPlan(f"malformed plan file: {e!r}") from e
-
-
-def _plan_from_doc(doc) -> ObfuscationPlan:
-    if not isinstance(doc, dict) or doc.get("format") != "nnobf-plan" \
-            or doc.get("version") != 4:
-        raise MalformedPlan("not a version-4 nnobf plan file")
-    cfg = doc["config"]
-    config = ObfuscationConfig(
-        seed=cfg["seed"],
-        n_shortcuts=cfg["n_shortcuts"],
-        n_extra_layers=cfg["n_extra_layers"],
-        shape_strategy=ShapeStrategy(cfg["shape_strategy"]),
-        strategies=frozenset(Strategy(s) for s in cfg["strategies"]))
-    # pop, so the base64 text is freed before load_bundle copies the weights;
-    # validate=True: the default silently drops non-alphabet bytes
-    blob = base64.b64decode(doc.pop("bundle"), validate=True)
-    return ObfuscationPlan(config=config, records=dict(load_bundle(blob).records),
-                           shapes=[_shape(s) for s in _list(doc["shapes"])])
 
 
 def _list(v) -> list:

@@ -21,8 +21,8 @@ ascending index order, starting from 0.0.  The loop is explicit because
 
 Every label column propagates and bins on its own, using only its label's
 offset, so a graph is propagated and binned once per label set.  A column
-whose label neither graph carries stays zero in every row and lands every
-node in the same bucket coordinate, so it changes no count product: the
+of a label the graph lacks stays +0.0, unpropagated, and puts every node in
+one bucket coordinate; if neither graph has it, no count product changes: the
 self-kernels and every pair of a :func:`similarity_matrix` or
 :func:`similarity_row` share one binning over the union of all labels.
 """
@@ -110,6 +110,7 @@ def _bucket_counts(g: LabeledGraph, labels: list[int], seed: int) -> Counter[tup
         closed[v].add(u)
     neigh = [(1.0 / len(ns), sorted(ns)) for ns in closed]
     cols = [[1.0 if x == lab else 0.0 for x in g.labels] for lab in labels]
+    carried = set(g.labels)
     width, counts = _BIN_WIDTH, Counter()
     for t in range(_T_MAX + 1):
         offsets = [quantization_offset(seed, t, lab) * width for lab in labels]
@@ -117,6 +118,8 @@ def _bucket_counts(g: LabeledGraph, labels: list[int], seed: int) -> Counter[tup
                                         for col, off in zip(cols, offsets))))
         if t < _T_MAX:
             for j, col in enumerate(cols):
+                if labels[j] not in carried:  # all +0.0, and stays so
+                    continue
                 new = []
                 for w, ns in neigh:
                     acc = 0.0

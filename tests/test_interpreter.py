@@ -5,8 +5,15 @@ import weakref
 import numpy as np
 import pytest
 
+from nnobf import bundle as bundle_module
 from nnobf import interpreter
-from nnobf.bundle import BundleRecord, KernelBundle, encode_decoy_shape
+from nnobf.bundle import (
+    BundleRecord,
+    KernelBundle,
+    encode_decoy_shape,
+    load_bundle,
+    serialize_bundle,
+)
 from nnobf.errors import (
     IndexOutOfRange,
     InvariantViolation,
@@ -28,9 +35,11 @@ from nnobf.model_format import (
     OptionsKind,
     Tensor,
     encode_options,
+    parse_model,
+    serialize_model,
     tensor_byte_size,
 )
-from nnobf.obfuscator import ObfuscationConfig, obfuscate
+from nnobf.obfuscator import ObfuscationConfig, ShapeStrategy, obfuscate
 
 F = np.float32
 
@@ -554,3 +563,77 @@ def test_constants_are_bound_once(lenet, monkeypatch):
     assert len(calls) == 1
     run(dataclasses.replace(lenet), None, x)  # an equal graph compiles afresh
     assert len(calls) == 2
+
+
+# -- record tables: loading derives what compiling reads -------------------------
+
+def loaded_twin(public, bundle):
+    """``public`` parsed from its bytes, and ``bundle`` loaded from its bytes."""
+    return (parse_model(serialize_model(public)),
+            load_bundle(serialize_bundle(bundle)))
+
+
+def arrays(ws):
+    return [(w.dtype, w.shape, w.tobytes()) for w in ws]
+
+
+def program_fields(program):
+    """A program with every array as (dtype, shape, bytes), so two compiles
+    of equal inputs compare equal."""
+    steps, shapes, consts, live, decoy_bytes = program
+    return ([(s, o, kind, list(ins), arrays(weights), opts, drops)
+             for s, o, kind, ins, weights, opts, drops in steps],
+            shapes, sorted(consts), arrays(consts.values()), live, decoy_bytes)
+
+
+@pytest.mark.parametrize("strategy", list(ShapeStrategy))
+@pytest.mark.parametrize("n", [0, 20, 30])
+def test_loaded_and_built_bundles_compile_to_equal_programs(all_fixtures, n, strategy):
+    config = ObfuscationConfig(seed=3, n_shortcuts=n, n_extra_layers=n,
+                               shape_strategy=strategy)
+    for name, g in all_fixtures.items():
+        public, built, _ = obfuscate(g, config)
+        assert "table" not in vars(built)  # derived on the first compile
+        loaded = loaded_twin(public, built)[1]
+        assert "table" in vars(loaded)  # derived while loading
+        want = program_fields(interpreter._program(public, built))
+        assert program_fields(interpreter._program(public, loaded)) == want, name
+        decoys = sum(bool(shape) for shape in want[1])
+        assert decoys == sum(rec.is_decoy for rec in built.records.values()) == n, name
+        assert built.table[1] == loaded.table[1] == sum(
+            w.nbytes for rec in built.records.values() for w in rec.weights), name
+
+
+def test_a_cold_compile_decodes_each_real_operators_options_once(all_fixtures,
+                                                                 monkeypatch):
+    calls = []
+    decode = interpreter.decode_options
+    monkeypatch.setattr(interpreter, "decode_options",
+                        lambda kind, raw: calls.append(kind) or decode(kind, raw))
+    config = ObfuscationConfig(seed=4, n_shortcuts=20, n_extra_layers=20)
+    for name, g in all_fixtures.items():
+        public, bundle = loaded_twin(*obfuscate(g, config)[:2])
+        x = [rand_input(g)]
+        calls.clear()
+        run(public, bundle, x)
+        real = [rec.real_builtin_code for rec in bundle.records.values()
+                if not rec.is_decoy]
+        assert sorted(calls) == sorted(real) and len(real) == len(g.operators), name
+        run(public, bundle, x)  # warm: nothing decoded again
+        assert len(calls) == len(real), name
+
+
+def test_compiling_a_loaded_bundle_never_decodes_a_decoy_shape(lenet, monkeypatch):
+    public, built, _ = obfuscate(lenet, ObfuscationConfig(seed=6, n_shortcuts=5,
+                                                          n_extra_layers=5))
+    public, loaded = loaded_twin(public, built)
+    calls = []
+    decode = bundle_module.decode_decoy_shape
+    monkeypatch.setattr(bundle_module, "decode_decoy_shape",
+                        lambda *a: calls.append(a) or decode(*a))
+    x = [rand_input(lenet)]
+    run(public, loaded, x)
+    assert calls == []
+    run(public, built, x)  # a bundle built in process decodes each decoy once
+    run(dataclasses.replace(public), built, x)  # and keeps its table
+    assert len(calls) == 5

@@ -554,13 +554,13 @@ def lenet_weight_sets():
     g = build_fixture("lenet", 0)
     consts = materialize_constants(g)
     public, bundle, _ = obfuscate(build_fixture("lenet", 5), ObfuscationConfig(seed=1))
-    for (_, _, kind, raw, ins, _), (_, _, _, _, _, weights) in zip(
-            interpreter.resolve(g, None)[0], interpreter.resolve(public, bundle.records)[0]):
+    for (_, _, kind, ins, _, opts, _), (_, _, _, _, weights, _, _) in zip(
+            interpreter.compile_program(g, None, decode_options)[0],
+            interpreter.compile_program(public, bundle.table, decode_options)[0]):
         if kind in WEIGHTED:
             original = [consts[t] for t in ins[1:]]
             assert [w.shape for w in weights] == [w.shape for w in original]
-            yield (kind, g.tensors[ins[0]].shape, decode_options(kind, raw),
-                   original, list(weights))
+            yield kind, g.tensors[ins[0]].shape, opts, original, list(weights)
 
 
 def test_plans_take_each_calls_weights(fresh_plans):

@@ -773,7 +773,9 @@ def _old_plans():
                              "injected_shortcuts", "injected_layers")}
     return [pytest.param(json.dumps({**v2, "version": 2}), id="version-2-plan"),
             pytest.param(json.dumps({**v3, "version": 2}), id="version-3-labelled-2"),
-            pytest.param(json.dumps(v3), id="version-3-plan")]
+            pytest.param(json.dumps(v3), id="version-3-plan"),
+            pytest.param(plan_to_json(plan).replace('"version": 4', '"version": 3'),
+                         id="version-4-labelled-3")]
 
 
 @pytest.mark.parametrize("text", [
@@ -782,6 +784,30 @@ def _old_plans():
     *_old_plans(),
 ])
 def test_malformed_plan_text_raises(text):
+    with pytest.raises(MalformedPlan):
+        plan_from_json(text)
+
+
+def _split_plan_texts():
+    """A (20, 20) lenet plan as ``plan_to_json`` writes it, rewritten in ways
+    ``json.loads`` accepts but the split reader rejects."""
+    _, _, plan = obfuscate(build_fixture("lenet", 0), ObfuscationConfig(
+        seed=5, n_shortcuts=20, n_extra_layers=20))
+    text = plan_to_json(plan)
+    head, bundle = text.split(', "bundle": "')
+    assert "/" in bundle and text.endswith('"}')
+    return [
+        pytest.param(json.dumps(json.loads(text), separators=(",", ":")),
+                     id="no-marker"),
+        pytest.param(text[:-1] + ', "extra": 1}', id="bundle-not-last"),
+        pytest.param(text + "\n", id="text-after-the-bundle"),
+        pytest.param(head + ', "bundle": "' + bundle.replace("/", "\\/"),
+                     id="json-escaped-bundle")]
+
+
+@pytest.mark.parametrize("text", _split_plan_texts())
+def test_plan_reader_rejects_what_its_split_cannot_read(text):
+    assert json.loads(text)["bundle"]  # valid JSON with a bundle string
     with pytest.raises(MalformedPlan):
         plan_from_json(text)
 

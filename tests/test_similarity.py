@@ -205,6 +205,32 @@ def test_graphs_sharing_no_label_score_zero(monkeypatch):
         reference_propagation_kernel(g1, g2, 2) == 0.0
 
 
+def test_labels_a_graph_lacks_match_brute_force_exactly(monkeypatch):
+    # each graph carries labels the other lacks, so each bins columns that it
+    # does not propagate; the reference propagates every column.  On the
+    # 1e-16 grid a carried column left unpropagated moves its buckets
+    rng = np.random.default_rng(31)
+
+    def graph(n, label_set):
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        picked = rng.permutation(len(pairs))[:2 * n]
+        return LabeledGraph(n, tuple(sorted(pairs[k] for k in picked)),
+                            tuple(int(x) for x in rng.choice(label_set, n)))
+
+    pairs = [disjoint_label_pair()] + [
+        (graph(int(rng.integers(5, 30)), [0, 1, 2, 3]),
+         graph(int(rng.integers(5, 30)), [3, 5, 6, 8])) for _ in range(6)]
+    for t_max, width in ((similarity._T_MAX, similarity._BIN_WIDTH), (4, 1e-16)):
+        monkeypatch.setattr(similarity, "_T_MAX", t_max)
+        monkeypatch.setattr(similarity, "_BIN_WIDTH", width)
+        for g1, g2 in pairs:
+            assert propagation_kernel(g1, g2, 8) == \
+                reference_propagation_kernel(g1, g2, 8)
+            assert propagation_kernel(g2, g1, 8) == \
+                reference_propagation_kernel(g2, g1, 8)
+    assert any(propagation_kernel(g1, g2) > 0.0 for g1, g2 in pairs)
+
+
 def test_similarity_matrix_equals_pairwise_kernel_exactly():
     # label sets differ across graphs, so the matrix bins over columns that
     # some pairs do not share

@@ -1,18 +1,20 @@
-"""Cold compile cost: wall time of ``interpreter._program`` on freshly parsed
-obfuscated models, per fixture.
+"""Cold start cost: wall time of ``bundle.load_bundle`` and then of
+``interpreter._program`` on freshly parsed obfuscated models, per fixture.
 
     PYTHONPATH=src python3 tools/compile_cost.py [--rounds 40] \\
         [--fixtures lenet ...]
 
 Each fixture (weight seed 0) is obfuscated at (20, 20) ``align`` (the
 serving point of ``perfbench``) with obfuscation seeds 0-3, and each model
-and bundle is serialized once.  Each round parses fresh copies of every
-model and bundle from those bytes, so no run has compiled them, then times
-``interpreter._program`` on each pair with the collector off.  The copies
-die once timed, and their programs with them.  It prints the
-median compile time per fixture and over all of them, in µs.  Run it on
-two checkouts alternately (``PYTHONPATH`` set to each side's ``src``) to
-compare them.  Standard library plus nnobf.
+and bundle is serialized once.  Each round parses a fresh copy of every
+model from those bytes, so no run has compiled it, then, with the collector
+off, times ``load_bundle`` of the pair's bundle bytes and ``_program`` on the
+model and that bundle.  The copies die once timed, and their programs with
+them.  It prints the median load and compile times per fixture and over all
+of them, in µs: loading derives each record's facts, so work it takes on
+shows here rather than in the compile.  Run it on two checkouts alternately
+(``PYTHONPATH`` set to each side's ``src``) to compare them.  Standard
+library plus nnobf.
 """
 
 from __future__ import annotations
@@ -47,16 +49,19 @@ def serialized(name: str) -> list[tuple[bytes, bytes]]:
     return pairs
 
 
-def compile_seconds(pairs: list[tuple[bytes, bytes]]) -> list[float]:
-    """One round: ``_program``'s wall time on fresh copies of each pair."""
-    copies = [(parse_model(m), load_bundle(b)) for m, b in pairs]
+def cold_seconds(pairs: list[tuple[bytes, bytes]]) -> list[tuple[float, float]]:
+    """One round: per pair, ``load_bundle``'s and then ``_program``'s wall
+    time on fresh copies."""
+    graphs = [parse_model(m) for m, _ in pairs]
     times = []
     gc.disable()
     try:
-        for graph, bundle in copies:
+        for graph, (_, data) in zip(graphs, pairs):
             t0 = time.perf_counter()
+            bundle = load_bundle(data)
+            t1 = time.perf_counter()
             interpreter._program(graph, bundle)
-            times.append(time.perf_counter() - t0)
+            times.append((t1 - t0, time.perf_counter() - t1))
     finally:
         gc.enable()
     return times
@@ -72,12 +77,14 @@ def main(argv: list[str] | None = None) -> int:
     samples = {name: [] for name in args.fixtures}
     for _ in range(args.rounds):
         for name, pairs in data.items():
-            samples[name] += compile_seconds(pairs)
+            samples[name] += cold_seconds(pairs)
+    samples["all"] = [t for times in samples.values() for t in times]
+    print(f"{'fixture':<14} {'load_us':>9} {'compile_us':>11}")
     for name, times in samples.items():
-        print(f"{name:<14} {statistics.median(times) * 1e6:8.1f} us")
-    overall = [t for times in samples.values() for t in times]
-    print(f"{'all':<14} {statistics.median(overall) * 1e6:8.1f} us "
-          f"({len(overall)} compiles)")
+        load, build = zip(*times)
+        print(f"{name:<14} {statistics.median(load) * 1e6:9.1f} "
+              f"{statistics.median(build) * 1e6:11.1f}"
+              + (f" ({len(times)} pairs)" if name == "all" else ""))
     return 0
 
 
