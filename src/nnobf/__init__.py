@@ -31,7 +31,6 @@ from .model_format import (
     ModelGraph,
     OperatorCode,
     OperatorEntry,
-    OptionsKind,
     Padding,
     Tensor,
     dump_json,

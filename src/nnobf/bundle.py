@@ -20,15 +20,15 @@ Wire format "OBFB", little-endian:
 walker writes and reads both formats.
 
 :func:`load_bundle` rejects, with :class:`~nnobf.errors.InvariantViolation`,
-any record the runtime could not execute: a name that is not UTF-8, a code
-that is neither a ``BuiltinOp`` nor ``DECOY_SENTINEL``, decoy options whose
-length disagrees with their rank byte, a decoy shape of more than 65,536
-elements (the runtime counts its size), an unknown dtype byte, and weight
-data that is not exactly ``itemsize * prod(dims)`` bytes.  Records hold wire
-data only; the runtime keeps no state in them.  Records and bundles are
-frozen once built.  Short input and trailing bytes raise
-:class:`~nnobf.errors.TruncatedSection`, a bad header
-:class:`~nnobf.errors.BadMagic`.
+any record the runtime could not execute: a name that is not UTF-8 or that
+an earlier record already took, a code that is neither a ``BuiltinOp`` nor
+``DECOY_SENTINEL``, decoy options whose length disagrees with their rank
+byte, a decoy shape of more than 65,536 elements (the runtime counts its
+size), an unknown dtype byte, and weight data that is not exactly
+``itemsize * prod(dims)`` bytes.  Records hold wire data only; the runtime
+keeps no state in them.  Records and bundles are frozen once built.  Short
+input and trailing bytes raise :class:`~nnobf.errors.TruncatedSection`, a
+bad header :class:`~nnobf.errors.BadMagic`.
 
 Loading also derives, as it checks them, the facts a compile reads of each
 record (:func:`_facts`), kept as :attr:`KernelBundle.table`; a bundle
@@ -172,6 +172,9 @@ def serialize_bundle(bundle: KernelBundle) -> bytes:
 def load_bundle(data: bytes) -> KernelBundle:
     (rows,) = _decode(BUNDLE_MAGIC, BUNDLE_VERSION, _BUNDLE, data)
     bundle = KernelBundle((name, rec) for name, rec, _ in rows)
+    if len(bundle.records) != len(rows):
+        raise InvariantViolation(f"a record name repeats: {len(rows)} records, "
+                                 f"{len(bundle.records)} names")
     # stored past the frozen guard, where the cached property would store it
     object.__setattr__(bundle, "table", _table((n, f) for n, _, f in rows))
     return bundle

@@ -177,7 +177,7 @@ _COMMANDS = {
         "obfuscated": {},
         "--bundle": {},
         "-n": dict(type=_COUNT, default=1000),
-        "--seed": _SEED}),
+        "--seed": dict(type=_COUNT0, default=0)}),
     "dump": ("print the JSON view of a model", _cmd_dump, {"model": {}}),
     "similarity": ("pairwise structure-similarity CSV", _cmd_similarity, {
         "models": dict(nargs="+"),
@@ -196,13 +196,13 @@ _COMMANDS = {
                            help="include an un-obfuscated baseline row"),
         "-n": dict(type=_COUNT, default=1000, help="inferences per timing run"),
         "--reps": dict(type=_COUNT, default=3),
-        "--seed": _SEED,
+        "--seed": dict(type=_COUNT0, default=0),
         "--shape": _SHAPE,
         "-o --output": dict(help="CSV path (default stdout)")}),
     "build-fixture": ("write a built-in fixture model", _cmd_build_fixture, {
         "name": dict(choices=FIXTURE_NAMES),
         "-o --output": dict(required=True),
-        "--seed": _SEED}),
+        "--seed": dict(type=_COUNT0, default=0)}),
 }
 
 

@@ -28,7 +28,6 @@ from .model_format import (
     ModelGraph,
     OperatorCode,
     OperatorEntry,
-    OptionsKind,
     Padding,
     PoolOptions,
     Tensor,
@@ -94,7 +93,7 @@ class GraphBuilder:
 
         operators = tuple(
             OperatorEntry(opcode, tuple(resolve(i) for i in inputs),
-                          tuple(outputs), OptionsKind.BUILTIN, raw)
+                          tuple(outputs), raw)
             for opcode, inputs, outputs, raw in self._operators)
         opcodes = tuple(OperatorCode(int(code)) for code in self._opcodes)
         return ModelGraph(opcodes, tuple(buffers), tuple(tensors),

@@ -2,7 +2,7 @@
 
 A model file is a little-endian, length-prefixed dump of five tables:
 
-    magic "NNM1" | version u32=1
+    magic "NNM1" | version u32=2
     opcode table   u32 count | per entry: builtin_code u16 (0xFFFF = CUSTOM),
                                           custom_name u32 len + UTF-8
     buffer table   u32 count | per entry: u64 len + raw bytes (entry 0 empty)
@@ -11,7 +11,7 @@ A model file is a little-endian, length-prefixed dump of five tables:
     operator table u32 count | per entry: opcode_index u32,
                                           n_inputs u32 + u32 indices,
                                           n_outputs u32 + u32 indices,
-                                          options_kind u8, options u32 len + bytes
+                                          options u32 len + bytes
     graph io       n u32 + u32 indices, twice (inputs then outputs)
 
 ``_MODEL`` is the wire spec; the text above restates it.  One writer and one
@@ -63,7 +63,7 @@ from .errors import (
 )
 
 MAGIC = b"NNM1"
-VERSION = 1
+VERSION = 2
 
 CUSTOM_SENTINEL = 0xFFFF
 # Marks injected decoy layers inside plans/bundles; never serialized in a model.
@@ -109,11 +109,6 @@ class Activation(IntEnum):
     NONE = 0
     RELU = 1
     RELU6 = 2
-
-
-class OptionsKind(IntEnum):
-    BUILTIN = 0
-    CUSTOM = 1
 
 
 # ---------------------------------------------------------------------------
@@ -229,8 +224,7 @@ class OperatorEntry(NamedTuple):
     opcode_index: int
     inputs: tuple[int, ...]
     outputs: tuple[int, ...]
-    options_kind: OptionsKind = OptionsKind.BUILTIN
-    options: bytes = b""
+    options: bytes = b""  # builtin options, or opaque bytes if the opcode is custom
 
 
 @dataclass(frozen=True)
@@ -277,8 +271,8 @@ def validate(graph: ModelGraph) -> list[str]:
     v: list[str] = []
     n_t = len(graph.tensors)
 
-    # per opcode: custom?, and its builtin kind if known (to decode options)
-    codes: list[tuple[bool, BuiltinOp | None]] = []
+    # per opcode: its builtin kind, to decode options; None if custom or unknown
+    codes: list[BuiltinOp | None] = []
     for i, oc in enumerate(graph.opcodes):
         custom = oc.builtin_code == CUSTOM_SENTINEL
         if custom != bool(oc.custom_name):
@@ -290,7 +284,7 @@ def validate(graph: ModelGraph) -> list[str]:
         kind = None if custom else BuiltinOp._value2member_map_.get(oc.builtin_code)
         if not custom and kind is None:
             v.append(f"opcodes[{i}].builtin_code: unknown builtin {oc.builtin_code}")
-        codes.append((custom, kind))
+        codes.append(kind)
 
     if not graph.buffers:
         v.append("buffers: table must contain reserved empty entry 0")
@@ -317,18 +311,11 @@ def validate(graph: ModelGraph) -> list[str]:
     for i, op in enumerate(graph.operators):
         if not 0 <= op.opcode_index < len(codes):
             v.append(f"operators[{i}].opcode_index: {op.opcode_index} out of range")
-        else:
-            custom, kind = codes[op.opcode_index]
-            if custom:
-                if op.options_kind is not OptionsKind.CUSTOM:
-                    v.append(f"operators[{i}]: custom opcode requires CUSTOM options")
-            elif op.options_kind is not OptionsKind.BUILTIN:
-                v.append(f"operators[{i}]: builtin opcode requires BUILTIN options")
-            elif kind is not None:
-                try:
-                    decode_options(kind, op.options)
-                except MalformedOptions as e:
-                    v.append(f"operators[{i}].options: {e}")
+        elif (kind := codes[op.opcode_index]) is not None:
+            try:
+                decode_options(kind, op.options)
+            except MalformedOptions as e:
+                v.append(f"operators[{i}].options: {e}")
         # constants must trail activations so custom-dispatch reassembly stays
         # positional
         seen_const, follows = False, None
@@ -429,7 +416,7 @@ _COUNTED = {"s": _U32, "b": _U32, "q": _U64}
 # ``sub``, from the value itself.
 _MODEL = ((OperatorCode, ("H", "s")), (bytes, ("q",)),
           (Tensor, ("s", DType, "i", "I")),
-          (OperatorEntry, ("I", "i", "i", OptionsKind, "b")), "i", "i")
+          (OperatorEntry, ("I", "i", "i", "b")), "i", "i")
 
 
 def _write(layout, values, out: list) -> None:
@@ -580,10 +567,10 @@ def dump_json(graph: ModelGraph) -> str:
         entry = {"inputs": list(op.inputs), "outputs": list(op.outputs),
                  "op_type": oc.custom_name if kind is None
                  else BUILTIN_NAMES[kind] + "Options"}
-        if op.options_kind is OptionsKind.BUILTIN:
-            entry["builtin_options"] = options_to_dict(kind, op.options)
-        else:
+        if kind is None:
             entry["custom_options"] = list(op.options)
+        else:
+            entry["builtin_options"] = options_to_dict(kind, op.options)
         operators.append(entry)
 
     doc = {"operator_codes": codes, "tensors": tensors, "operators": operators}

@@ -46,7 +46,6 @@ from .model_format import (
     ModelGraph,
     OperatorCode,
     OperatorEntry,
-    OptionsKind,
     Tensor,
     check_graph,
     materialize_constants,
@@ -169,8 +168,7 @@ def rename(graph: ModelGraph, plan: ObfuscationPlan,
                 f"expects an unobfuscated graph")
         name = names.fresh()
         opcodes.append(OperatorCode(CUSTOM_SENTINEL, name))
-        operators.append(op._replace(opcode_index=i,
-                                     options_kind=OptionsKind.CUSTOM))
+        operators.append(op._replace(opcode_index=i))
         plan.records[name] = BundleRecord(
             real.builtin_code, op.options,
             tuple(range(len(op.inputs))), ())
@@ -313,7 +311,7 @@ def inject_extra_layers(graph: ModelGraph, n2: int, rng: random.Random,
         options = rng.randbytes(rng.randint(8, 24))
         decoys[a].append((d, OperatorEntry(
             len(opcodes) - 1, (graph.operators[a].outputs[0],),
-            (len(tensors) - 1,), OptionsKind.CUSTOM, options)))
+            (len(tensors) - 1,), options)))
         extra[b].append(len(tensors) - 1)
         shapes.append(shape)
         plan.records[op_name] = BundleRecord(
@@ -421,8 +419,7 @@ def _unwrap(graph: ModelGraph, plan: ObfuscationPlan) -> ModelGraph:
             inputs.append(len(tensors) - 1)
         operators.append(OperatorEntry(
             opcode_index.setdefault(kind, len(opcode_index)), tuple(inputs),
-            tuple(remap[t] for t in graph.operators[s].outputs),
-            OptionsKind.BUILTIN, raw))
+            tuple(remap[t] for t in graph.operators[s].outputs), raw))
 
     opcodes = tuple(OperatorCode(int(kind)) for kind in opcode_index)
     return ModelGraph(opcodes, tuple(buffers), tuple(tensors), tuple(operators),

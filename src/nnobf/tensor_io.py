@@ -40,6 +40,8 @@ def read_tensor(path: str | Path) -> np.ndarray:
     dims = struct.unpack("<4I", data[8:24])
     if rank > 4:
         raise InvariantViolation(f"tensor rank {rank} exceeds 4")
+    if any(dims[rank:]):
+        raise InvariantViolation(f"rank-{rank} tensor has nonzero unused dims {dims}")
     if dtype_raw not in NP_DTYPE:
         raise InvariantViolation(f"unknown tensor dtype {dtype_raw}")
     shape = dims[:rank]

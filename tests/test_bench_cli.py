@@ -1,5 +1,6 @@
 import argparse
 import json
+import re
 import runpy
 import sys
 from dataclasses import replace
@@ -163,14 +164,16 @@ def test_tensor_file_write_rejects(tmp_path, array, message):
     (lambda data: data[:23], TruncatedSection, "tensor header needs 24 bytes"),
     (lambda data: data[:5] + b"\x05" + data[6:], InvariantViolation,
      "tensor rank 5 exceeds 4"),
+    (lambda data: data[:12] + b"\x05" + data[13:], InvariantViolation,
+     "rank-1 tensor has nonzero unused dims (4, 5, 0, 0)"),
     (lambda data: data[:-1], TruncatedSection,
      "tensor payload is 15 bytes, header implies 16"),
-], ids=["short header", "rank 5", "short payload"])
+], ids=["short header", "rank 5", "stray dim", "short payload"])
 def test_tensor_file_read_rejects(tmp_path, damage, error, message):
     p = tmp_path / "t.nnt1"
     write_tensor(p, np.arange(4, dtype=F))
     p.write_bytes(damage(p.read_bytes()))
-    with pytest.raises(error, match=f"^{message}$"):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
         read_tensor(p)
 
 
@@ -343,6 +346,9 @@ def test_cli_bench_malformed_configs_are_usage_errors(pair, capsys):
      "all,rename"),
     (["obfuscate", "m", "-o", "d", "--n1", "-3"], "--n1", "-3"),
     (["obfuscate", "m", "-o", "d", "--n2", "2.5"], "--n2", "2.5"),
+    (["build-fixture", "mlp", "-o", "m", "--seed", "-1"], "--seed", "-1"),
+    (["compare", "a", "b", "--seed", "-1"], "--seed", "-1"),
+    (["bench", "m.nnm1", "--seed", "-1"], "--seed", "-1"),
 ])
 def test_cli_bad_counts_and_strategies_are_usage_errors(argv, option, value, capsys):
     assert cli_dispatch(argv) == 2

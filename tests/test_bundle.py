@@ -1,3 +1,4 @@
+import base64
 import dataclasses
 import re
 import struct
@@ -185,6 +186,21 @@ def test_oversized_decoy_is_rejected(shape):
     plan = ObfuscationPlan(ObfuscationConfig(seed=3), records={"Abcdef": record})
     with pytest.raises(MalformedPlan, match="exceeds 65536 elements"):
         plan_from_json(plan_to_json(plan))
+
+
+def test_a_repeated_record_name_is_rejected():
+    rec = BundleRecord(int(BuiltinOp.RELU), b"", (0,), ())
+    records = {"Abcdef": rec, "Ghijkl": rec}
+    good = serialize_bundle(KernelBundle(records))
+    bad = good.replace(b"Ghijkl", b"Abcdef")
+    message = "^a record name repeats: 2 records, 1 names$"
+    with pytest.raises(InvariantViolation, match=message):
+        load_bundle(bad)
+    text = plan_to_json(ObfuscationPlan(ObfuscationConfig(seed=3), records=records))
+    b64 = base64.b64encode(good).decode()
+    assert text.count(b64) == 1
+    with pytest.raises(MalformedPlan, match="a record name repeats"):
+        plan_from_json(text.replace(b64, base64.b64encode(bad).decode()))
 
 
 def test_decoy_and_builtin_records_load():

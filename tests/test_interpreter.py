@@ -32,7 +32,6 @@ from nnobf.model_format import (
     ModelGraph,
     OperatorCode,
     OperatorEntry,
-    OptionsKind,
     Tensor,
     encode_options,
     parse_model,
@@ -214,7 +213,7 @@ def shortcut_graph():
     opcodes = (OperatorCode(int(BuiltinOp.RELU)),
                OperatorCode(CUSTOM_SENTINEL, "Qwerty"))
     ops = (OperatorEntry(0, (0,), (1,)), OperatorEntry(0, (1,), (2,)),
-           OperatorEntry(1, (2, 1), (3,), OptionsKind.CUSTOM, b"\x07"))
+           OperatorEntry(1, (2, 1), (3,), b"\x07"))
     bundle = KernelBundle({"Qwerty": BundleRecord(int(BuiltinOp.RELU), b"",
                                                   (0,), ())})
     return ModelGraph(opcodes, (b"",), t, ops, (0,), (3,)), bundle

@@ -100,13 +100,7 @@ def _dtype_byte(lenet, data):
     return data.index(struct.pack("<I", len(name)) + name) + 4 + len(name)
 
 
-def _options_kind_byte(lenet, data):
-    io = 8 + 4 * (len(lenet.graph_inputs) + len(lenet.graph_outputs))
-    return len(data) - io - 4 - len(lenet.operators[-1].options) - 1
-
-
-@pytest.mark.parametrize("locate,enum", [(_dtype_byte, "DType"),
-                                         (_options_kind_byte, "OptionsKind")])
+@pytest.mark.parametrize("locate,enum", [(_dtype_byte, "DType")])
 def test_unknown_enum_byte_raises_with_its_offset(lenet, locate, enum):
     data = serialize_model(lenet)
     at = locate(lenet, data)
@@ -118,7 +112,7 @@ def test_unknown_enum_byte_raises_with_its_offset(lenet, locate, enum):
 def test_one_tensor_graph_golden_bytes():
     """The wire layout of the model docstring, written out by hand."""
     assert serialize_model(one_tensor_graph()) == bytes.fromhex(
-        "4e4e4d31" "01000000"                   # magic "NNM1", version 1
+        "4e4e4d31" "02000000"                   # magic "NNM1", version 2
         "00000000"                              # 0 opcodes
         "01000000" "0000000000000000"           # 1 buffer: u64 len 0
         "01000000"                              # 1 tensor:
@@ -129,6 +123,39 @@ def test_one_tensor_graph_golden_bytes():
         "00000000"                              # 0 operators
         "01000000" "00000000"                   # graph inputs (0,)
         "01000000" "00000000")                  # graph outputs (0,)
+
+
+def test_one_operator_graph_golden_bytes():
+    """An operator row: its kind is its opcode's, and only the options
+    follow its output list."""
+    g = _io_graph(opcodes=(OperatorCode(CUSTOM_SENTINEL, "Abcdef"),),
+                  operators=(OperatorEntry(0, (0,), (1,), b"\x07"),),
+                  graph_outputs=(1,))
+    data = serialize_model(g)
+    assert data == bytes.fromhex(
+        "4e4e4d31" "02000000"                   # magic "NNM1", version 2
+        "01000000"                              # 1 opcode:
+        "ffff" "06000000" "416263646566"        #   CUSTOM "Abcdef"
+        "01000000" "0000000000000000"           # 1 buffer: u64 len 0
+        "02000000"                              # 2 tensors:
+        "02000000" "696f" "00"                  #   "io", F32,
+        "01000000" "04000000" "00000000"        #     shape (4,), buffer 0
+        "01000000" "79" "00"                    #   "y", F32,
+        "01000000" "04000000" "00000000"        #     shape (4,), buffer 0
+        "01000000"                              # 1 operator:
+        "00000000"                              #   opcode 0
+        "01000000" "00000000"                   #   inputs (0,)
+        "01000000" "01000000"                   #   outputs (1,)
+        "01000000" "07"                         #   options b"\x07"
+        "01000000" "00000000"                   # graph inputs (0,)
+        "01000000" "01000000")                  # graph outputs (1,)
+    assert parse_model(data) == g
+
+
+def test_version_1_file_is_refused():
+    data = serialize_model(one_tensor_graph())
+    with pytest.raises(BadMagic, match="^unsupported NNM1 version 1$"):
+        parse_model(data[:4] + struct.pack("<I", 1) + data[8:])
 
 
 def test_serialize_minimal_graph_round_trips():
@@ -214,7 +241,7 @@ def test_validate_reports_out_of_range_input(lenet):
     op = lenet.operators[0]
     bad = lenet.operators[:0] + (
         OperatorEntry(op.opcode_index, (999,) + op.inputs[1:], op.outputs,
-                      op.options_kind, op.options),) + lenet.operators[1:]
+                      op.options),) + lenet.operators[1:]
     problems = validate(ModelGraph(lenet.opcodes, lenet.buffers, lenet.tensors,
                                    bad, lenet.graph_inputs, lenet.graph_outputs))
     assert any("999 out of range" in p for p in problems)
@@ -274,16 +301,13 @@ def _mlp(softmax_output=4, **changes):
     (lambda: replace(one_tensor_graph(),
                      tensors=(Tensor("io", DType.F32, (4, 0)),)),
      "tensors[0].shape: dims must be >= 1, got (4, 0)"),
-    (lambda: _io_graph(opcodes=(OperatorCode(CUSTOM_SENTINEL, "Abcdef"),),
-                       operators=(OperatorEntry(0, (0,), (1,)),)),
-     "operators[0]: custom opcode requires CUSTOM options"),
     (lambda: _io_graph(graph_outputs=(1,)),
      "graph_outputs[0]: tensor 1 is never produced"),
     (lambda: _mlp(10, graph_outputs=(10,)),
      "operators[3].outputs[0]: tensor 10 is a constant"),
     (lambda: _mlp(graph_inputs=(0, 6)), "graph_inputs[1]: tensor 6 is a constant"),
 ], ids=["no buffer table", "buffer 0 not empty", "zero dim",
-        "custom with builtin options", "output never produced",
+        "output never produced",
         "constant as operator output", "constant as graph input"])
 def test_each_lone_violation_is_its_whole_message(graph, message):
     assert validate(graph()) == [message]

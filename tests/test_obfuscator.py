@@ -36,7 +36,6 @@ from nnobf.model_format import (
     ModelGraph,
     OperatorCode,
     OperatorEntry,
-    OptionsKind,
     Tensor,
     dump_json,
     serialize_model,
@@ -487,7 +486,7 @@ def insert_and_shift_inject_extra_layers(graph, n2, rng, plan, names):
     opcodes = list(graph.opcodes)
     tensors = list(graph.tensors)
     operators = [[op.opcode_index, list(op.inputs), list(op.outputs),
-                  op.options_kind, op.options] for op in graph.operators]
+                  op.options] for op in graph.operators]
     real_pos = list(range(len(operators)))
     for _ in range(n2):
         ai, bi = sorted(rng.sample(range(len(real_pos)), 2))
@@ -501,7 +500,7 @@ def insert_and_shift_inject_extra_layers(graph, n2, rng, plan, names):
         options = rng.randbytes(rng.randint(8, 24))
         insert_pos = r1 + 1
         operators.insert(insert_pos, [len(opcodes) - 1, [operators[r1][2][0]],
-                                      [t_idx], OptionsKind.CUSTOM, options])
+                                      [t_idx], options])
         real_pos = [p + 1 if p >= insert_pos else p for p in real_pos]
         plan.injected_shortcuts = [
             (i + 1 if i >= insert_pos else i, j + 1 if j >= insert_pos else j)
@@ -512,8 +511,8 @@ def insert_and_shift_inject_extra_layers(graph, n2, rng, plan, names):
         plan.injected_layers.append((insert_pos, shape))
         plan.records[op_name] = BundleRecord(
             DECOY_SENTINEL, encode_decoy_shape(shape), (), ())
-    frozen = tuple(OperatorEntry(oc, tuple(ins), tuple(outs), kind, opts)
-                   for oc, ins, outs, kind, opts in operators)
+    frozen = tuple(OperatorEntry(oc, tuple(ins), tuple(outs), opts)
+                   for oc, ins, outs, opts in operators)
     return replace(graph, opcodes=tuple(opcodes), tensors=tuple(tensors),
                    operators=frozen)
 
