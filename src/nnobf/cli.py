@@ -144,9 +144,9 @@ def _cmd_build_fixture(args) -> int:
     return 0
 
 
-_SEED = dict(type=int, default=0)
 _COUNT = _typed("[0-9]*[1-9][0-9]*", "a positive count", int)
 _COUNT0 = _typed("[0-9]+", "a count of 0 or more", int)
+_SEED = dict(type=_COUNT0, default=0)
 _STRATEGY = "|".join(s.value for s in Strategy)
 _STRATEGIES = _typed(f"all|none|(({_STRATEGY})(,({_STRATEGY}))*)?",
                      f"'all', 'none' or a comma list of {_STRATEGY.replace('|', ',')}",
@@ -160,12 +160,12 @@ _COMMANDS = {
         "model": {},
         "-o --output": dict(required=True, help="output directory"),
         "--seed": _SEED,
-        "--n1": dict(type=_COUNT0, default=0, help="shortcut count"),
-        "--n2": dict(type=_COUNT0, default=0, help="extra layer count"),
+        "--n1": dict(type=_COUNT0, default=0, help="shortcuts to inject (0: none)"),
+        "--n2": dict(type=_COUNT0, default=0, help="extra layers to inject (0: none)"),
         "--shape": _SHAPE,
         "--strategies": dict(default="all", type=_STRATEGIES,
-                             help="comma list of rename,encapsulate,shape,"
-                                  "shortcut,extra_layer, or 'all'/'none'")}),
+                             help="comma list of rename,encapsulate,shape, or 'all'/"
+                                  "'none'; --n1/--n2 > 0 need rename,encapsulate")}),
     "run": ("execute a model on NNT1 tensor files", _cmd_run, {
         "model": {},
         "--bundle": dict(help="kernel bundle for obfuscated models"),
@@ -177,7 +177,7 @@ _COMMANDS = {
         "obfuscated": {},
         "--bundle": {},
         "-n": dict(type=_COUNT, default=1000),
-        "--seed": dict(type=_COUNT0, default=0)}),
+        "--seed": _SEED}),
     "dump": ("print the JSON view of a model", _cmd_dump, {"model": {}}),
     "similarity": ("pairwise structure-similarity CSV", _cmd_similarity, {
         "models": dict(nargs="+"),
@@ -196,13 +196,13 @@ _COMMANDS = {
                            help="include an un-obfuscated baseline row"),
         "-n": dict(type=_COUNT, default=1000, help="inferences per timing run"),
         "--reps": dict(type=_COUNT, default=3),
-        "--seed": dict(type=_COUNT0, default=0),
+        "--seed": _SEED,
         "--shape": _SHAPE,
         "-o --output": dict(help="CSV path (default stdout)")}),
     "build-fixture": ("write a built-in fixture model", _cmd_build_fixture, {
         "name": dict(choices=FIXTURE_NAMES),
         "-o --output": dict(required=True),
-        "--seed": dict(type=_COUNT0, default=0)}),
+        "--seed": _SEED}),
 }
 
 

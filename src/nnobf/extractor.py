@@ -182,18 +182,16 @@ def build_default_zoo() -> list[tuple[str, ModelGraph]]:
 # attack matrix over strategy subsets
 # ---------------------------------------------------------------------------
 
-# Minimal strategy closures: injections require rename+encapsulate, so those
-# rows carry their prerequisites.
+# Minimal strategy closures: a count switches each injection on, and needs
+# rename+encapsulate, so those rows carry both.
 ATTACK_ROWS: list[tuple[str, frozenset[Strategy], int, int]] = [
     ("none", frozenset(), 0, 0),
     ("renaming", frozenset({Strategy.RENAME}), 0, 0),
     ("parameter_encapsulation",
      frozenset({Strategy.RENAME, Strategy.ENCAPSULATE}), 0, 0),
     ("structure_obfuscation", frozenset({Strategy.SHAPE}), 0, 0),
-    ("shortcut_injection",
-     frozenset({Strategy.RENAME, Strategy.ENCAPSULATE, Strategy.SHORTCUT}), 20, 0),
-    ("extra_layer_injection",
-     frozenset({Strategy.RENAME, Strategy.ENCAPSULATE, Strategy.EXTRA_LAYER}), 0, 20),
+    ("shortcut_injection", frozenset({Strategy.RENAME, Strategy.ENCAPSULATE}), 20, 0),
+    ("extra_layer_injection", frozenset({Strategy.RENAME, Strategy.ENCAPSULATE}), 0, 20),
     ("all_five", ALL_STRATEGIES, 20, 20),
 ]
 

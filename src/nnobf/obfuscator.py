@@ -61,8 +61,6 @@ class Strategy(Enum):
     RENAME = "rename"
     ENCAPSULATE = "encapsulate"
     SHAPE = "shape"
-    SHORTCUT = "shortcut"
-    EXTRA_LAYER = "extra_layer"
 
 
 ALL_STRATEGIES = frozenset(Strategy)
@@ -75,7 +73,8 @@ class ShapeStrategy(Enum):
 
 @dataclass(frozen=True)
 class ObfuscationConfig:
-    """Construction checks the config: a bad one raises InvariantViolation."""
+    """``strategies`` switches the first three passes; a non-zero count, each
+    injection.  Construction checks the config: a bad one raises InvariantViolation."""
     seed: int
     n_shortcuts: int = 0
     n_extra_layers: int = 0
@@ -85,18 +84,24 @@ class ObfuscationConfig:
     def __post_init__(self):
         if type(self.seed) is not int:  # type(): bool is an int subclass
             raise InvariantViolation(f"seed must be an int, got {self.seed!r:.40}")
+        if self.seed < 0:  # random.Random seeds by absolute value: -3 is 3
+            raise InvariantViolation(f"seed must be >= 0, got {self.seed}")
         if any(type(n) is not int or n < 0
                for n in (self.n_shortcuts, self.n_extra_layers)):
             raise InvariantViolation("shortcut/extra-layer counts must be ints >= 0")
         s = self.strategies
+        if not (isinstance(self.shape_strategy, ShapeStrategy)
+                and all(isinstance(x, Strategy) for x in s)):
+            raise InvariantViolation(f"expected Strategy members and a ShapeStrategy, got "
+                                     f"{set(s)!r:.50} and {self.shape_strategy!r:.40}")
         if Strategy.ENCAPSULATE in s and Strategy.RENAME not in s:
             raise InvariantViolation(
                 "parameter encapsulation requires renaming: bundle records are "
                 "keyed by custom operator names")
-        if (Strategy.SHORTCUT in s or Strategy.EXTRA_LAYER in s) \
+        if (self.n_shortcuts or self.n_extra_layers) \
                 and not {Strategy.RENAME, Strategy.ENCAPSULATE} <= s:
             raise InvariantViolation(
-                "shortcut/extra-layer injection requires rename+encapsulate so "
+                "a shortcut/extra-layer count > 0 requires rename+encapsulate so "
                 "true wiring is hidden in the bundle")
 
 
@@ -340,28 +345,23 @@ def obfuscate(graph: ModelGraph, config: ObfuscationConfig) \
     check_graph(graph)
 
     master = random.Random(config.seed)
-    stage_seed = {s: master.getrandbits(64) for s in Strategy}
-    names = NameGenerator(master.getrandbits(64))
+    _, encapsulate, shape, shortcut, extra_layer, name_seed = (
+        master.getrandbits(64) for _ in range(6))  # in pass order; rename's unused
+    names = NameGenerator(name_seed)
     plan = ObfuscationPlan(config)
 
     g = graph
     if Strategy.RENAME in config.strategies:
         g = rename(g, plan, names)
     if Strategy.ENCAPSULATE in config.strategies:
-        g = encapsulate_parameters(g, plan,
-                                   random.Random(stage_seed[Strategy.ENCAPSULATE]))
+        g = encapsulate_parameters(g, plan, random.Random(encapsulate))
     if Strategy.SHAPE in config.strategies:
         # the injections below only append tensors, so these indices hold
         plan.shapes = [t.shape for t in g.tensors]
-        g = obfuscate_shapes(g, config.shape_strategy,
-                             random.Random(stage_seed[Strategy.SHAPE]))
-    if Strategy.SHORTCUT in config.strategies:
-        g = inject_shortcuts(g, config.n_shortcuts,
-                             random.Random(stage_seed[Strategy.SHORTCUT]), plan)
-    if Strategy.EXTRA_LAYER in config.strategies:
-        g = inject_extra_layers(g, config.n_extra_layers,
-                                random.Random(stage_seed[Strategy.EXTRA_LAYER]),
-                                plan, names)
+        g = obfuscate_shapes(g, config.shape_strategy, random.Random(shape))
+    g = inject_shortcuts(g, config.n_shortcuts, random.Random(shortcut), plan)
+    g = inject_extra_layers(g, config.n_extra_layers, random.Random(extra_layer),
+                            plan, names)
 
     check_graph(g, InvariantViolation, "obfuscation produced an invalid graph")
     return g, KernelBundle(plan.records), plan
@@ -447,7 +447,7 @@ _BUNDLE_KEY = ', "bundle": "'  # the plan's last key, its value spliced in
 
 
 def plan_to_json(plan: ObfuscationPlan) -> str:
-    """Version-4 plan: config, true shapes, then the bundle; all that
+    """Version-5 plan: config, true shapes, then the bundle; all that
     :func:`reconstruct` reads.  The injection logs are not written: each
     decoy record encodes its shape, and each real record its true inputs.
 
@@ -459,7 +459,7 @@ def plan_to_json(plan: ObfuscationPlan) -> str:
     doc = {
         "warning": PLAN_WARNING,
         "format": "nnobf-plan",
-        "version": 4,
+        "version": 5,
         "config": {
             "seed": plan.config.seed,
             "n_shortcuts": plan.config.n_shortcuts,
@@ -485,15 +485,15 @@ def plan_from_json(text: str) -> ObfuscationPlan:
         raise MalformedPlan('not a plan file: no closing "bundle" string')
     try:
         doc = json.loads(text[:cut] + "}")  # text ending in "}": a dict or an error
-        if doc.get("format") != "nnobf-plan" or doc.get("version") != 4:
-            raise MalformedPlan("not a version-4 nnobf plan file")
+        if doc.get("format") != "nnobf-plan" or doc.get("version") != 5:
+            raise MalformedPlan("not a version-5 nnobf plan file")
         cfg = doc["config"]
         config = ObfuscationConfig(
             seed=cfg["seed"],
             n_shortcuts=cfg["n_shortcuts"],
             n_extra_layers=cfg["n_extra_layers"],
             shape_strategy=ShapeStrategy(cfg["shape_strategy"]),
-            strategies=frozenset(Strategy(s) for s in cfg["strategies"]))
+            strategies=frozenset(Strategy(s) for s in _list(cfg["strategies"])))
         # strict rejects non-alphabet bytes; reads the str in place, no copy
         blob = binascii.a2b_base64(text[cut + len(_BUNDLE_KEY):-2], strict_mode=True)
         return ObfuscationPlan(config, dict(load_bundle(blob).records),

@@ -349,6 +349,13 @@ def test_cli_bench_malformed_configs_are_usage_errors(pair, capsys):
     (["build-fixture", "mlp", "-o", "m", "--seed", "-1"], "--seed", "-1"),
     (["compare", "a", "b", "--seed", "-1"], "--seed", "-1"),
     (["bench", "m.nnm1", "--seed", "-1"], "--seed", "-1"),
+    (["obfuscate", "m", "-o", "d", "--seed", "-1"], "--seed", "-1"),
+    (["attack", "a", "--seed", "-1"], "--seed", "-1"),
+    (["similarity", "a", "--seed", "-1"], "--seed", "-1"),
+    (["obfuscate", "m", "-o", "d", "--strategies", "shortcut"], "--strategies",
+     "shortcut"),
+    (["obfuscate", "m", "-o", "d", "--strategies", "rename,extra_layer"],
+     "--strategies", "rename,extra_layer"),
 ])
 def test_cli_bad_counts_and_strategies_are_usage_errors(argv, option, value, capsys):
     assert cli_dispatch(argv) == 2
@@ -363,9 +370,9 @@ _CLI_PARSES = {
                   ["m", "-o", "d"],
                   dict(model="m", output="d", seed=0, n1=0, n2=0,
                        shape="align", strategies=ALL_STRATEGIES),
-                  ["m", "--output", "d", "--seed", "-3", "--n1", "4", "--n2",
+                  ["m", "--output", "d", "--seed", "3", "--n1", "4", "--n2",
                    "5", "--shape", "random", "--strategies", "rename,shape"],
-                  dict(model="m", output="d", seed=-3, n1=4, n2=5,
+                  dict(model="m", output="d", seed=3, n1=4, n2=5,
                        shape="random",
                        strategies=frozenset({Strategy.RENAME, Strategy.SHAPE}))),
     "run": ("_cmd_run",

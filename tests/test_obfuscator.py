@@ -93,10 +93,26 @@ def test_config_requires_rename_for_encapsulate():
 
 
 def test_config_requires_prereqs_for_injections():
-    with pytest.raises(InvariantViolation):
-        obfuscate(relu_chain(3),
-                  ObfuscationConfig(seed=0, n_shortcuts=1, strategies=frozenset(
-                      {Strategy.RENAME, Strategy.SHORTCUT})))
+    # a count switches its injection on; a shape-only config with counts of
+    # 20 used to drop them silently
+    for pre, n1, n2 in (({Strategy.RENAME}, 1, 0), ({Strategy.RENAME}, 0, 1),
+                        ({Strategy.SHAPE}, 20, 20)):
+        with pytest.raises(InvariantViolation, match="count > 0 requires rename"):
+            obfuscate(relu_chain(3), ObfuscationConfig(
+                seed=0, n_shortcuts=n1, n_extra_layers=n2, strategies=frozenset(pre)))
+
+
+@pytest.mark.parametrize("kw", [
+    dict(strategies=frozenset({"rename", "encapsulate"})),
+    dict(strategies=frozenset({Strategy.RENAME, "shape"})),
+    dict(shape_strategy="random"),
+    dict(shape_strategy=None),
+], ids=["strategy-names", "one-name", "shape-name", "shape-none"])
+def test_config_checks_member_types(kw):
+    # strategy names once gave back the original graph and an empty bundle;
+    # a shape name obfuscated as align, then broke plan_to_json
+    with pytest.raises(InvariantViolation, match="expected Strategy members"):
+        ObfuscationConfig(seed=0, **kw)
 
 
 def test_config_is_checked_when_constructed():
@@ -521,11 +537,9 @@ def insert_and_shift_inject_extra_layers(graph, n2, rng, plan, names):
 def test_extra_layers_match_insert_and_shift_loop(name):
     graph = relu_chain(60) if name == "relu_chain" else build_fixture(name, 0)
     # the graph and plan as obfuscate() hands them to the extra-layer pass
-    pre = ALL_STRATEGIES - {Strategy.EXTRA_LAYER}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # saturated shortcuts
-        graph, _, before = obfuscate(graph, ObfuscationConfig(
-            seed=1, n_shortcuts=20, strategies=pre))
+        graph, _, before = obfuscate(graph, ObfuscationConfig(seed=1, n_shortcuts=20))
     assert before.injected_shortcuts
     for n2 in (1, 30, 300):
         got = []
@@ -674,9 +688,15 @@ def test_plan_file_loses_no_injection_fact(name, strategy):
         sorted(plan.injected_shortcuts), sorted(plan.injected_layers))
 
 
-def test_plan_json_keeps_a_negative_seed(lenet):
-    _, _, plan = obfuscate(lenet, ObfuscationConfig(seed=-3))
-    assert plan_from_json(plan_to_json(plan)).config.seed == -3
+def test_negative_seed_is_refused(lenet):
+    # random.Random seeds by absolute value, so -3 would repeat seed 3's bytes
+    with pytest.raises(InvariantViolation, match="^seed must be >= 0, got -3$"):
+        ObfuscationConfig(seed=-3)
+    _, _, plan = obfuscate(lenet, ObfuscationConfig(seed=3))
+    text = plan_to_json(plan)
+    assert plan_from_json(text).config.seed == 3
+    with pytest.raises(MalformedPlan, match="seed must be >= 0"):
+        plan_from_json(text.replace('"seed": 3,', '"seed": -3,'))
 
 
 def test_plan_json_carries_warning_banner(lenet):
@@ -749,7 +769,8 @@ def _on_bundle(corrupt):
      _drop_shapes, _shape_not_list, _zero_dim, _bool_dim, _float_dim]
     + [_config_set("seed", v) for v in ("x", True, 1.5)]
     + [_config_set("n_shortcuts", -5), _config_set("n_extra_layers", "lots"),
-       _config_set("strategies", ["encapsulate"])]
+       _config_set("strategies", ["encapsulate"]),
+       _config_set("strategies", {"rename": 1})]
     + [_on_bundle(c) for c in BUNDLE_CORRUPTIONS],
     ids=lambda f: f.__name__)
 def test_malformed_plan_doc_raises(lenet, corrupt):
@@ -762,10 +783,14 @@ def test_malformed_plan_doc_raises(lenet, corrupt):
 
 
 def _old_plans():
-    """Plans as versions 2 (no shapes) and 3 (v4 plus the injection logs)
-    wrote them, and a v3 plan labelled v2."""
+    """Plans as versions 2 (no shapes), 3 (v4 plus the injection logs) and 4
+    (v5 with the injection flags among the strategies) wrote them, a v3 plan
+    labelled v2 and a v5 plan labelled v4."""
     _, _, plan = obfuscate(build_fixture("mlp", 0), ObfuscationConfig(seed=5))
-    v3 = {**json.loads(plan_to_json(plan)), "version": 3,
+    v5 = json.loads(plan_to_json(plan))
+    v4 = {**v5, "version": 4, "config": {**v5["config"], "strategies": [
+        *v5["config"]["strategies"], "shortcut", "extra_layer"]}}
+    v3 = {**v4, "version": 3,
           "injected_shortcuts": plan.injected_shortcuts,
           "injected_layers": plan.injected_layers}
     v2 = {k: v3[k] for k in ("warning", "format", "config", "bundle",
@@ -773,8 +798,9 @@ def _old_plans():
     return [pytest.param(json.dumps({**v2, "version": 2}), id="version-2-plan"),
             pytest.param(json.dumps({**v3, "version": 2}), id="version-3-labelled-2"),
             pytest.param(json.dumps(v3), id="version-3-plan"),
-            pytest.param(plan_to_json(plan).replace('"version": 4', '"version": 3'),
-                         id="version-4-labelled-3")]
+            pytest.param(json.dumps(v4), id="version-4-plan"),
+            pytest.param(plan_to_json(plan).replace('"version": 5', '"version": 4'),
+                         id="version-5-labelled-4")]
 
 
 @pytest.mark.parametrize("text", [
@@ -857,9 +883,9 @@ def test_reconstruct_runs_no_inference(all_fixtures, monkeypatch):
 def test_reconstruct_rejects_an_operator_without_one_output(renamed):
     # operator 3 of lenet (seed 5) declaring no output: the input graph is
     # checked before the operator walk could index its empty output list
-    strategies = ALL_STRATEGIES if renamed else frozenset({Strategy.SHAPE})
+    strategies, n = (ALL_STRATEGIES, 20) if renamed else (frozenset({Strategy.SHAPE}), 0)
     public, _, plan = obfuscate(build_fixture("lenet", 5), ObfuscationConfig(
-        seed=1, n_shortcuts=20, n_extra_layers=20, strategies=strategies))
+        seed=1, n_shortcuts=n, n_extra_layers=n, strategies=strategies))
     ops = list(public.operators)
     ops[3] = ops[3]._replace(outputs=())
     with pytest.raises(PlanMismatch, match=r"invalid: operators\[3\]\.outputs"):

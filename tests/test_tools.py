@@ -89,7 +89,7 @@ def test_artifact_bytes_match_the_recorded_digests():
         warnings.simplefilter("ignore")  # saturated shortcuts
         found = load_tool("artifact_digest").digests((0,), (0, 1), (0, 20))
     assert found["combined"] == \
-        "631c40e7b0bf5216b3150da5548b8a5dc0cd5477fca27cfa85d74a6d3e6faad8"
+        "9ae4aaf29825a1c9a9674249d43ba4342988a1eb568af74ca399d1275a96889a"
     assert found["dump"] == \
         "72ce826937e1b98cb590b2c9be2cda1c1b08f7ae5cc5116856e72b7662dbfa1b"
 
